@@ -68,6 +68,7 @@ benchcmp:
 fuzz:
 	$(GO) test -fuzz=FuzzReadText -fuzztime=15s ./internal/fpm/
 	$(GO) test -fuzz=FuzzPiecewiseLinear -fuzztime=15s ./internal/fpm/
+	$(GO) test -fuzz=FuzzSizeFor -fuzztime=15s ./internal/fpm/
 	$(GO) test -fuzz=FuzzRoundShares -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzFPMPartition -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzGemmDifferential -fuzztime=15s ./internal/blas/

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"math"
 	"testing"
 
 	"fpmpart/internal/bench"
@@ -153,23 +154,27 @@ func TestClosedLoopRealFPM(t *testing.T) {
 		return rr
 	}
 
-	fpmRun := runWith([]float64{float64(u[0]), float64(u[1])})
-	evenRun := runWith([]float64{1, 1})
 	// The even split leaves the slow worker ≈4x behind, so its slowest
-	// process dominates; the FPM split shortens that critical path. Wall
-	// clocks under scheduler noise make fine-grained assertions unsafe, so
-	// compare the makespans (slowest per-process time) coarsely.
-	makespan := func(r RealResult) float64 {
-		var m float64
-		for _, s := range r.PerProcessSeconds {
-			if s > m {
-				m = s
+	// process dominates; the FPM split shortens that critical path. One
+	// ~25 ms wall-clock makespan (slowest per-process time) is at the mercy
+	// of the scheduler — a third of single FPM runs on a loaded 2-core host
+	// overshoot their ten sub-millisecond sleeps past the threshold — and
+	// noise only ever adds time, so compare each strategy's best of five
+	// runs, coarsely.
+	makespan := func(areas []float64) float64 {
+		best := math.Inf(1)
+		for run := 0; run < 5; run++ {
+			var m float64
+			for _, s := range runWith(areas).PerProcessSeconds {
+				m = math.Max(m, s)
 			}
+			best = math.Min(best, m)
 		}
-		return m
+		return best
 	}
-	if makespan(fpmRun) > 0.8*makespan(evenRun) {
-		t.Errorf("FPM makespan %v not clearly better than even split %v",
-			makespan(fpmRun), makespan(evenRun))
+	fpmSpan := makespan([]float64{float64(u[0]), float64(u[1])})
+	evenSpan := makespan([]float64{1, 1})
+	if fpmSpan > 0.8*evenSpan {
+		t.Errorf("FPM makespan %v not clearly better than even split %v", fpmSpan, evenSpan)
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"fpmpart/internal/blas"
@@ -23,6 +24,8 @@ type BatchGEMMKernel struct {
 	// MaxItems bounds the measurable batch size (0 = unbounded).
 	MaxItems float64
 
+	// mu serialises Run, for the reason RealGEMMKernel.mu does.
+	mu sync.Mutex
 	// cached operands, grown on demand so allocation stays out of the
 	// timed section.
 	items []blas.BatchItem
@@ -49,6 +52,8 @@ func (k *BatchGEMMKernel) Run(x float64) (float64, error) {
 	if n < 1 {
 		n = 1
 	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	k.ensure(n)
 	start := time.Now()
 	if err := blas.GemmBatch(k.items[:n], k.Workers); err != nil {

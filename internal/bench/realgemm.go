@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"fpmpart/internal/blas"
@@ -24,6 +25,10 @@ type RealGEMMKernel struct {
 	// to keep host memory use sane.
 	MaxBlocks float64
 
+	// mu serialises Run: BuildModel measures grid points from several
+	// goroutines, and a wall-clock measurement wants the machine — and the
+	// cached operands — to itself.
+	mu sync.Mutex
 	// cached operands, grown on demand so allocation stays out of the
 	// timed section.
 	a, b, c *matrix.Dense
@@ -54,6 +59,8 @@ func (k *RealGEMMKernel) Run(x float64) (float64, error) {
 		cols = 1
 	}
 	bs := k.BlockSize
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	if err := k.ensure(rows*bs, cols*bs); err != nil {
 		return 0, err
 	}

@@ -65,6 +65,9 @@ type Point struct {
 // observed speed, which callers can forbid with a partitioning size cap).
 type PiecewiseLinear struct {
 	points []Point
+	// env[i] = max over j<=i of t(points[j].Size): the monotone envelope of
+	// the execution time at the knots, which SizeFor searches (invert.go).
+	env []float64
 }
 
 // NewPiecewiseLinear builds a model from observation points. Points are
@@ -77,6 +80,7 @@ func NewPiecewiseLinear(points []Point) (*PiecewiseLinear, error) {
 	ps := make([]Point, len(points))
 	copy(ps, points)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Size < ps[j].Size })
+	env := make([]float64, len(ps))
 	for i, p := range ps {
 		if p.Size <= 0 || math.IsNaN(p.Size) || math.IsInf(p.Size, 0) {
 			return nil, fmt.Errorf("fpm: invalid point size %v", p.Size)
@@ -87,8 +91,12 @@ func NewPiecewiseLinear(points []Point) (*PiecewiseLinear, error) {
 		if i > 0 && ps[i-1].Size == p.Size {
 			return nil, fmt.Errorf("fpm: duplicate point at size %v", p.Size)
 		}
+		env[i] = p.Size / p.Speed
+		if i > 0 && env[i-1] > env[i] {
+			env[i] = env[i-1]
+		}
 	}
-	return &PiecewiseLinear{points: ps}, nil
+	return &PiecewiseLinear{points: ps, env: env}, nil
 }
 
 // MustPiecewiseLinear is NewPiecewiseLinear that panics on error; for

@@ -15,109 +15,102 @@ import (
 // envelope tm(x) = max_{y<=x} t(y): the largest x whose envelope time is
 // within T. This matches the partitioning semantics — a device is assigned
 // the most work it can finish by T.
-
-// TimeInverter answers "largest x with time(x) <= T" queries for one model.
 //
-// A TimeInverter is immutable after NewTimeInverter and therefore safe for
-// concurrent use from multiple goroutines — fpmd shares one inverter per
-// registered model across all request handlers. SizeFor must keep reading
-// searchHint into a local rather than adaptively rewriting it (a tempting
-// warm-start optimisation that would be a data race under concurrent
-// solves); TestTimeInverterConcurrentSizeFor pins this with -race.
-type TimeInverter struct {
-	s SpeedFunction
-	// cap limits the assignable size (e.g. GPU memory limit). +Inf if none.
-	cap float64
-	// searchMax bounds the bisection; beyond the model domain speed is
-	// clamped so time is strictly increasing there and any T is reachable.
-	searchHint float64
-	// knotSize / knotEnv memoize the running maximum of the time function at
-	// the model's knots: knotEnv[i] = max over j<=i of Time(s, knotSize[j]).
-	// SizeFor evaluates the envelope ~100 times per bisection and the
-	// partitioner bisects hundreds of times per solve, so the O(knots) knot
-	// scan in envelopeTime was the solver's hot spot. The prefix maximum
-	// turns it into a binary search with bit-identical results (max is
-	// order-independent).
-	knotSize []float64
-	knotEnv  []float64
-}
+// This is the paper's geometric step: the line through the origin with
+// slope 1/T meets the speed function where x/s(x) = T. On a piecewise-linear
+// model the meeting point has a closed form per segment, so no search over x
+// is needed (DESIGN §7.3).
 
-// NewTimeInverter builds an inverter for model s with an optional size cap
-// (pass +Inf or 0 for none).
-func NewTimeInverter(s SpeedFunction, sizeCap float64) *TimeInverter {
+// SizeFor returns the largest x (0 <= x <= sizeCap) such that the monotone
+// envelope of model s's execution time does not exceed T. A sizeCap <= 0
+// means no cap; SizeFor(s, 0, ·) = 0 and an infinite T returns the cap.
+//
+// Piecewise-linear and constant models, and Scaled wrappers over them, are
+// inverted exactly; any other SpeedFunction falls back to a numeric
+// bisection on t(x), which assumes its time function is increasing. SizeFor
+// only reads s, so one model may serve concurrent solves.
+func SizeFor(s SpeedFunction, T, sizeCap float64) float64 {
 	if sizeCap <= 0 {
 		sizeCap = math.Inf(1)
 	}
-	_, dmax := s.Domain()
-	hint := dmax
-	if math.IsInf(hint, 1) || hint <= 0 {
-		hint = 1
-	}
-	inv := &TimeInverter{s: s, cap: sizeCap, searchHint: hint}
-	if pl, ok := s.(*PiecewiseLinear); ok {
-		inv.knotSize = make([]float64, len(pl.points))
-		inv.knotEnv = make([]float64, len(pl.points))
-		env := math.Inf(-1)
-		for i, p := range pl.points {
-			if t := Time(s, p.Size); t > env {
-				env = t
-			}
-			inv.knotSize[i] = p.Size
-			inv.knotEnv[i] = env
-		}
-	}
-	return inv
-}
-
-// Cap returns the size cap (possibly +Inf).
-func (inv *TimeInverter) Cap() float64 { return inv.cap }
-
-// envelopeTime returns max over y in (0, x] of Time(s, y), evaluated on a
-// fine grid plus the exact endpoints; for piecewise-linear speed models the
-// extrema of x/s(x) lie at knots or within single segments where the
-// function is monotone in between knots' ratio, so sampling knots is exact
-// enough for partitioning purposes.
-func (inv *TimeInverter) envelopeTime(x float64) float64 {
-	t := Time(inv.s, x)
-	if len(inv.knotSize) > 0 {
-		// Index of the first knot >= x: knots [0, i) are strictly below x,
-		// and knotEnv[i-1] is their precomputed time maximum.
-		if i := sort.SearchFloat64s(inv.knotSize, x); i > 0 && inv.knotEnv[i-1] > t {
-			t = inv.knotEnv[i-1]
-		}
-	}
-	return t
-}
-
-// SizeFor returns the largest x (0 <= x <= cap) such that the monotone
-// envelope of the execution time does not exceed T. SizeFor(0) = 0.
-func (inv *TimeInverter) SizeFor(T float64) float64 {
-	if T <= 0 {
+	if !(T > 0) {
 		return 0
 	}
 	if math.IsInf(T, 1) {
-		return inv.cap
+		return sizeCap
 	}
+	var x float64
+	switch m := s.(type) {
+	case *PiecewiseLinear:
+		x = m.sizeFor(T)
+	case Constant:
+		x = T * m.S
+	case Scaled:
+		// t(x) = x / (Factor·base(x)) <= T  ⇔  x/base(x) <= T·Factor.
+		return SizeFor(m.Base, T*m.Factor, sizeCap)
+	default:
+		return bisectSizeFor(s, T, sizeCap)
+	}
+	if !(x > 0) {
+		return 0
+	}
+	return math.Min(x, sizeCap)
+}
+
+// sizeFor inverts the envelope of a piecewise-linear model without a cap.
+//
+// Within one segment s(x) = a + b·x, so dt/dx = a/(a+bx)² keeps one sign:
+// time is monotone between knots and the running maximum tm is attained at
+// knots. env holds that running maximum, so the knots with env <= T are all
+// reachable and the answer lies in the stretch right after the last of them:
+//
+//   - before the first knot speed is clamped to s₀:        x = T·s₀
+//   - beyond the last knot speed is clamped to s_last:     x = T·s_last
+//   - otherwise t rises through T between knots c-1 and c
+//     (env[c-1] <= T < env[c] = t(x_c)), and x/(a+bx) = T
+//     gives x = aT/(1−bT), evaluated as an offset from knot c-1.
+func (m *PiecewiseLinear) sizeFor(T float64) float64 {
+	ps := m.points
+	// c = number of knots whose envelope time is within T (env is sorted).
+	c := sort.Search(len(m.env), func(i int) bool { return m.env[i] > T })
+	switch c {
+	case 0:
+		return T * ps[0].Speed
+	case len(ps):
+		return T * ps[c-1].Speed
+	}
+	lo, hi := ps[c-1], ps[c]
+	b := (hi.Speed - lo.Speed) / (hi.Size - lo.Size)
+	// 1−bT > 0 here: (x_c − T·s_c) − (x_{c-1} − T·s_{c-1}) is a positive
+	// minus a non-positive number. The clamps absorb rounding at the ends.
+	x := lo.Size + (T*lo.Speed-lo.Size)/(1-b*T)
+	if !(x >= lo.Size) {
+		return lo.Size
+	}
+	return math.Min(x, hi.Size)
+}
+
+// bisectSizeFor is the numeric inversion for models without a closed form
+// (MonotoneCubic): bracket, then bisect t(x) <= T to a relative 1e-9.
+func bisectSizeFor(s SpeedFunction, T, sizeCap float64) float64 {
 	// Establish an upper bracket: grow until time exceeds T or the cap is
 	// reached. Beyond the model domain the speed is clamped to a constant,
 	// so time grows linearly and the loop terminates.
-	hi := inv.searchHint
-	if hi > inv.cap {
-		hi = inv.cap
+	_, hi := s.Domain()
+	if math.IsInf(hi, 1) || hi <= 0 {
+		hi = 1
 	}
-	for inv.envelopeTime(hi) <= T {
-		if hi >= inv.cap {
-			return inv.cap
+	hi = math.Min(hi, sizeCap)
+	for Time(s, hi) <= T {
+		if hi >= sizeCap {
+			return sizeCap
 		}
-		hi *= 2
-		if hi > inv.cap {
-			hi = inv.cap
-		}
+		hi = math.Min(2*hi, sizeCap)
 	}
 	lo := 0.0
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
-		if inv.envelopeTime(mid) <= T {
+		if Time(s, mid) <= T {
 			lo = mid
 		} else {
 			hi = mid

@@ -10,67 +10,57 @@ import (
 
 func TestInverterConstantModel(t *testing.T) {
 	c, _ := NewConstant(10) // time(x) = x/10
-	inv := NewTimeInverter(c, 0)
-	approx(t, inv.SizeFor(1), 10, 1e-6, "T=1")
-	approx(t, inv.SizeFor(2.5), 25, 1e-5, "T=2.5")
-	approx(t, inv.SizeFor(0), 0, 0, "T=0")
-	approx(t, inv.SizeFor(-1), 0, 0, "T<0")
+	approx(t, SizeFor(c, 1, 0), 10, 1e-6, "T=1")
+	approx(t, SizeFor(c, 2.5, 0), 25, 1e-5, "T=2.5")
+	approx(t, SizeFor(c, 0, 0), 0, 0, "T=0")
+	approx(t, SizeFor(c, -1, 0), 0, 0, "T<0")
+	approx(t, SizeFor(c, math.NaN(), 0), 0, 0, "T=NaN")
 }
 
 func TestInverterRespectsCap(t *testing.T) {
 	c, _ := NewConstant(10)
-	inv := NewTimeInverter(c, 7)
-	approx(t, inv.SizeFor(100), 7, 0, "cap binds")
-	approx(t, inv.SizeFor(math.Inf(1)), 7, 0, "infinite deadline returns cap")
-	if inv.Cap() != 7 {
-		t.Errorf("Cap = %v", inv.Cap())
-	}
-	// No cap => +Inf.
-	if !math.IsInf(NewTimeInverter(c, 0).Cap(), 1) {
-		t.Error("zero cap should mean no cap")
+	approx(t, SizeFor(c, 100, 7), 7, 0, "cap binds")
+	approx(t, SizeFor(c, math.Inf(1), 7), 7, 0, "infinite deadline returns cap")
+	// No cap => unbounded.
+	approx(t, SizeFor(c, 100, 0), 1000, 1e-9, "zero cap means no cap")
+	if !math.IsInf(SizeFor(c, math.Inf(1), 0), 1) {
+		t.Error("infinite deadline without a cap should be unbounded")
 	}
 }
 
 func TestInverterPiecewiseLinear(t *testing.T) {
 	// Speed 100 flat: time(x) = x/100.
 	m := MustPiecewiseLinear([]Point{{Size: 10, Speed: 100}, {Size: 1000, Speed: 100}})
-	inv := NewTimeInverter(m, 0)
-	approx(t, inv.SizeFor(2), 200, 1e-4, "flat model invert")
+	approx(t, SizeFor(m, 2, 0), 200, 1e-4, "flat model invert")
 	// Beyond the domain speed clamps to 100, so large T still works.
-	approx(t, inv.SizeFor(100), 10000, 1e-2, "beyond domain")
+	approx(t, SizeFor(m, 100, 0), 10000, 1e-2, "beyond domain")
 }
 
 func TestInverterNonMonotoneTime(t *testing.T) {
-	// A cliff like the GPU out-of-core transition: speed halves at x=100,
-	// making t(x) jump from 100/200=0.5 to ~100/100=1.0. Just after the
-	// cliff there are sizes x where t(x) < t at slightly smaller sizes never
-	// happens here, but consider speed spike: time dips. Build a model where
-	// t is non-monotone: s: (10,10) -> t=1 ; (20, 40) -> t=0.5 ; (40,40) -> t=1.
+	// A speed spike makes t non-monotone:
+	// s: (10,10) -> t=1 ; (20,40) -> t=0.5 ; (40,40) -> t=1.
 	m := MustPiecewiseLinear([]Point{{Size: 10, Speed: 10}, {Size: 20, Speed: 40}, {Size: 40, Speed: 40}})
-	inv := NewTimeInverter(m, 0)
-	// t(10)=1, t(20)=0.5, t(40)=1. Envelope time at x=20 is max(t up to 20)=1.
-	// So SizeFor(0.9) must NOT return ~20 even though t(20)=0.5<=0.9; the
-	// envelope keeps the answer below 10 (where t first reaches 0.9).
-	got := inv.SizeFor(0.9)
-	if got >= 10 {
+	// Envelope time at x=20 is max(t up to 20)=1, so SizeFor(0.9) must NOT
+	// return ~20 even though t(20)=0.5<=0.9; the envelope keeps the answer
+	// below 10 (where t first reaches 0.9).
+	if got := SizeFor(m, 0.9, 0); got >= 10 {
 		t.Errorf("envelope violated: SizeFor(0.9) = %v, want < 10", got)
 	}
 	// With T=1.0 every measured size is reachable; answer >= 40.
-	if got := inv.SizeFor(1.0); got < 40-1e-6 {
+	if got := SizeFor(m, 1.0, 0); got < 40-1e-6 {
 		t.Errorf("SizeFor(1.0) = %v, want >= 40", got)
 	}
 }
 
-// TestTimeInverterConcurrentSizeFor hammers one shared inverter from 16
-// goroutines under -race. TimeInverter's documented contract is immutability
-// after construction (fpmd shares one inverter per model across request
-// handlers); an adaptive searchHint rewrite inside SizeFor would fail here.
+// TestTimeInverterConcurrentSizeFor hammers one shared model from 16
+// goroutines under -race. SizeFor's documented contract is that it only
+// reads the model (fpmd shares one model across request handlers); a
+// warm-start hint cached inside the model would fail here.
 func TestTimeInverterConcurrentSizeFor(t *testing.T) {
 	m := MustPiecewiseLinear([]Point{
 		{Size: 5, Speed: 50}, {Size: 50, Speed: 120}, {Size: 100, Speed: 90}, {Size: 200, Speed: 60},
 	})
-	inv := NewTimeInverter(m, 0)
-	want := inv.SizeFor(1.7)
+	want := SizeFor(m, 1.7, 0)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for g := 0; g < 16; g++ {
@@ -79,12 +69,12 @@ func TestTimeInverterConcurrentSizeFor(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				T := 0.01 + float64((g*500+i)%997)*0.005
-				x := inv.SizeFor(T)
+				x := SizeFor(m, T, 0)
 				if math.IsNaN(x) || x < 0 {
 					errs <- fmt.Sprintf("SizeFor(%v) = %v", T, x)
 					return
 				}
-				if got := inv.SizeFor(1.7); got != want {
+				if got := SizeFor(m, 1.7, 0); got != want {
 					errs <- fmt.Sprintf("SizeFor(1.7) = %v under concurrency, want %v", got, want)
 					return
 				}
@@ -104,19 +94,18 @@ func TestInverterMonotoneProperty(t *testing.T) {
 	m := MustPiecewiseLinear([]Point{
 		{Size: 5, Speed: 50}, {Size: 50, Speed: 120}, {Size: 100, Speed: 90}, {Size: 200, Speed: 60},
 	})
-	inv := NewTimeInverter(m, 500)
 	f := func(a, b uint16) bool {
 		t1 := float64(a)/65535*5 + 1e-6
 		t2 := float64(b)/65535*5 + 1e-6
 		if t1 > t2 {
 			t1, t2 = t2, t1
 		}
-		x1, x2 := inv.SizeFor(t1), inv.SizeFor(t2)
+		x1, x2 := SizeFor(m, t1, 500), SizeFor(m, t2, 500)
 		if x1 > x2+1e-6 {
 			return false
 		}
-		// Feasibility: achieved envelope time within T (allowing bisection slack).
-		return inv.envelopeTime(x1) <= t1*(1+1e-6)+1e-9
+		// Feasibility: achieved envelope time within T (allowing rounding slack).
+		return refEnvelopeTime(m, m, x1) <= t1*(1+1e-6)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

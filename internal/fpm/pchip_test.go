@@ -128,8 +128,7 @@ func TestMonotoneCubicWithInverter(t *testing.T) {
 	m := MustMonotoneCubic([]Point{
 		{Size: 10, Speed: 100}, {Size: 1000, Speed: 100},
 	})
-	inv := NewTimeInverter(m, 0)
-	got := inv.SizeFor(2)
+	got := SizeFor(m, 2, 0)
 	if math.Abs(got-200) > 1e-3 {
 		t.Errorf("SizeFor(2) = %v, want 200", got)
 	}

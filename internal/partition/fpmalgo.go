@@ -36,7 +36,7 @@ func (o FPMOptions) withDefaults() FPMOptions {
 //
 // The search is a bisection on T of the monotone non-decreasing function
 // total(T) = Σ_i x_i(T), where x_i(T) inverts the monotone envelope of the
-// device's execution-time function (see fpm.TimeInverter). This is
+// device's execution-time function (see fpm.SizeFor). This is
 // equivalent to the geometric line-rotation formulation of Lastovetsky &
 // Reddy 2007: a line through the origin with slope n/T intersects the speed
 // functions at the balanced distribution.
@@ -61,15 +61,17 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 		return finish(devices, make([]int, len(devices))), nil
 	}
 
-	invs := make([]*fpm.TimeInverter, len(devices))
-	for i, d := range devices {
-		invs[i] = fpm.NewTimeInverter(d.Model, d.MaxUnits)
+	// x_i(T) is exact and allocation-free for the piecewise-linear models
+	// the service and the experiments use (fpm.SizeFor), so the bisection
+	// simply re-evaluates it: one solve is ~60 × len(devices) segment
+	// lookups.
+	sizeFor := func(i int, T float64) float64 {
+		return fpm.SizeFor(devices[i].Model, T, devices[i].MaxUnits)
 	}
-	cache := newSolveCache(invs)
 	total := func(T float64) float64 {
 		var s float64
-		for i := range invs {
-			s += cache.sizeFor(i, T)
+		for i := range devices {
+			s += sizeFor(i, T)
 		}
 		return s
 	}
@@ -91,7 +93,12 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	target := float64(n)
 	iterations := 0
 	converged := false
-	reg := telemetry.Default()
+	// Per-iteration events are built only for an installed sink: the
+	// registry is enabled in every daemon, an event log almost never.
+	var events *telemetry.EventLog
+	if reg := telemetry.Default(); reg.Enabled() {
+		events = reg.EventLog()
+	}
 	for i := 0; i < opts.MaxIterations; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("partition: FPM solve abandoned: %w", err)
@@ -103,14 +110,14 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 		} else {
 			hi = mid
 		}
-		if reg.Enabled() {
+		if events != nil {
 			// Per-iteration share evolution: how each device's tentative
 			// allocation x_i(T) moves as the bisection narrows T*.
-			evo := make([]float64, len(invs))
-			for d := range invs {
-				evo[d] = cache.sizeFor(d, hi)
+			evo := make([]float64, len(devices))
+			for d := range devices {
+				evo[d] = sizeFor(d, hi)
 			}
-			reg.Event("partition.fpm.iteration",
+			events.Emit("partition.fpm.iteration",
 				"iteration", iterations, "t_lo", lo, "t_hi", hi, "shares", evo)
 		}
 		if hi-lo <= opts.Tolerance*(1+hi) {
@@ -121,8 +128,8 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	T := hi // smallest bracketed time with total(T) >= n
 
 	shares := make([]float64, len(devices))
-	for i := range invs {
-		shares[i] = cache.sizeFor(i, T)
+	for i := range shares {
+		shares[i] = sizeFor(i, T)
 	}
 	// The continuous shares at T = hi sum to >= n, and with a loose
 	// Tolerance the overshoot can be substantial. No scaling happens here:
@@ -147,42 +154,6 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	telemetry.AnnotateTrace(ctx, "solve_iterations", strconv.Itoa(iterations))
 	recordResult("fpm", fpmRunsTotal, res)
 	return res, nil
-}
-
-// solveCache memoizes x_i(T) = inv.SizeFor(T) within a single FPM solve.
-// The bisection re-evaluates the same deadline for every device, and the
-// per-iteration telemetry plus the final share extraction re-query deadlines
-// the bracketing loop already computed, so a small per-solve map removes a
-// large fraction of the ~100-step envelope inversions. Keys are exact
-// float64 deadlines produced by the bisection arithmetic, so lookups are
-// safe without tolerance games.
-type solveCache struct {
-	invs  []*fpm.TimeInverter
-	memo  []map[float64]float64
-	count bool
-}
-
-func newSolveCache(invs []*fpm.TimeInverter) *solveCache {
-	memo := make([]map[float64]float64, len(invs))
-	for i := range memo {
-		memo[i] = make(map[float64]float64, 64)
-	}
-	return &solveCache{invs: invs, memo: memo, count: telemetry.Default().Enabled()}
-}
-
-func (c *solveCache) sizeFor(i int, T float64) float64 {
-	if x, ok := c.memo[i][T]; ok {
-		if c.count {
-			solverCacheHits.Inc()
-		}
-		return x
-	}
-	x := c.invs[i].SizeFor(T)
-	c.memo[i][T] = x
-	if c.count {
-		solverCacheMisses.Inc()
-	}
-	return x
 }
 
 // FPMIterative is the alternative fixed-point formulation of the FPM

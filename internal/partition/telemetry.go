@@ -17,8 +17,6 @@ var (
 	geomRunsTotal      = telemetry.Default().Counter("partition_runs_total", "algorithm", "geometric")
 	truncatedTotal     = telemetry.Default().Counter("partition_truncated_total")
 	solverIterations   = telemetry.Default().Histogram("partition_solver_iterations", telemetry.ExpBuckets(1, 2, 10))
-	solverCacheHits    = telemetry.Default().Counter("partition_solver_cache_hits_total")
-	solverCacheMisses  = telemetry.Default().Counter("partition_solver_cache_misses_total")
 	residualImbalance  = telemetry.Default().Gauge("partition_residual_imbalance")
 	partitionedUnitsTo = telemetry.Default().Histogram("partition_problem_units", telemetry.ExpBuckets(10, 10, 7))
 )
@@ -39,6 +37,10 @@ func recordResult(algorithm string, runs *telemetry.Counter, res Result) {
 	if !res.Converged {
 		truncatedTotal.Inc()
 	}
+	events := reg.EventLog()
+	if events == nil {
+		return
+	}
 	names := make([]string, len(res.Assignments))
 	units := make([]int, len(res.Assignments))
 	times := make([]float64, len(res.Assignments))
@@ -47,7 +49,7 @@ func recordResult(algorithm string, runs *telemetry.Counter, res Result) {
 		units[i] = a.Units
 		times[i] = a.PredictedTime
 	}
-	reg.Event("partition.done",
+	events.Emit("partition.done",
 		"algorithm", algorithm,
 		"total", res.Total,
 		"iterations", res.Iterations,

@@ -43,10 +43,6 @@ type Model struct {
 	// replicated models and conflicts resolve highest-wins, so Gen is
 	// comparable across peers.
 	Gen uint64
-	// Inv is a shared time inverter over PL (no cap); handlers use it for
-	// /v1/predict deadline queries. TimeInverter is immutable and safe to
-	// share across requests.
-	Inv *fpm.TimeInverter
 	// Raw is the model's JSON wire form, marshaled once at registration so
 	// GET and peer replication never re-marshal on the hot path.
 	Raw []byte
@@ -67,6 +63,11 @@ type Registry struct {
 	models map[string]*Model
 	gen    uint64
 	dir    string
+	// onWrite, when set, runs after a Put, an applied PutAt or a Delete of
+	// id (outside the registry lock). The server hangs the solution-cache
+	// purge on it, so every writer — HTTP handlers, replication, the
+	// refiner, worker registration — invalidates through one place.
+	onWrite func(id string)
 }
 
 // NewRegistry returns an empty registry persisting to dir ("" disables
@@ -93,10 +94,11 @@ func (r *Registry) Put(id string, pl *fpm.PiecewiseLinear) (*Model, error) {
 	}
 	r.mu.Lock()
 	r.gen++
-	m := &Model{ID: id, PL: pl, Gen: r.gen, Inv: fpm.NewTimeInverter(pl, 0), Raw: raw}
+	m := &Model{ID: id, PL: pl, Gen: r.gen, Raw: raw}
 	r.models[id] = m
 	dir := r.dir
 	r.mu.Unlock()
+	r.wrote(id)
 	if dir != "" {
 		if err := persist(dir, id, raw, m.Gen); err != nil {
 			return nil, err
@@ -136,15 +138,22 @@ func (r *Registry) PutAt(id string, pl *fpm.PiecewiseLinear, gen uint64) (bool, 
 			return false, nil
 		}
 	}
-	r.models[id] = &Model{ID: id, PL: pl, Gen: gen, Inv: fpm.NewTimeInverter(pl, 0), Raw: raw}
+	r.models[id] = &Model{ID: id, PL: pl, Gen: gen, Raw: raw}
 	dir := r.dir
 	r.mu.Unlock()
+	r.wrote(id)
 	if dir != "" {
 		if err := persist(dir, id, raw, gen); err != nil {
 			return true, err
 		}
 	}
 	return true, nil
+}
+
+func (r *Registry) wrote(id string) {
+	if r.onWrite != nil {
+		r.onWrite(id)
+	}
 }
 
 // Snapshot returns (id, generation) for every registered model, sorted by
@@ -183,6 +192,7 @@ func (r *Registry) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
+	r.wrote(id)
 	if dir != "" {
 		if err := os.Remove(filepath.Join(dir, id+".json")); err != nil && !os.IsNotExist(err) {
 			return err
@@ -294,7 +304,7 @@ func (r *Registry) Load() (int, error) {
 		} else if r.gen < gen {
 			r.gen = gen
 		}
-		r.models[id] = &Model{ID: id, PL: pl, Gen: gen, Inv: fpm.NewTimeInverter(pl, 0), Raw: raw}
+		r.models[id] = &Model{ID: id, PL: pl, Gen: gen, Raw: raw}
 		r.mu.Unlock()
 		loaded++
 	}

@@ -177,6 +177,16 @@ func New(cfg Config) (*Server, error) {
 		gate:   par.NewGate(cfg.MaxConcurrent, cfg.QueueDepth),
 		logger: cfg.Logger,
 	}
+	// A model write purges the answers solved against the generations it
+	// supersedes. The current generation is read back rather than passed in,
+	// so two racing writes cannot purge each other's live entries for good.
+	s.Models.onWrite = func(id string) {
+		var gen uint64
+		if m, err := s.Models.Get(id); err == nil {
+			gen = m.Gen
+		}
+		s.cache.purgeModel(id, gen)
+	}
 	if !cfg.DisableRequestTracing {
 		s.recorder = telemetry.NewFlightRecorder(cfg.FlightRecorderSize, cfg.FlightRecorderReserve)
 	}
@@ -1002,7 +1012,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusBadRequest, "invalid deadline %v", T)
 				return
 			}
-			out.SizesFor[i] = m.Inv.SizeFor(T)
+			out.SizesFor[i] = fpm.SizeFor(m.PL, T, 0)
 		}
 	}
 	writeJSON(w, http.StatusOK, &out)

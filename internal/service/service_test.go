@@ -267,6 +267,60 @@ func TestPartitionEndpoint(t *testing.T) {
 	}
 }
 
+// A model write purges the cached answers solved against the generations it
+// supersedes — through every writer: PUT, a replicated PutAt, DELETE — and
+// leaves answers that never used the model alone.
+func TestModelWritePurgesSupersededAnswers(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	slow := fpm.MustPiecewiseLinear([]fpm.Point{{Size: 10, Speed: 60}, {Size: 4000, Speed: 80}})
+	putJSONModel(t, ts.URL, "gpu0", testModel(t))
+	putJSONModel(t, ts.URL, "cpu0", slow)
+	putJSONModel(t, ts.URL, "cpu1", slow)
+	read := func(models string, sizes ...int) {
+		t.Helper()
+		for _, n := range sizes {
+			body := fmt.Sprintf(`{"models":[%s],"n":%d}`, models, n)
+			if resp, b := doReq(t, http.MethodPost, ts.URL+"/v1/partition", "application/json", []byte(body)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("partition %s: %d %s", body, resp.StatusCode, b)
+			}
+		}
+	}
+	wantLen := func(step string, want int) {
+		t.Helper()
+		if got := s.CacheLen(); got != want {
+			t.Fatalf("%s: %d cached answers, want %d", step, got, want)
+		}
+	}
+	read(`"gpu0","cpu0"`, 1000, 2000, 3000)
+	read(`"cpu0","cpu1"`, 1000, 2000)
+	wantLen("first generation", 5)
+
+	putJSONModel(t, ts.URL, "gpu0", slow)
+	wantLen("after PUT gpu0", 2) // the cpu0+cpu1 answers survive
+	read(`"gpu0","cpu0"`, 1000, 2000)
+	wantLen("second generation", 4)
+
+	cur, err := s.Models.Get("gpu0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := s.Models.PutAt("gpu0", testModel(t), cur.Gen-1); err != nil || applied {
+		t.Fatalf("stale replicated write: applied=%v err=%v", applied, err)
+	}
+	wantLen("after rejected PutAt", 4)
+	if applied, err := s.Models.PutAt("gpu0", testModel(t), cur.Gen+5); err != nil || !applied {
+		t.Fatalf("replicated write: applied=%v err=%v", applied, err)
+	}
+	wantLen("after applied PutAt", 2)
+	read(`"gpu0","cpu0"`, 1000)
+	wantLen("third generation", 3)
+
+	if resp, b := doReq(t, http.MethodDelete, ts.URL+"/v1/models/cpu0", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, b)
+	}
+	wantLen("after DELETE cpu0", 0) // every answer used cpu0
+}
+
 func TestPartitionLayout(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putJSONModel(t, ts.URL, "a", testModel(t))
@@ -325,9 +379,8 @@ func TestPredictEndpoint(t *testing.T) {
 	if pr.Times[1] != 100/m.Speed(100) {
 		t.Fatalf("times = %v", pr.Times)
 	}
-	inv := fpm.NewTimeInverter(m, 0)
-	if pr.SizesFor[0] != inv.SizeFor(0.5) {
-		t.Fatalf("sizes_for = %v, want %v", pr.SizesFor[0], inv.SizeFor(0.5))
+	if want := fpm.SizeFor(m, 0.5, 0); pr.SizesFor[0] != want {
+		t.Fatalf("sizes_for = %v, want %v", pr.SizesFor[0], want)
 	}
 
 	for body, want := range map[string]int{
