@@ -16,8 +16,8 @@
 //	fpmworker -name slow1 -fpmd ... -fault-spec 'slow:dev=0,iter=0,factor=3'
 //	fpmworker -name doomed -fpmd ... -fault-spec 'crash:dev=0,iter=5'
 //
-// A crash fault exits the process for real (exit code 3), which is what the
-// worker smoke's mid-run kill recovery exercises.
+// A crash fault exits the process for real (exit code 3), which is what
+// TestWorkersEndToEnd's mid-run kill recovery exercises.
 package main
 
 import (

@@ -146,6 +146,15 @@ func waitForGen(t *testing.T, m *member, id string, gen uint64) {
 	t.Fatalf("member %s never saw %s@%d (snapshot %v)", m.base, id, gen, m.s.Models.Snapshot())
 }
 
+// partitionResult is the slice of the fpmd partition response the tests
+// inspect.
+type partitionResult struct {
+	Cached    bool     `json:"cached"`
+	Coalesced bool     `json:"coalesced"`
+	Origin    string   `json:"origin"`
+	ModelGens []uint64 `json:"model_generations"`
+}
+
 func postPartition(t *testing.T, base string, models []string, n int) (status int, res partitionResult, raw []byte) {
 	t.Helper()
 	body, _ := json.Marshal(map[string]any{"models": models, "n": n})
@@ -163,11 +172,11 @@ func postPartition(t *testing.T, base string, models []string, n int) (status in
 	return resp.StatusCode, res, raw
 }
 
-// TestClusterReplicationAndForwarding is the 3-peer end-to-end check the CI
-// cluster smoke mirrors: a model PUT to one member becomes visible on all
-// three, any member answers any partition request, non-owners forward to
-// the owner (the response's origin says who actually served), and the
-// solution cache lands on the owner only.
+// TestClusterReplicationAndForwarding is the 3-peer end-to-end check (its
+// process-level twin is cmd/fpmd's TestClusterSmokeEndToEnd): a model PUT
+// to one member becomes visible on all three, any member answers any
+// partition request, non-owners forward to the owner (the response's origin
+// says who actually served), and the solution cache lands on the owner only.
 func TestClusterReplicationAndForwarding(t *testing.T) {
 	addrs := pickAddrs(t, 3)
 	peerURLs := make([]string, len(addrs))

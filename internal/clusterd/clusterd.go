@@ -161,7 +161,7 @@ func (c *Cluster) Stop() {
 // Self implements service.ClusterHooks.
 func (c *Cluster) Self() string { return c.opts.Self }
 
-// Peers returns the configured remote peers (for logs and the smoke test).
+// Peers returns the configured remote peers.
 func (c *Cluster) Peers() []string { return c.mem.AllPeers() }
 
 // AlivePeers returns the remote peers the prober currently considers up.

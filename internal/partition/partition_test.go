@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,28 +251,37 @@ func TestResultImbalanceAndTimes(t *testing.T) {
 	}
 }
 
-// Property: FPM always assigns exactly n units, never exceeds caps, and
-// achieves near-equal predicted times for monotone models.
+// Property: over three constant-speed devices FPM assigns exactly n units and
+// integer rounding leaves no device more than one unit above its continuous
+// share: with T* = n / Σ sᵢ, every device finishes by T* + 1/sᵢ. (A bound on
+// Imbalance() would be wrong here: a correct answer that leaves the slowest
+// device 1–2 units has a large max/min ratio.)
 func TestFPMInvariantsProperty(t *testing.T) {
-	f := func(nRaw uint16, s1Raw, s2Raw, s3Raw uint8) bool {
+	f := func(nRaw uint16, raw [3]uint8) bool {
 		n := int(nRaw)%5000 + 10
-		mkSpeed := func(r uint8) float64 { return 10 + float64(r) }
-		devs := []Device{
-			constDev("a", mkSpeed(s1Raw), 0),
-			constDev("b", mkSpeed(s2Raw), 0),
-			constDev("c", mkSpeed(s3Raw), 0),
+		devs := make([]Device, len(raw))
+		speeds := make([]float64, len(raw))
+		total := 0.0
+		for i, r := range raw {
+			speeds[i] = 10 + float64(r)
+			total += speeds[i]
+			devs[i] = constDev(string(rune('a'+i)), speeds[i], 0)
 		}
 		r, err := FPM(devs, n, FPMOptions{})
-		if err != nil {
+		if err != nil || sumUnits(r) != n {
 			return false
 		}
-		if sumUnits(r) != n {
-			return false
+		tStar := float64(n) / total
+		for i, a := range r.Assignments {
+			if float64(a.Units)/speeds[i] > tStar+1/speeds[i]+1e-9 {
+				return false
+			}
 		}
-		// With constant models and enough units the imbalance is tiny.
-		return r.Imbalance() < 0.25 || n < 50
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	// A fixed source makes a failure a repro, not a one-in-N event.
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
 }

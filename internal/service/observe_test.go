@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -302,4 +303,119 @@ func TestPutAtPartitionRace(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// TestObserveConvergesOnHiddenModel is the refinement convergence
+// experiment: a model mis-seeded at a flat 60 units/s (as if benched on a
+// much slower host) serves partitions while noisy timings drawn from a
+// hidden ground truth stream into /v1/observe. After 12 rounds the refined
+// model must predict the truth at least 5x better than the seed did, every
+// partition answer along the way must pin the generation registered at that
+// moment, and the refined model must stay small and inversion-free.
+func TestObserveConvergesOnHiddenModel(t *testing.T) {
+	const (
+		rounds  = 12
+		perSize = 6
+		n       = 4096
+	)
+	cooldown := 50 * time.Millisecond
+	clk := &observeTestClock{t: time.Unix(1000, 0)}
+	s, ts := newTestServer(t, Config{
+		EnableObserve: true,
+		Refine:        refine.Config{MinSamples: perSize, Cooldown: cooldown, Now: clk.Now},
+	})
+	truth := SyntheticModel(256, 500)
+	seed := fpm.MustPiecewiseLinear([]fpm.Point{{Size: 1024, Speed: 60}})
+	putJSONModel(t, ts.URL, "dev", seed)
+
+	// Traffic visits a power-of-two grid across the truth's domain; accuracy
+	// is measured at the sizes the traffic can teach the model about.
+	var grid []float64
+	for x := 16.0; x <= n; x *= 2 {
+		grid = append(grid, x)
+	}
+	ref := make([]fpm.TimeSample, len(grid))
+	for i, g := range grid {
+		ref[i] = fpm.TimeSample{Size: g, Seconds: fpm.Time(truth, g)}
+	}
+	seedErr, _, err := fpm.Accuracy(seed, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	publishes := 0
+	for round := 0; round < rounds; round++ {
+		var samples [][2]float64
+		for _, g := range grid {
+			for k := 0; k < perSize; k++ {
+				size := g * (1 + 0.02*(rng.Float64()-0.5))                     // ±1% size jitter
+				secs := fpm.Time(truth, size) * (1 + 0.04*(rng.Float64()-0.5)) // ±2% timing noise
+				samples = append(samples, [2]float64{size, secs})
+			}
+		}
+		resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/observe", "application/json", observeBody("dev", samples...))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("observe round %d: %d %s", round, resp.StatusCode, body)
+		}
+		var ores observeResponse
+		if err := json.Unmarshal(body, &ores); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ores.Models {
+			if m.Applied {
+				publishes++
+			}
+		}
+
+		// The solution key embeds the generation, so an answer pinning an
+		// older one (or predicting from an older model) is a stale cache hit.
+		cur, err := s.Models.Get("dev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body = doReq(t, http.MethodPost, ts.URL+"/v1/partition", "application/json", partitionBody(n, "dev"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("partition round %d: %d %s", round, resp.StatusCode, body)
+		}
+		var pres partitionResponse
+		if err := json.Unmarshal(body, &pres); err != nil {
+			t.Fatal(err)
+		}
+		if len(pres.ModelGens) != 1 || len(pres.Devices) != 1 {
+			t.Fatalf("partition round %d: malformed response %s", round, body)
+		}
+		if pres.ModelGens[0] != cur.Gen {
+			t.Fatalf("round %d: partition pinned generation %d, registry holds %d", round, pres.ModelGens[0], cur.Gen)
+		}
+		want := fpm.Time(cur.PL, n)
+		if got := pres.Devices[0].PredictedSeconds; math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("round %d: answer at gen %d predicts %v, its model predicts %v", round, cur.Gen, got, want)
+		}
+		clk.Advance(cooldown + 10*time.Millisecond)
+	}
+
+	final, err := s.Models.Get("dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	finalErr, _, err := fpm.Accuracy(final.PL, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("mean relative error %.3f -> %.4f over %d publishes (gen %d, %d knots)",
+		seedErr, finalErr, publishes, final.Gen, len(final.PL.Points()))
+	if publishes == 0 || final.Gen < 2 {
+		t.Fatalf("no refinement was published (gen %d)", final.Gen)
+	}
+	if seedErr/finalErr < 5 {
+		t.Errorf("mean relative error improved only %.1fx (seed %.3f -> refined %.4f), want >= 5x",
+			seedErr/finalErr, seedErr, finalErr)
+	}
+	if bound, knots := 2*len(grid)+2, len(final.PL.Points()); knots > bound {
+		t.Errorf("knot count %d exceeded bound %d after %d rounds", knots, bound, rounds)
+	}
+	if inv := fpm.Diagnose(final.PL); len(inv) != 0 {
+		t.Errorf("refined model has %d time inversions: %v", len(inv), inv)
+	}
 }

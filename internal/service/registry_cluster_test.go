@@ -98,8 +98,8 @@ func TestSnapshotAndGenPersistence(t *testing.T) {
 	}
 }
 
-// TestSolutionKeyShape pins the exported SolutionKey format the cluster
-// loadgen routes by: it must match what the server itself uses, i.e. be
+// TestSolutionKeyShape pins the exported SolutionKey format a cluster-aware
+// client routes by: it must match what the server itself uses, i.e. be
 // sensitive to every field that distinguishes one cached solution from
 // another.
 func TestSolutionKeyShape(t *testing.T) {

@@ -218,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 // routing new traffic while in-flight requests finish.
 func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
 
-// CacheLen returns the number of cached solutions (for tests and selfcheck).
+// CacheLen returns the number of cached solutions (for tests).
 func (s *Server) CacheLen() int { return s.cache.len() }
 
 // PartitionSeen returns the number of partition requests that have reached
@@ -691,9 +691,8 @@ func solutionKey(req *partitionRequest, models []*Model) string {
 }
 
 // SolutionKey builds the same routing/cache key the server computes for a
-// partition request over (id, generation) pairs. Cluster-aware clients
-// (internal/clusterd's load generator) use it to route a request straight
-// to the key's owner. Caps may be nil.
+// partition request over (id, generation) pairs, so a cluster-aware client
+// can route a request straight to the key's ring owner. Caps may be nil.
 func SolutionKey(models []ModelInfo, caps []float64, n, matrix int, tol float64, maxIter int, layout bool) string {
 	var b []byte
 	for i, m := range models {
@@ -1041,7 +1040,7 @@ func (s *Server) ServeHandler(addr string, h http.Handler) (string, func(context
 	return bound, drain, nil
 }
 
-// Ordered list of routes, used by docs and the smoke test.
+// Routes returns the ordered list of routes the service can mount.
 func Routes() []string {
 	rs := []string{
 		"GET /healthz",

@@ -8,12 +8,11 @@ import (
 
 // Service metrics. Request counters are labelled by route and status class;
 // the latency histograms separate the cached fast path from cold solves so
-// the selfcheck's warm/cold p99 split is visible in /metrics too. All free
-// while the registry is disabled.
+// the warm/cold split is visible in /metrics. All free while the registry is
+// disabled.
 // The warm/cold histograms use fine factor-2 exponential buckets (1µs up to
-// ~33s) rather than DefBuckets: the selfcheck asserts the warm/cold p99
-// split from these histograms server-side, and quantile interpolation error
-// is bounded by the bucket width.
+// ~33s) rather than DefBuckets: a p99 read off /metrics is only as precise
+// as the bucket it falls in.
 var (
 	inflightGauge  = telemetry.Default().Gauge("fpmd_inflight_requests")
 	cacheHits      = telemetry.Default().Counter("fpmd_cache_hits_total")
@@ -24,19 +23,6 @@ var (
 	coldSeconds    = telemetry.Default().Histogram("fpmd_partition_cold_seconds", telemetry.ExpBuckets(1e-6, 2, 26))
 	warmSeconds    = telemetry.Default().Histogram("fpmd_partition_warm_seconds", telemetry.ExpBuckets(1e-6, 2, 26))
 )
-
-// ServerLatencyQuantile reads the server-side partition latency histograms
-// (cold solve seconds / warm cache-hit request seconds) at quantile q. The
-// selfcheck asserts the warm/cold split on these, so a client-side
-// measurement artifact (clock skew, scheduling noise) cannot mask a
-// server-side regression.
-func ServerLatencyQuantile(warm bool, q float64) (value float64, observations uint64) {
-	h := coldSeconds
-	if warm {
-		h = warmSeconds
-	}
-	return h.Quantile(q), h.Count()
-}
 
 // Cluster-mode serving metrics: how often this instance owned the keys it
 // was asked for, how forwards to owners went (ok / fallback-to-local on a

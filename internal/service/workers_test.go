@@ -174,7 +174,7 @@ func TestWorkerEndpointsRejections(t *testing.T) {
 
 // TestExecuteFeedsRefinement: measured shard timings from /v1/execute flow
 // into the observe refiner, which republishes the worker's model under a
-// bumped generation — the closed loop the worker smoke's FPM-vs-even bench
+// bumped generation — the closed loop FPM partitioning of a real fleet
 // depends on.
 func TestExecuteFeedsRefinement(t *testing.T) {
 	s, ts := newTestServer(t, Config{

@@ -6,9 +6,8 @@ import "math"
 // linear interpolation within the bucket containing the target rank —
 // the same estimate Prometheus's histogram_quantile computes server-side.
 // It returns NaN when the histogram is empty or q is out of range. The
-// estimate's resolution is the bucket width, so histograms meant for
-// quantile-based assertions (the fpmd selfcheck's server-side p99) should
-// use fine exponential buckets.
+// estimate's resolution is the bucket width, so histograms whose quantiles
+// are read should use fine exponential buckets.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil || math.IsNaN(q) || q <= 0 || q > 1 {
 		return math.NaN()

@@ -27,7 +27,8 @@
 // given shard shape (parallel == sequential, config chosen by shape class),
 // so on a homogeneous fleet the gathered C is bit-identical to a local
 // GemmPacked reference replaying the same shard boundaries — which is
-// exactly what the worker smoke asserts after killing a worker mid-run.
+// exactly what cmd/fpmworker's TestWorkersEndToEnd asserts after killing a
+// worker mid-run.
 package workerd
 
 import (
