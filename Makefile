@@ -12,6 +12,8 @@ all: build test
 check: build test race
 
 build:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 

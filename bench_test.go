@@ -193,22 +193,6 @@ func BenchmarkAblationLayout(b *testing.B) { runExperimentBench(b, "ablation-lay
 // BenchmarkAblationModelAccuracy compares FPM/cubic/CPM prediction error.
 func BenchmarkAblationModelAccuracy(b *testing.B) { runExperimentBench(b, "ablation-model-accuracy") }
 
-// BenchmarkPartitionGeometric measures the exact line-rotation solver
-// against the numeric bisection (BenchmarkPartitionFPM).
-func BenchmarkPartitionGeometric(b *testing.B) {
-	for _, p := range []int{6, 24, 96} {
-		devs := benchDevices(p)
-		b.Run(fmt.Sprintf("devices=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := partition.Geometric(devs, 100000); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAdaptiveModelBuild measures error-driven model construction on
 // the GTX680 kernel (cliff included).
 func BenchmarkAdaptiveModelBuild(b *testing.B) {

@@ -94,38 +94,6 @@ func ExampleNewLayout() {
 	// 4 rectangles covering 64 blocks
 }
 
-// Per-device floors pin minimum allocations before the equal-time solve.
-func ExamplePartitionFPMWithFloors() {
-	fast := fpmpart.MustModel([]fpmpart.ModelPoint{{Size: 10, Speed: 95}, {Size: 1000, Speed: 95}})
-	slow := fpmpart.MustModel([]fpmpart.ModelPoint{{Size: 10, Speed: 5}, {Size: 1000, Speed: 5}})
-	res, err := fpmpart.PartitionFPMWithFloors([]fpmpart.Device{
-		{Name: "fast", Model: fast},
-		{Name: "slow", Model: slow},
-	}, 1000, []int{0, 200}) // the slow device must hold at least 200 units
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Units())
-	// Output:
-	// [800 200]
-}
-
-// The geometric solver computes line/curve intersections exactly and
-// matches the numeric bisection on piecewise-linear models.
-func ExamplePartitionGeometric() {
-	a := fpmpart.MustModel([]fpmpart.ModelPoint{{Size: 10, Speed: 60}, {Size: 1000, Speed: 60}})
-	b := fpmpart.MustModel([]fpmpart.ModelPoint{{Size: 10, Speed: 20}, {Size: 1000, Speed: 20}})
-	res, err := fpmpart.PartitionGeometric([]fpmpart.Device{
-		{Name: "a", Model: a}, {Name: "b", Model: b},
-	}, 800)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res.Units())
-	// Output:
-	// [600 200]
-}
-
 // The dynamic balancer redistributes by observed speed between iterations —
 // the related-work baseline the paper contrasts with static partitioning.
 func ExampleRunDynamic() {

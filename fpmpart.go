@@ -264,14 +264,6 @@ func NewMonotoneCubicModel(points []ModelPoint) (*MonotoneCubicModel, error) {
 	return fpm.NewMonotoneCubic(points)
 }
 
-// PartitionGeometric runs the exact line-rotation form of the FPM
-// partitioner (Lastovetsky & Reddy's geometric algorithm): equivalent to
-// PartitionFPM for piecewise-linear and constant models, computing the
-// line/curve intersections in closed form.
-func PartitionGeometric(devices []Device, n int) (PartitionResult, error) {
-	return partition.Geometric(devices, n)
-}
-
 // HierarchicalResult is a two-level partition (across groups, then within).
 type HierarchicalResult = partition.HierarchicalResult
 
@@ -349,12 +341,6 @@ func RunStencil(g *StencilGrid, bands []int, iters int, slowdowns []float64) (*S
 // RunStencilSequential is the single-threaded reference implementation.
 func RunStencilSequential(g *StencilGrid, iters int) (*StencilGrid, error) {
 	return stencil.RunSequential(g, iters)
-}
-
-// PartitionFPMWithFloors solves the equal-time partitioning subject to
-// per-device minimum allocations.
-func PartitionFPMWithFloors(devices []Device, n int, floors []int) (PartitionResult, error) {
-	return partition.FPMWithFloors(devices, n, partition.Floors(floors), partition.FPMOptions{})
 }
 
 // SmoothModel returns a moving-average-smoothed copy of a piecewise-linear

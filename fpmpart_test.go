@@ -148,23 +148,10 @@ func TestFacadeRunExperiment(t *testing.T) {
 	}
 }
 
-func TestFacadeGeometricAndHierarchical(t *testing.T) {
+func TestFacadeHierarchical(t *testing.T) {
 	devs := []Device{
 		{Name: "fast", Model: MustModel([]ModelPoint{{Size: 10, Speed: 40}, {Size: 1000, Speed: 44}})},
 		{Name: "slow", Model: MustModel([]ModelPoint{{Size: 10, Speed: 10}, {Size: 1000, Speed: 11}})},
-	}
-	g, err := PartitionGeometric(devs, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := PartitionFPM(devs, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range devs {
-		if d := g.Units()[i] - f.Units()[i]; d < -1 || d > 1 {
-			t.Errorf("geometric %v vs bisection %v", g.Units(), f.Units())
-		}
 	}
 	h, err := PartitionHierarchical([][]Device{devs, devs}, 2000)
 	if err != nil {
@@ -236,7 +223,7 @@ func TestFacadeGPUKernelSchedule(t *testing.T) {
 	}
 }
 
-func TestFacadeStencilAndFloors(t *testing.T) {
+func TestFacadeStencil(t *testing.T) {
 	g, err := NewStencilGrid(24, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -265,18 +252,6 @@ func TestFacadeStencilAndFloors(t *testing.T) {
 	}
 	if res.Iterations != 4 {
 		t.Errorf("iterations = %d", res.Iterations)
-	}
-
-	devs := []Device{
-		{Name: "fast", Model: MustModel([]ModelPoint{{Size: 10, Speed: 90}, {Size: 1000, Speed: 90}})},
-		{Name: "slow", Model: MustModel([]ModelPoint{{Size: 10, Speed: 10}, {Size: 1000, Speed: 10}})},
-	}
-	fl, err := PartitionFPMWithFloors(devs, 1000, []int{0, 250})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u := fl.Units(); u[1] != 250 || u[0] != 750 {
-		t.Errorf("floored partition = %v", u)
 	}
 }
 

@@ -248,7 +248,13 @@ func TestClusterHighestWinsAndJoinSweep(t *testing.T) {
 	m0 := startMember(t, addrs[0], peerURLs, t.TempDir(), 50*time.Millisecond)
 	m1 := startMember(t, addrs[1], peerURLs, t.TempDir(), 50*time.Millisecond)
 
+	// Sequential writes through different members are monotonic only once
+	// the first has replicated (PutAt lifts the receiving member's counter),
+	// so wait for g1 on m1 before writing through it. Concurrent writers
+	// through two members are not covered here: that needs single-writer
+	// forwarding to the ring owner (ROADMAP P0), not a patch in Registry.
 	g1 := putModelHTTP(t, m0.base, "m1", 32, 300)
+	waitForGen(t, m1, "m1", g1)
 	g2 := putModelHTTP(t, m1.base, "m1", 32, 400) // update via the *other* member
 	if g2 <= g1 {
 		t.Fatalf("generations not monotonic across members: %d then %d", g1, g2)

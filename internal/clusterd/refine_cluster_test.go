@@ -112,7 +112,13 @@ func TestClusterReplicatesRefinedModels(t *testing.T) {
 	if !applied || gen2 <= refinedGen {
 		t.Fatalf("refine on m1: applied=%v gen=%d (prev %d)", applied, gen2, refinedGen)
 	}
-	waitForGen(t, m0, "dev", gen2)
+
+	// Observe traffic is forwarded to the model's ring owner and a read to
+	// the solution key's owner, either of which may be either member — so
+	// every member must hold gen2 before any of them is asked.
+	for _, mem := range []*member{m0, m1} {
+		waitForGen(t, mem, "dev", gen2)
+	}
 
 	// The whole cluster now answers partitions against the refined model:
 	// both members pin the newest generation in their responses.

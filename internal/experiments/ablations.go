@@ -17,8 +17,7 @@ import (
 // Ablation experiments probe the design choices DESIGN.md calls out. They
 // go beyond the paper's own evaluation but use only its machinery.
 
-// AblationPartitioners compares the bisection-based FPM partitioner with
-// the iterative fixed-point variant and the CPM baseline: distributions and
+// AblationPartitioners compares the FPM partitioner with the CPM baseline:
 // predicted imbalance for several problem sizes.
 func AblationPartitioners(models *Models, ns []int) (*Table, error) {
 	if len(ns) == 0 {
@@ -27,19 +26,15 @@ func AblationPartitioners(models *Models, ns []int) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-partitioners",
 		Title:   "Partitioning algorithms: predicted imbalance (max/min time - 1)",
-		Columns: []string{"n", "FPM bisection", "FPM iterative", "CPM"},
-		Notes:   []string{"bisection and iterative solve the same equal-time problem; CPM ignores the size-dependence"},
+		Columns: []string{"n", "FPM", "CPM"},
+		Notes:   []string{"FPM solves the equal-time problem on the functional models; CPM ignores the size-dependence"},
 	}
 	devs := models.Devices()
-	type row struct{ bis, iter, cpmTrue float64 }
+	type row struct{ bis, cpmTrue float64 }
 	rows := make([]row, len(ns))
 	err := models.forEachUnit(len(ns), func(i int) error {
 		n := ns[i]
 		bis, err := partition.FPM(devs, n*n, partition.FPMOptions{})
-		if err != nil {
-			return err
-		}
-		iter, err := partition.FPMIterative(devs, n*n, 0)
 		if err != nil {
 			return err
 		}
@@ -54,7 +49,7 @@ func AblationPartitioners(models *Models, ns []int) (*Table, error) {
 		// Evaluate the CPM distribution against the true (functional)
 		// models — the paper's point: the distribution looks balanced to
 		// the constant model but is not in reality.
-		rows[i] = row{bis.Imbalance(), iter.Imbalance(), evalAgainst(devs, cpm.Units())}
+		rows[i] = row{bis.Imbalance(), evalAgainst(devs, cpm.Units())}
 		return nil
 	})
 	if err != nil {
@@ -63,7 +58,6 @@ func AblationPartitioners(models *Models, ns []int) (*Table, error) {
 	for i, n := range ns {
 		t.AddRow(n,
 			fmt.Sprintf("%.3f", rows[i].bis),
-			fmt.Sprintf("%.3f", rows[i].iter),
 			fmt.Sprintf("%.3f", rows[i].cpmTrue))
 	}
 	return t, nil

@@ -3,31 +3,24 @@ package partition
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/telemetry"
 )
 
-// FPMOptions tunes the FPM-based partitioner.
-type FPMOptions struct {
-	// Tolerance is the relative tolerance on the total size when bisecting
-	// the common completion time. Default 1e-9.
-	Tolerance float64
-	// MaxIterations bounds the bisection. Default 200.
-	MaxIterations int
-}
+// FPMOptions is empty: the solver has no knobs. The type and FPM's third
+// parameter remain only because benchmark/ calls FPM(devices, n, FPMOptions{}).
+type FPMOptions struct{}
 
-func (o FPMOptions) withDefaults() FPMOptions {
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-9
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 200
-	}
-	return o
-}
+const (
+	// fpmTolerance is the relative width of the bracket on the common
+	// completion time at which the bisection stops.
+	fpmTolerance = 1e-9
+	// fpmMaxIterations is the bisection's safety bound; a solve that hits
+	// it reports Converged == false.
+	fpmMaxIterations = 200
+)
 
 // FPM runs the FPM-based data partitioning algorithm: it finds the common
 // completion time T* such that the devices, each loaded with the most work
@@ -40,15 +33,15 @@ func (o FPMOptions) withDefaults() FPMOptions {
 // equivalent to the geometric line-rotation formulation of Lastovetsky &
 // Reddy 2007: a line through the origin with slope n/T intersects the speed
 // functions at the balanced distribution.
-func FPM(devices []Device, n int, opts FPMOptions) (Result, error) {
-	return FPMContext(context.Background(), devices, n, opts)
+func FPM(devices []Device, n int, _ FPMOptions) (Result, error) {
+	return FPMContext(context.Background(), devices, n, FPMOptions{})
 }
 
 // FPMContext is FPM with cooperative cancellation: the bisection checks ctx
 // between iterations and returns ctx.Err() (wrapped) once the context is
 // cancelled or its deadline passes. fpmd uses this to propagate per-request
 // deadlines into the solver so abandoned requests stop consuming CPU.
-func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (Result, error) {
+func FPMContext(ctx context.Context, devices []Device, n int, _ FPMOptions) (Result, error) {
 	if err := validate(devices, n); err != nil {
 		return Result{}, err
 	}
@@ -56,7 +49,6 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	// "bisection" stage and the iteration count lands on the trace, so the
 	// flight recorder shows how much of a served request was solver time.
 	defer telemetry.Stage(ctx, "bisection")()
-	opts = opts.withDefaults()
 	if n == 0 {
 		return finish(devices, make([]int, len(devices))), nil
 	}
@@ -99,7 +91,7 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	if reg := telemetry.Default(); reg.Enabled() {
 		events = reg.EventLog()
 	}
-	for i := 0; i < opts.MaxIterations; i++ {
+	for i := 0; i < fpmMaxIterations; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("partition: FPM solve abandoned: %w", err)
 		}
@@ -120,7 +112,7 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 			events.Emit("partition.fpm.iteration",
 				"iteration", iterations, "t_lo", lo, "t_hi", hi, "shares", evo)
 		}
-		if hi-lo <= opts.Tolerance*(1+hi) {
+		if hi-lo <= fpmTolerance*(1+hi) {
 			converged = true
 			break
 		}
@@ -131,8 +123,7 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	for i := range shares {
 		shares[i] = sizeFor(i, T)
 	}
-	// The continuous shares at T = hi sum to >= n, and with a loose
-	// Tolerance the overshoot can be substantial. No scaling happens here:
+	// The continuous shares at T = hi sum to >= n. No scaling happens here:
 	// the sum is only an emptiness check, and RoundShares normalizes the
 	// shares to total exactly n (proportional scaling + largest-remainder
 	// rounding), so overshoot affects the split only through the devices'
@@ -153,67 +144,6 @@ func FPMContext(ctx context.Context, devices []Device, n int, opts FPMOptions) (
 	res.Converged = converged
 	telemetry.AnnotateTrace(ctx, "solve_iterations", strconv.Itoa(iterations))
 	recordResult("fpm", fpmRunsTotal, res)
-	return res, nil
-}
-
-// FPMIterative is the alternative fixed-point formulation of the FPM
-// partitioner used for cross-validation: start from a CPM-like distribution
-// and repeatedly redistribute proportionally to the speeds observed at the
-// current assignment, damping the update. For well-behaved (monotone-time)
-// models it converges to the same equal-time distribution as FPM.
-func FPMIterative(devices []Device, n int, maxIter int) (Result, error) {
-	if err := validate(devices, n); err != nil {
-		return Result{}, err
-	}
-	if maxIter <= 0 {
-		maxIter = 500
-	}
-	if n == 0 {
-		return finish(devices, make([]int, len(devices))), nil
-	}
-	p := len(devices)
-	shares := make([]float64, p)
-	for i := range shares {
-		shares[i] = float64(n) / float64(p)
-	}
-	cs := caps(devices)
-	clampShares(shares, cs, float64(n))
-	iterations := 0
-	converged := false
-	for iter := 0; iter < maxIter; iter++ {
-		iterations = iter + 1
-		speeds := make([]float64, p)
-		var sum float64
-		for i, d := range devices {
-			x := math.Max(shares[i], 1e-9)
-			speeds[i] = d.Model.Speed(x)
-			sum += speeds[i]
-		}
-		next := make([]float64, p)
-		for i := range next {
-			want := float64(n) * speeds[i] / sum
-			// Damped update for stability on steep speed functions.
-			next[i] = 0.5*shares[i] + 0.5*want
-		}
-		clampShares(next, cs, float64(n))
-		var delta float64
-		for i := range next {
-			delta += math.Abs(next[i] - shares[i])
-		}
-		shares = next
-		if delta < 1e-9*float64(n) {
-			converged = true
-			break
-		}
-	}
-	units, err := RoundShares(shares, n, cs)
-	if err != nil {
-		return Result{}, err
-	}
-	res := finish(devices, units)
-	res.Iterations = iterations
-	res.Converged = converged
-	recordResult("fpm-iterative", fpmIterativeTotal, res)
 	return res, nil
 }
 

@@ -51,14 +51,13 @@ type Result struct {
 	// MaxTime and MinTime are the extreme predicted per-device times over
 	// devices that received work; their ratio measures predicted imbalance.
 	MaxTime, MinTime float64
-	// Iterations is the number of solver iterations performed (bisection
-	// steps for FPM, fixed-point rounds for FPMIterative); closed-form
-	// partitioners report 0.
+	// Iterations is the number of bisection steps FPM performed;
+	// closed-form partitioners report 0.
 	Iterations int
 	// Converged reports whether the solver met its tolerance before
-	// exhausting its iteration budget. A false value means the distribution
-	// was truncated at MaxIterations and callers should treat the result
-	// with suspicion; closed-form partitioners are always converged.
+	// exhausting its iteration bound. A false value means the bisection was
+	// truncated and callers should treat the result with suspicion;
+	// closed-form partitioners are always converged.
 	Converged bool
 }
 

@@ -120,28 +120,6 @@ func TestFPMAdaptsToCliffCPMDoesNot(t *testing.T) {
 	}
 }
 
-func TestFPMLooseToleranceOvershootNormalized(t *testing.T) {
-	// With a very loose tolerance the bisection stops with total(T) well
-	// above n: speeds [3,1] and n=100 bracket at T≈33.55, where the
-	// continuous shares sum to ≈134. FPM does not rescale that overshoot
-	// itself — RoundShares normalizes during rounding — so the result must
-	// still be the exact proportional split totalling n.
-	devs := []Device{constDev("fast", 3, 0), constDev("slow", 1, 0)}
-	res, err := FPM(devs, 100, FPMOptions{Tolerance: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Error("loose tolerance should converge almost immediately")
-	}
-	if res.Total != 100 {
-		t.Errorf("total = %d, want 100", res.Total)
-	}
-	if u := res.Units(); u[0] != 75 || u[1] != 25 {
-		t.Errorf("units = %v, want [75 25]", u)
-	}
-}
-
 func TestFPMRespectsMemoryCap(t *testing.T) {
 	devs := []Device{constDev("gpu", 1000, 200), constDev("cpu", 10, 0)}
 	r, err := FPM(devs, 1000, FPMOptions{})
@@ -202,30 +180,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := CPM(nil, 5, 1); err == nil {
 		t.Error("CPM without devices should fail")
-	}
-}
-
-func TestFPMIterativeAgreesWithBisection(t *testing.T) {
-	m1 := fpm.MustPiecewiseLinear([]fpm.Point{{Size: 1, Speed: 50}, {Size: 500, Speed: 150}, {Size: 2000, Speed: 140}})
-	m2 := fpm.MustPiecewiseLinear([]fpm.Point{{Size: 1, Speed: 20}, {Size: 500, Speed: 60}, {Size: 2000, Speed: 80}})
-	devs := []Device{{Name: "a", Model: m1}, {Name: "b", Model: m2}}
-	n := 1500
-	ra, err := FPM(devs, n, FPMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := FPMIterative(devs, n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ua, ub := ra.Units(), rb.Units()
-	for i := range ua {
-		if d := float64(ua[i] - ub[i]); math.Abs(d) > 0.02*float64(n) {
-			t.Errorf("device %d: bisection %d vs iterative %d", i, ua[i], ub[i])
-		}
-	}
-	if sumUnits(rb) != n {
-		t.Errorf("iterative total = %d", sumUnits(rb))
 	}
 }
 

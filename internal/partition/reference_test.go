@@ -126,6 +126,32 @@ func TestFPMMatchesReferenceSolver(t *testing.T) {
 			assertSameAsReference(t, fmt.Sprintf("synthetic×%d", p), devices, p*(20+rng.Intn(230)))
 		}
 	}
+	// Hand-built fleets: three monotone-time models; a device whose speed
+	// halves past 100 units beside a flat one; a fast device capped well
+	// below its equal-time share.
+	pl := func(pts ...fpm.Point) *fpm.PiecewiseLinear { return fpm.MustPiecewiseLinear(pts) }
+	flat := func(speed float64) *fpm.PiecewiseLinear {
+		return pl(fpm.Point{Size: 1, Speed: speed}, fpm.Point{Size: 10000, Speed: speed})
+	}
+	monotone := []partition.Device{
+		{Name: "a", Model: pl(fpm.Point{Size: 10, Speed: 50}, fpm.Point{Size: 200, Speed: 150}, fpm.Point{Size: 2000, Speed: 160})},
+		{Name: "b", Model: pl(fpm.Point{Size: 10, Speed: 20}, fpm.Point{Size: 500, Speed: 60}, fpm.Point{Size: 2000, Speed: 75})},
+		{Name: "c", Model: flat(100)},
+	}
+	cliff := []partition.Device{
+		{Name: "cliff", Model: pl(fpm.Point{Size: 1, Speed: 100}, fpm.Point{Size: 100, Speed: 100},
+			fpm.Point{Size: 101, Speed: 50}, fpm.Point{Size: 10000, Speed: 50})},
+		{Name: "flat", Model: flat(100)},
+	}
+	capped := []partition.Device{
+		{Name: "gpu", Model: flat(1000), MaxUnits: 200},
+		{Name: "cpu", Model: flat(10)},
+	}
+	for _, n := range []int{50, 777, 1000, 3000, 12345} {
+		assertSameAsReference(t, "monotone", monotone, n)
+		assertSameAsReference(t, "cliff", cliff, n)
+		assertSameAsReference(t, "capped", capped, n)
+	}
 	// The paper's hybrid node as the experiment tests model it: V1 caps the
 	// GPUs at their memory, V2/V3 models carry the out-of-core cliff.
 	for _, v := range []gpukernel.Version{gpukernel.V1, gpukernel.V2, gpukernel.V3} {

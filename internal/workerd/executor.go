@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fpmpart/internal/comm"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/partition"
 	"fpmpart/internal/refine"
@@ -130,9 +129,6 @@ type RoundReport struct {
 	ModelGens    map[string]uint64 `json:"model_gens"`
 	Deaths       []string          `json:"deaths,omitempty"`
 	Repartitions int               `json:"repartitions"`
-	// MigrationEstSeconds prices the re-dispatched rows on the measured
-	// fleet network (latency + bytes/bandwidth per recovery shard).
-	MigrationEstSeconds float64 `json:"migration_est_seconds,omitempty"`
 }
 
 // ExecuteReport is the answer to POST /v1/execute.
@@ -150,8 +146,6 @@ type ExecuteReport struct {
 	// gather, observe).
 	WallSeconds float64  `json:"wall_seconds"`
 	Deaths      []string `json:"deaths,omitempty"`
-	// Network is the measured fleet comm model the job priced migration on.
-	Network comm.Network `json:"network"`
 	// Verified/BitExact report the local-replay check of the final round.
 	Verified   bool    `json:"verified"`
 	BitExact   bool    `json:"bit_exact,omitempty"`
@@ -167,8 +161,6 @@ type ExecutorOptions struct {
 	// Client performs shard dispatch. Nil = a fresh client with no global
 	// timeout (per-shard deadlines come from ShardTimeout).
 	Client *http.Client
-	// PartitionOptions tunes the FPM solve.
-	PartitionOptions partition.FPMOptions
 	// Logger receives dispatch events. Nil discards.
 	Logger *slog.Logger
 }
@@ -227,7 +219,6 @@ func (e *Executor) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteRep
 		Rows: req.Rows, K: req.K, N: req.N,
 		Rounds: req.Rounds, Partition: req.Partition,
 		Workers: sel,
-		Network: e.pool.Network(),
 	}
 	jobsTotal.Inc()
 
@@ -242,7 +233,6 @@ func (e *Executor) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteRep
 		rs := &roundState{
 			e: e, job: job, req: &req, round: r,
 			returnResult: req.Verify && r == req.Rounds-1,
-			net:          e.pool.Network(),
 			gens:         map[string]uint64{},
 		}
 		roundStart := time.Now()
@@ -256,7 +246,6 @@ func (e *Executor) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteRep
 		rr := RoundReport{
 			Round: r, WallSeconds: wall, ModelGens: rs.gens,
 			Deaths: rs.deaths, Repartitions: rs.repartitions,
-			MigrationEstSeconds: rs.migrationEst,
 		}
 		for _, o := range rs.outcomes {
 			rr.Shards = append(rr.Shards, o.report)
@@ -351,13 +340,11 @@ type roundState struct {
 	req          *ExecuteRequest
 	round        int
 	returnResult bool
-	net          comm.Network
 
 	mu           sync.Mutex
 	outcomes     []shardOutcome
 	deaths       []string
 	repartitions int
-	migrationEst float64
 	gens         map[string]uint64
 }
 
@@ -462,10 +449,6 @@ func (rs *roundState) dispatch(ctx context.Context, row0, row1 int, workers []Wo
 		repartitionsTotal().Inc()
 		rs.mu.Lock()
 		rs.repartitions++
-		// Price the recovery on the measured network: the moved band's bytes
-		// (float32 result rows) over the slowest measured link.
-		moved := float64((b.row1 - b.row0) * rs.req.N * 4)
-		rs.migrationEst += rs.net.Latency + moved/rs.net.LinkBandwidth
 		rs.mu.Unlock()
 		if err := rs.dispatch(ctx, b.row0, b.row1, survivors, attempt+1); err != nil {
 			return err
@@ -501,7 +484,7 @@ func (rs *roundState) shares(workers []WorkerInfo, units int) ([]share, error) {
 		rs.mu.Unlock()
 		devices[i] = partition.Device{Name: w.Name, Model: pl}
 	}
-	res, err := partition.FPM(devices, units, rs.e.opts.PartitionOptions)
+	res, err := partition.FPM(devices, units, partition.FPMOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("fpm partition of %d units: %w", units, err)
 	}

@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"fpmpart/internal/comm"
 	"fpmpart/internal/fpm"
 )
 
@@ -23,18 +23,15 @@ type ModelSink interface {
 	PutWorkerModel(name string, pl *fpm.PiecewiseLinear) (gen uint64, err error)
 }
 
-// PoolOptions tunes worker tracking and registration-time calibration.
+// PoolOptions tunes worker tracking.
 type PoolOptions struct {
-	// Client performs calibration probes and (via the executor) shard
-	// dispatch. Nil = a dedicated client with sane timeouts.
+	// Client performs the registration-time reachability probe and (via
+	// the executor) shard dispatch. Nil = a dedicated client with sane
+	// timeouts.
 	Client *http.Client
 	// TTL is how long a worker stays alive without a heartbeat before the
 	// janitor declares it dead. Default 5s.
 	TTL time.Duration
-	// ProbeCount is the number of RTT probes at registration. Default 5.
-	ProbeCount int
-	// ProbeBytes is the throughput probe payload size. Default 2 MiB.
-	ProbeBytes int
 	// Logger receives membership events. Nil discards.
 	Logger *slog.Logger
 }
@@ -45,12 +42,6 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	}
 	if o.TTL <= 0 {
 		o.TTL = 5 * time.Second
-	}
-	if o.ProbeCount <= 0 {
-		o.ProbeCount = 5
-	}
-	if o.ProbeBytes <= 0 {
-		o.ProbeBytes = 2 << 20
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -63,7 +54,7 @@ type poolEntry struct {
 }
 
 // Pool tracks registered workers: liveness from heartbeats plus a TTL
-// janitor, and a measured comm calibration per worker taken at registration.
+// janitor.
 type Pool struct {
 	opts PoolOptions
 	sink ModelSink
@@ -89,16 +80,17 @@ func NewPool(sink ModelSink, opts PoolOptions) *Pool {
 	}
 }
 
-// Client returns the HTTP client shards and probes travel over.
+// Client returns the HTTP client shards and the registration probe travel
+// over.
 func (p *Pool) Client() *http.Client { return p.opts.Client }
 
 // TTL returns the liveness window.
 func (p *Pool) TTL() time.Duration { return p.opts.TTL }
 
-// Register validates reg, measures the wire toward the worker (RTT +
-// transfer throughput), publishes the worker's self-calibrated model, and
-// upserts the pool entry. Re-registration of a live or dead worker is an
-// upsert: the worker is re-calibrated and revived.
+// Register validates reg, proves the advertised URL answers (one GET
+// /healthz), publishes the worker's self-calibrated model, and upserts the
+// pool entry. Re-registration of a live or dead worker is an upsert: the
+// worker is probed again and revived.
 func (p *Pool) Register(ctx context.Context, reg Registration) (WorkerInfo, error) {
 	if reg.Name == "" {
 		registrationsTotal("invalid").Inc()
@@ -121,10 +113,9 @@ func (p *Pool) Register(ctx context.Context, reg Registration) (WorkerInfo, erro
 		return WorkerInfo{}, fmt.Errorf("workerd: registration missing self-calibrated model")
 	}
 
-	cal, err := Calibrate(ctx, p.opts.Client, reg.URL, p.opts.ProbeCount, p.opts.ProbeBytes)
-	if err != nil {
+	if err := p.probe(ctx, reg.URL); err != nil {
 		registrationsTotal("unreachable").Inc()
-		return WorkerInfo{}, fmt.Errorf("workerd: calibrating %s: %w", reg.Name, err)
+		return WorkerInfo{}, fmt.Errorf("workerd: probing %s: %w", reg.Name, err)
 	}
 
 	var gen uint64
@@ -138,7 +129,7 @@ func (p *Pool) Register(ctx context.Context, reg Registration) (WorkerInfo, erro
 
 	info := WorkerInfo{
 		Name: reg.Name, URL: reg.URL, Cores: reg.Cores,
-		Alive: true, Generation: gen, Calibration: cal, LastSeen: time.Now(),
+		Alive: true, Generation: gen, LastSeen: time.Now(),
 	}
 	p.mu.Lock()
 	if prev, ok := p.workers[reg.Name]; ok {
@@ -149,10 +140,26 @@ func (p *Pool) Register(ctx context.Context, reg Registration) (WorkerInfo, erro
 	p.mu.Unlock()
 	registrationsTotal("ok").Inc()
 	p.opts.Logger.Info("worker registered",
-		slog.String("worker", reg.Name), slog.String("url", reg.URL),
-		slog.Float64("rtt_us", cal.RTTSeconds*1e6),
-		slog.Float64("bandwidth_mbps", cal.BandwidthBps/1e6))
+		slog.String("worker", reg.Name), slog.String("url", reg.URL))
 	return info, nil
+}
+
+// probe checks that a worker's advertised base URL answers GET /healthz.
+func (p *Pool) probe(ctx context.Context, baseURL string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(baseURL, "/")+"/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := p.opts.Client.Do(req)
+	if err != nil {
+		return err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body) // drained only so the connection is reused
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET /healthz: status %d", resp.StatusCode)
+	}
+	return nil
 }
 
 // Heartbeat refreshes a worker's liveness window, reviving a dead entry.
@@ -246,28 +253,6 @@ func (p *Pool) List() []WorkerInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Network aggregates the measured per-worker calibrations into one
-// conservative comm model for the live fleet: the slowest link's bandwidth
-// and the worst latency, with aggregate bandwidth summed across links.
-func (p *Pool) Network() comm.Network {
-	alive := p.Alive()
-	if len(alive) == 0 {
-		return comm.DefaultNetwork()
-	}
-	var worstLat, minBW, sumBW float64
-	for i, w := range alive {
-		n := w.Calibration.Network()
-		if n.Latency > worstLat {
-			worstLat = n.Latency
-		}
-		if i == 0 || n.LinkBandwidth < minBW {
-			minBW = n.LinkBandwidth
-		}
-		sumBW += n.LinkBandwidth
-	}
-	return comm.Network{LinkBandwidth: minBW, AggregateBandwidth: sumBW, Latency: worstLat}
 }
 
 // Start launches the TTL janitor. Stop with Stop.

@@ -6,20 +6,20 @@
 // The package has two halves, joined only by the HTTP wire protocol below:
 //
 //   - Worker: the worker-process side. Serves shard execution
-//     (POST /worker/v1/shard), the calibration probes fpmd runs at
-//     registration (GET /healthz for RTT, POST /worker/v1/sink for
-//     throughput), and a self-calibration that times the local kernel to
-//     seed the worker's functional performance model.
+//     (POST /worker/v1/shard), the reachability probe fpmd runs at
+//     registration (GET /healthz), and a self-calibration that times the
+//     local kernel to seed the worker's functional performance model.
 //
 //   - Pool + Executor: the fpmd side. The Pool tracks registered workers
-//     (liveness from heartbeats plus a TTL janitor; a measured comm.Network
-//     per worker instead of the 2012-era DefaultInterconnect presets). The
-//     Executor partitions a job over the live workers with partition.FPM on
-//     their *served* models — so online refinement of those models changes
-//     the next partition — dispatches the shards concurrently, feeds the
+//     (liveness from heartbeats plus a TTL janitor). The Executor
+//     partitions a job over the live workers with partition.FPM on their
+//     *served* models — so online refinement of those models changes the
+//     next partition — dispatches the shards concurrently, feeds the
 //     observed shard timings back through an Observer (the /v1/observe
 //     refinement loop), and re-partitions the residual among survivors when
-//     a shard request fails or a heartbeat lapses mid-job.
+//     a shard request fails or a heartbeat lapses mid-job. The wire is not
+//     modelled beside the speed function: it belongs in the observed shard
+//     time, as the paper folds PCIe transfer into a GPU's speed.
 //
 // Determinism contract: a GEMM shard is rows [Row0,Row1) of C = A·B where A
 // (Rows×K) and B (K×N) are regenerated from the job seed on every worker via
@@ -34,10 +34,7 @@ package workerd
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"time"
-
-	"fpmpart/internal/comm"
 )
 
 // Worker-side routes (served by Worker.Handler, mounted by cmd/fpmworker).
@@ -45,9 +42,6 @@ const (
 	// ShardPath executes one shard and returns its timing (and, on request,
 	// the raw result band).
 	ShardPath = "/worker/v1/shard"
-	// SinkPath swallows a calibration payload so fpmd can measure transfer
-	// throughput toward the worker at registration.
-	SinkPath = "/worker/v1/sink"
 	// InfoPath reports the worker's static facts (name, cores, kernel).
 	InfoPath = "/worker/v1/info"
 )
@@ -151,38 +145,14 @@ type Registration struct {
 	Model []byte `json:"model"`
 }
 
-// Calibration is the comm model fpmd measured for one worker at
-// registration: real wire behaviour instead of preset constants.
-type Calibration struct {
-	// RTTSeconds is the measured request round-trip floor.
-	RTTSeconds float64 `json:"rtt_seconds"`
-	// BandwidthBps is the measured transfer throughput, bytes/second.
-	BandwidthBps float64 `json:"bandwidth_bps"`
-}
-
-// Network converts the measurement into the repo's comm model: latency is
-// half the round trip, bandwidth is the measured payload throughput.
-func (c Calibration) Network() comm.Network {
-	lat := c.RTTSeconds / 2
-	if lat <= 0 || math.IsNaN(lat) || math.IsInf(lat, 0) {
-		lat = 1e-6
-	}
-	bw := c.BandwidthBps
-	if bw <= 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
-		bw = 1e9
-	}
-	return comm.Network{LinkBandwidth: bw, AggregateBandwidth: 0, Latency: lat}
-}
-
 // WorkerInfo is one pool entry as served by GET /v1/workers.
 type WorkerInfo struct {
-	Name        string      `json:"name"`
-	URL         string      `json:"url"`
-	Cores       int         `json:"cores"`
-	Alive       bool        `json:"alive"`
-	Generation  uint64      `json:"model_generation"`
-	Calibration Calibration `json:"calibration"`
-	LastSeen    time.Time   `json:"last_seen"`
+	Name       string    `json:"name"`
+	URL        string    `json:"url"`
+	Cores      int       `json:"cores"`
+	Alive      bool      `json:"alive"`
+	Generation uint64    `json:"model_generation"`
+	LastSeen   time.Time `json:"last_seen"`
 	// Shards and Failures count dispatches to this worker since registration.
 	Shards   int64 `json:"shards"`
 	Failures int64 `json:"failures"`

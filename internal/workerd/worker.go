@@ -67,9 +67,8 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 
 // Handler returns the worker's HTTP API:
 //
-//	GET  /healthz          liveness (fpmd's RTT probe and heartbeat check)
+//	GET  /healthz          liveness (fpmd's registration-time reachability probe)
 //	GET  /worker/v1/info   static facts (name, cores)
-//	POST /worker/v1/sink   swallow a calibration payload (throughput probe)
 //	POST /worker/v1/shard  execute one shard, return timing (+ result band)
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -83,7 +82,6 @@ func (w *Worker) Handler() http.Handler {
 			"name": w.opts.Name, "cores": w.opts.Workers,
 		})
 	})
-	mux.HandleFunc("POST "+SinkPath, w.handleSink)
 	mux.HandleFunc("POST "+ShardPath, w.handleShard)
 	return mux
 }
@@ -93,22 +91,6 @@ func (w *Worker) Handler() http.Handler {
 func (w *Worker) Serve(addr string) (string, func(context.Context) error, error) {
 	return telemetry.ServeHTTP(addr, w.Handler())
 }
-
-// handleSink reads and discards the calibration payload, reporting how many
-// bytes arrived — the sender's elapsed time over that count is the measured
-// throughput.
-func (w *Worker) handleSink(rw http.ResponseWriter, r *http.Request) {
-	n, err := io.Copy(io.Discard, http.MaxBytesReader(rw, r.Body, maxSinkBytes))
-	if err != nil {
-		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(rw, `{"bytes":%d}`+"\n", n)
-}
-
-// maxSinkBytes bounds one throughput probe payload.
-const maxSinkBytes = 64 << 20
 
 // maxShardBody bounds one shard request body.
 const maxShardBody = 1 << 20

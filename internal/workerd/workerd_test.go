@@ -3,7 +3,10 @@ package workerd
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -176,23 +179,55 @@ func TestSelfCalibrate(t *testing.T) {
 	}
 }
 
-func TestCalibrationNetworkDefensiveDefaults(t *testing.T) {
-	n := Calibration{}.Network()
-	if n.Latency <= 0 || n.LinkBandwidth <= 0 {
-		t.Fatalf("zero calibration must fall back to positive defaults, got %+v", n)
+// Registration proves the advertised URL answers and measures nothing else:
+// one GET /healthz, no payload sent to an address a registration names. A
+// worker that answers anything but 200 is not registered.
+func TestRegisterProbesReachabilityOnly(t *testing.T) {
+	type hit struct {
+		method, path string
+		bytes        int64
 	}
-	n = Calibration{RTTSeconds: 2e-3, BandwidthBps: 1e8}.Network()
-	if n.Latency != 1e-3 {
-		t.Fatalf("latency = %v, want RTT/2 = 1e-3", n.Latency)
+	var mu sync.Mutex
+	var hits []hit
+	status := http.StatusOK
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		n, _ := io.Copy(io.Discard, r.Body)
+		mu.Lock()
+		hits = append(hits, hit{r.Method, r.URL.Path, n})
+		code := status
+		mu.Unlock()
+		rw.WriteHeader(code)
+	}))
+	defer srv.Close()
+
+	raw, err := constModel(t, 100).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n.LinkBandwidth != 1e8 {
-		t.Fatalf("bandwidth = %v, want 1e8", n.LinkBandwidth)
+	pool := NewPool(newMapModels(), PoolOptions{TTL: time.Minute})
+	reg := Registration{Name: "w1", URL: srv.URL + "/", Cores: 1, Model: raw}
+	if _, err := pool.Register(context.Background(), reg); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	mu.Lock()
+	if want := []hit{{http.MethodGet, "/healthz", 0}}; !reflect.DeepEqual(hits, want) {
+		t.Errorf("registration sent %+v, want exactly %+v", hits, want)
+	}
+	status = http.StatusServiceUnavailable
+	mu.Unlock()
+
+	reg.Name = "w2"
+	if _, err := pool.Register(context.Background(), reg); err == nil {
+		t.Error("worker answering 503 on /healthz was registered")
+	}
+	if _, ok := pool.Get("w2"); ok {
+		t.Error("failed registration left a pool entry")
 	}
 }
 
 func TestPoolRegisterHeartbeatExpire(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: 200 * time.Millisecond, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: 200 * time.Millisecond})
 	pool.Start()
 	defer pool.Stop()
 
@@ -200,9 +235,6 @@ func TestPoolRegisterHeartbeatExpire(t *testing.T) {
 	info, ok := pool.Get("w1")
 	if !ok || !info.Alive {
 		t.Fatalf("w1 should be alive after registration: %+v", info)
-	}
-	if info.Calibration.RTTSeconds <= 0 || info.Calibration.BandwidthBps <= 0 {
-		t.Fatalf("calibration not measured: %+v", info.Calibration)
 	}
 	if _, _, err := models.WorkerModel("w1"); err != nil {
 		t.Fatalf("registration did not publish the model: %v", err)
@@ -237,7 +269,7 @@ func TestPoolRegisterHeartbeatExpire(t *testing.T) {
 
 func TestExecuteVerifiedBitExact(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	startWorker(t, pool, models, "fast", 400, nil)
 	startWorker(t, pool, models, "slow", 100, nil)
 
@@ -279,7 +311,7 @@ func TestExecuteVerifiedBitExact(t *testing.T) {
 
 func TestExecuteStencilVerified(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	startWorker(t, pool, models, "s1", 200, nil)
 	startWorker(t, pool, models, "s2", 200, nil)
 
@@ -297,7 +329,7 @@ func TestExecuteStencilVerified(t *testing.T) {
 
 func TestExecuteEvenSplit(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	startWorker(t, pool, models, "a", 400, nil)
 	startWorker(t, pool, models, "b", 100, nil)
 
@@ -322,7 +354,7 @@ func TestExecuteEvenSplit(t *testing.T) {
 
 func TestExecuteRejectsBadRequests(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	exec := NewExecutor(pool, models, nil, ExecutorOptions{})
 	cases := []ExecuteRequest{
 		{Rows: 0},
@@ -353,7 +385,7 @@ func TestExecuteRejectsBadRequests(t *testing.T) {
 // to the local kernel replay.
 func TestExecuteWorkerDeathMidJob(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	startWorker(t, pool, models, "ok1", 200, nil)
 	startWorker(t, pool, models, "ok2", 200, nil)
 
@@ -423,7 +455,7 @@ func TestExecuteWorkerDeathMidJob(t *testing.T) {
 // partial report rather than hanging or panicking.
 func TestExecuteAllWorkersDead(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	spec, _ := faults.ParseSpec("crash:dev=0,iter=0")
 	for _, name := range []string{"d1", "d2"} {
 		inj, err := faults.NewInjector(spec, 1)
@@ -456,7 +488,7 @@ func TestExecuteAllWorkersDead(t *testing.T) {
 // bump in the round reports — the hook online refinement acts through.
 func TestExecuteMultiRoundGenerations(t *testing.T) {
 	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute, ProbeCount: 1, ProbeBytes: 4096})
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
 	startWorker(t, pool, models, "w1", 100, nil)
 	startWorker(t, pool, models, "w2", 100, nil)
 
