@@ -37,11 +37,11 @@ staticcheck:
 bench-all:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# CI smoke: one iteration of each GEMM benchmark (batch engine and Strassen
-# layer included), just to prove the kernels — including the assembly
-# micro-kernels, when the runner supports them — execute.
+# CI smoke: one iteration of each GEMM benchmark, just to prove the kernels
+# — including the assembly micro-kernels, when the runner supports them —
+# execute.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'Gemm|Strassen' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench 'Gemm' -benchtime=1x ./...
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

@@ -167,7 +167,7 @@ func BenchmarkGemm(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("packed/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := blas.GemmPacked(1, a, bm, 0, c, blas.Active(), 1); err != nil {
+				if err := blas.GemmPacked(1, a, bm, 0, c, blas.DefaultConfig, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

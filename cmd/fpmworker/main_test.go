@@ -163,7 +163,7 @@ func TestWorkersEndToEnd(t *testing.T) {
 	}
 
 	job := workerd.ExecuteRequest{
-		Kind: workerd.KindGemm, Rows: 768, K: 256, N: 256,
+		Rows: 768, K: 256, N: 256,
 		Seed: 7, Verify: true, Workers: []string{"fast", "slow"},
 	}
 	fpmJob := job

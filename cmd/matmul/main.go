@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"fpmpart/internal/app"
 	"fpmpart/internal/blas"
@@ -47,10 +46,6 @@ func main() {
 		procs    = flag.Int("procs", 8, "real mode: number of processes")
 		version  = flag.Int("kernel", 2, "sim: GPU kernel version")
 		seed     = flag.Int64("seed", 1, "measurement-noise seed")
-		tune     = flag.Bool("tune", false, "real mode: autotune the GEMM blocking before running")
-		gemmCfg  = flag.String("gemm-config", "", "real mode: fixed GEMM blocking \"mc,kc,nc,mr,nr\" (overrides -tune)")
-		batch    = flag.Bool("batch", false, "real mode: run rectangle updates through the batched GEMM engine")
-		strassen = flag.Bool("strassen", false, "real mode: use Strassen-Winograd for the verification product")
 		parallel = cliutil.Parallel()
 		tele     cliutil.TelemetryFlags
 	)
@@ -64,7 +59,7 @@ func main() {
 	case "sim":
 		err = runSim(&tele, *config, *n, *version, *seed, *parallel)
 	case "real":
-		err = runReal(*n, *b, *procs, *tune, *gemmCfg, *batch, *strassen)
+		err = runReal(*n, *b, *procs)
 	case "trace":
 		err = runTrace(*n)
 	default:
@@ -165,29 +160,11 @@ func evenLayout(p, n int) (*layout.BlockLayout, error) {
 	return l.Discretize(n)
 }
 
-func runReal(n, b, procs int, tune bool, gemmCfg string, batch, strassen bool) error {
+func runReal(n, b, procs int) error {
 	if n <= 0 || b <= 0 || procs <= 0 {
 		return fmt.Errorf("invalid real-mode parameters n=%d b=%d procs=%d", n, b, procs)
 	}
-	switch {
-	case gemmCfg != "":
-		var cfg blas.Config
-		if _, err := fmt.Sscanf(gemmCfg, "%d,%d,%d,%d,%d", &cfg.MC, &cfg.KC, &cfg.NC, &cfg.MR, &cfg.NR); err != nil {
-			return fmt.Errorf("bad -gemm-config %q (want mc,kc,nc,mr,nr): %v", gemmCfg, err)
-		}
-		if err := blas.SetTuned(cfg); err != nil {
-			return err
-		}
-		fmt.Printf("gemm kernel: fixed config %s\n", cfg)
-	case tune:
-		cfg, err := blas.Tune()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("gemm kernel: autotuned to %s\n", cfg)
-	default:
-		fmt.Printf("gemm kernel: default config %s\n", blas.Active())
-	}
+	fmt.Printf("gemm kernel: default config %s\n", blas.DefaultConfig)
 	// Heterogeneous areas 1..5 cycling, like a mixed platform.
 	areas := make([]float64, procs)
 	for i := range areas {
@@ -208,32 +185,17 @@ func runReal(n, b, procs int, tune bool, gemmCfg string, batch, strassen bool) e
 	bm.FillRandom(2)
 	c := matrix.MustNew(dim, dim)
 
-	var res app.RealResult
-	if batch {
-		res, err = app.RunRealBatched(bl, b, a, bm, c, 0)
-	} else {
-		res, err = app.RunReal(bl, b, a, bm, c)
-	}
+	res, err := app.RunReal(bl, b, a, bm, c)
 	if err != nil {
 		return err
 	}
 	want := matrix.MustNew(dim, dim)
-	if strassen {
-		t0 := time.Now()
-		if err := blas.GemmStrassen(1, a, bm, 0, want, 0); err != nil {
-			return err
-		}
-		fmt.Printf("verification product: strassen-winograd, %.3f s\n", time.Since(t0).Seconds())
-	} else if err := blas.Gemm(1, a, bm, 0, want); err != nil {
+	if err := blas.Gemm(1, a, bm, 0, want); err != nil {
 		return err
 	}
 	diff := matrix.MaxAbsDiff(c, want)
-	engine := "per-process"
-	if batch {
-		engine = "batched"
-	}
-	fmt.Printf("real run (%s): %d x %d elements, %d processes, %d iterations, %.3f s wall\n",
-		engine, dim, dim, procs, res.Iterations, res.WallSeconds)
+	fmt.Printf("real run: %d x %d elements, %d processes, %d iterations, %.3f s wall\n",
+		dim, dim, procs, res.Iterations, res.WallSeconds)
 	fmt.Printf("max |distributed - direct| = %.2e\n", diff)
 	if diff > 1e-2 {
 		return fmt.Errorf("verification FAILED (diff %v)", diff)

@@ -15,20 +15,11 @@ import (
 
 	"fpmpart"
 	"fpmpart/internal/bench"
-	"fpmpart/internal/blas"
 )
 
 func main() {
 	const b = 32 // small blocking factor: the example must run in seconds
 	cores := runtime.GOMAXPROCS(0)
-
-	// Autotune the packed GEMM blocking first, so the models measure the
-	// kernel the application will actually run.
-	cfg, err := blas.Tune()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("autotuned GEMM blocking: %s\n", cfg)
 
 	single := &bench.RealGEMMKernel{BlockSize: b, Workers: 1}
 	multi := &bench.RealGEMMKernel{BlockSize: b, Workers: cores}

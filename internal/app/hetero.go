@@ -73,7 +73,7 @@ func RunRealRateLimited(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense, s
 					errs[i] = err
 					return
 				}
-				if errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.Active(), 1); errs[i] != nil {
+				if errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.DefaultConfig, 1); errs[i] != nil {
 					return
 				}
 				// Emulate a slower device: stretch the step to slowdown ×

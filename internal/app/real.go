@@ -79,7 +79,7 @@ func RunReal(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense) (RealResult,
 				}
 				// Each "process" is one rank: single-threaded packed GEMM
 				// on its strided C rectangle.
-				errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.Active(), 1)
+				errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.DefaultConfig, 1)
 				mu.Lock()
 				res.PerProcessSeconds[i] += time.Since(t0).Seconds()
 				mu.Unlock()

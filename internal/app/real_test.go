@@ -63,48 +63,6 @@ func TestRunRealMatchesDirectGemm(t *testing.T) {
 	}
 }
 
-// TestRunRealBatchedMatchesDirect: the batched execution mode computes
-// the same blocked product as RunReal, through GemmBatch.
-func TestRunRealBatchedMatchesDirect(t *testing.T) {
-	const (
-		n = 6
-		b = 8
-	)
-	bl := realLayout(t, []float64{4, 2, 1, 1}, n)
-	dim := n * b
-	a := matrix.MustNew(dim, dim)
-	bm := matrix.MustNew(dim, dim)
-	a.FillRandom(1)
-	bm.FillRandom(2)
-	c := matrix.MustNew(dim, dim)
-
-	res, err := RunRealBatched(bl, b, a, bm, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != n {
-		t.Errorf("iterations = %d", res.Iterations)
-	}
-	want := matrix.MustNew(dim, dim)
-	if err := blas.Gemm(1, a, bm, 0, want); err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(c, want); d > 1e-3 {
-		t.Errorf("batched result differs from direct GEMM by %v", d)
-	}
-	if res.WallSeconds <= 0 {
-		t.Error("no wall time recorded")
-	}
-
-	// Validation mirrors RunReal.
-	if _, err := RunRealBatched(bl, 0, a, bm, c, 0); err == nil {
-		t.Error("invalid block size accepted")
-	}
-	if _, err := RunRealBatched(bl, b, a, bm, matrix.MustNew(3, 3), 0); err == nil {
-		t.Error("mis-sized C accepted")
-	}
-}
-
 func TestRunRealAccumulatesIntoC(t *testing.T) {
 	const n, b = 4, 4
 	bl := realLayout(t, []float64{1, 1}, n)

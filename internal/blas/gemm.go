@@ -8,8 +8,9 @@
 //   - GemmPacked (used by Gemm and GemmParallel): a BLIS-style blocked
 //     algorithm — operands are packed into contiguous panels (pack.go),
 //     driven through a register-blocked mr×nr micro-kernel
-//     (microkernel.go), with cache/register tile sizes chosen per machine
-//     by a measuring autotuner (tune.go).
+//     (microkernel.go), with cache/register tile sizes fixed per shape
+//     class and CPU feature set (tune.go: DefaultConfig, DefaultSmallConfig,
+//     ActiveFor).
 //
 // Scaling semantics follow BLAS: beta == 0 overwrites C without reading it
 // (NaN/Inf already in C do not propagate), and alpha == 0 skips the product
@@ -28,10 +29,10 @@ import (
 	"fpmpart/internal/telemetry"
 )
 
-// Gemm computes C = alpha·A·B + beta·C using the packed kernel with the
-// active (autotuned or default) configuration and all available cores.
+// Gemm computes C = alpha·A·B + beta·C using the packed kernel with
+// DefaultConfig and all available cores.
 func Gemm(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense) error {
-	return GemmPacked(alpha, a, b, beta, c, Active(), 0)
+	return GemmPacked(alpha, a, b, beta, c, DefaultConfig, 0)
 }
 
 // GemmParallel computes C = alpha·A·B + beta·C on the packed kernel with
@@ -40,7 +41,7 @@ func Gemm(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense) erro
 // queue, so every partition boundary coincides with a packing-panel
 // boundary and the result is bit-identical at any worker count.
 func GemmParallel(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense, workers int) error {
-	return GemmPacked(alpha, a, b, beta, c, Active(), workers)
+	return GemmPacked(alpha, a, b, beta, c, DefaultConfig, workers)
 }
 
 func checkShapes(a, b, c *matrix.Dense) error {

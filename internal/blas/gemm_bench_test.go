@@ -33,7 +33,7 @@ func BenchmarkGemmBlocked1024(b *testing.B) {
 }
 
 // BenchmarkGemmPacked1024 is the packed register-blocked kernel at n=1024,
-// single-threaded, with the default (untuned) configuration.
+// single-threaded, with the default configuration.
 func BenchmarkGemmPacked1024(b *testing.B) {
 	benchGemm(b, 1024, func(a, bm, c *matrix.Dense) error {
 		return GemmPacked(1, a, bm, 0, c, DefaultConfig, 1)
@@ -42,7 +42,7 @@ func BenchmarkGemmPacked1024(b *testing.B) {
 
 // BenchmarkGemmMicroKernels compares the unrolled register tiles head to
 // head at n=512 under identical cache blocking, isolating the register-tile
-// choice the autotuner makes.
+// choice the shape-class defaults make.
 func BenchmarkGemmMicroKernels(b *testing.B) {
 	for _, rt := range [][2]int{{4, 4}, {6, 4}, {8, 4}, {4, 8}, {8, 8}} {
 		mr, nr := rt[0], rt[1]
@@ -53,74 +53,6 @@ func BenchmarkGemmMicroKernels(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkGemmBatch compares aggregate throughput of the batch engine
-// against the equivalent loop of GEMM calls on the workload it was built
-// for: 64 items of n=128 all multiplying against one shared B operand
-// (the layout cmd/matmul's real mode produces). Both arms report the
-// aggregate flop count via SetBytes, so the MB/s column is directly the
-// aggregate GFLOPS ratio the >=2x acceptance target is measured on.
-func BenchmarkGemmBatch(b *testing.B) {
-	const nItems, n = 64, 128
-	bm := randMat(n, n, 99)
-	items := make([]BatchItem, nItems)
-	for i := range items {
-		items[i] = BatchItem{
-			Alpha: 1, A: randMat(n, n, int64(3+i)), B: bm,
-			Beta: 0, C: matrix.MustNew(n, n),
-		}
-	}
-	flops := int64(nItems) * 2 * int64(n) * int64(n) * int64(n)
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(flops)
-		for i := 0; i < b.N; i++ {
-			if err := GemmBatch(items, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("loop", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(flops)
-		for i := 0; i < b.N; i++ {
-			for _, it := range items {
-				if err := Gemm(it.Alpha, it.A, it.B, it.Beta, it.C); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkStrassen measures the Winograd layer against its own leaf
-// kernel at n=2048, the first size where one recursion level pays for
-// its O(n^2) addition traffic on the reference box.
-func BenchmarkStrassen(b *testing.B) {
-	const n = 2048
-	a := randMat(n, n, 1)
-	bm := randMat(n, n, 2)
-	c := matrix.MustNew(n, n)
-	flops := 2 * int64(n) * int64(n) * int64(n)
-	b.Run("strassen", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(flops)
-		for i := 0; i < b.N; i++ {
-			if err := GemmStrassen(1, a, bm, 0, c, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(flops)
-		for i := 0; i < b.N; i++ {
-			if err := GemmPacked(1, a, bm, 0, c, Active(), 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkGemmPack isolates the packing cost (a no-compute configuration

@@ -11,7 +11,7 @@ package blas
 // values and performs mr·nr multiply-adds. C is written back once, through
 // ldc-strided rows.
 //
-// The unrolled variants below are the autotuner's (mr, nr) search space;
+// The unrolled variants below are the (mr, nr) tiles a Config can name;
 // microKernelGeneric handles any other tile shape (and is the reference the
 // unrolled kernels are tested against).
 
@@ -418,8 +418,7 @@ func microKernel6x4(kc int, a, b, c []float32, ldc int) {
 
 func microKernel8x8(kc int, a, b, c []float32, ldc int) {
 	// 64 accumulators spill on most targets, but the doubled arithmetic per
-	// packed load can still win on cores with fast L1; the autotuner
-	// decides.
+	// packed load can still win on cores with fast L1.
 	var acc [64]float32
 	for p := 0; p < kc; p++ {
 		ap := a[:8]

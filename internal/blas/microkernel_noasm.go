@@ -11,15 +11,14 @@ var (
 )
 
 // microKernel6x16AVX2 falls back to the generic kernel on non-amd64
-// targets. It is only reachable if a 6x16 configuration is installed
-// explicitly (the autotuner does not propose it without hasAVX2FMA).
+// targets. It is only reachable through an explicit 6x16 Config (the
+// defaults do not select it without hasAVX2FMA).
 func microKernel6x16AVX2(kc int, a, b, c []float32, ldc int) {
 	microKernelGeneric(6, 16, kc, a, b, c, ldc)
 }
 
 // microKernel8x32AVX512 falls back to the generic kernel on non-amd64
-// targets; reachable only through an explicitly installed 8x32
-// configuration.
+// targets; reachable only through an explicit 8x32 Config.
 func microKernel8x32AVX512(kc int, a, b, c []float32, ldc int) {
 	microKernelGeneric(8, 32, kc, a, b, c, ldc)
 }

@@ -85,15 +85,6 @@ func TestNaNInfPropagation(t *testing.T) {
 				return GemmPacked(1, tc.a, tc.b, 0, c, Config{MC: 12, KC: 64, NC: 32, MR: 6, NR: 16}, 1)
 			},
 			"parallel": func(c *matrix.Dense) error { return GemmParallel(1, tc.a, tc.b, 0, c, 3) },
-			"batch": func(c *matrix.Dense) error {
-				return GemmBatch([]BatchItem{{Alpha: 1, A: tc.a, B: tc.b, Beta: 0, C: c}}, 2)
-			},
-			// Below the minimum cutoff Strassen is a single packed leaf, so
-			// exact NaN placement holds; the recursive regime only promises
-			// containment (see TestStrassenNaNContainment).
-			"strassen-leaf": func(c *matrix.Dense) error {
-				return GemmStrassenWith(1, tc.a, tc.b, 0, c, DefaultConfig, strassenMinCutoff, 1)
-			},
 		}
 		for name, f := range variants {
 			c := matrix.MustNew(m, n)
@@ -106,37 +97,6 @@ func TestNaNInfPropagation(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestStrassenNaNContainment: in the recursive regime the Winograd
-// rearrangement changes which products a poisoned element participates in,
-// so exact NaN placement versus the classical loop is not guaranteed — but
-// a NaN or Inf in the inputs must never be silently dropped from the
-// result.
-func TestStrassenNaNContainment(t *testing.T) {
-	const dim = 130 // above strassenMinCutoff: one real recursion level
-	a := randMat(dim, dim, 1)
-	b := randMat(dim, dim, 2)
-	a.Set(3, 97, float32(math.NaN()))
-	b.Set(71, 15, float32(math.Inf(1)))
-	c := matrix.MustNew(dim, dim)
-	if err := GemmStrassenWith(1, a, b, 0, c, DefaultConfig, strassenMinCutoff, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !hasNaN(c) && !hasInf(c) {
-		t.Error("poisoned inputs produced a fully finite Strassen result")
-	}
-}
-
-func hasInf(m *matrix.Dense) bool {
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if math.IsInf(float64(m.At(i, j)), 0) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func hasNaN(m *matrix.Dense) bool {

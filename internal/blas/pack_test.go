@@ -132,78 +132,26 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestTuneCandidatesValid ensures the whole autotuner search space passes
-// validation (mc/nc rounded to register-tile multiples).
-func TestTuneCandidatesValid(t *testing.T) {
-	cands := tuneCandidates()
-	if len(cands) == 0 {
-		t.Fatal("empty search space")
-	}
-	for _, c := range cands {
-		if err := c.Validate(); err != nil {
-			t.Errorf("candidate %v: %v", c, err)
+// TestActiveForShapeClass pins ActiveFor as a pure function of shape: a
+// problem whose every dimension is at most SmallSizeMax gets the small-class
+// defaults, anything larger the large-class ones.
+func TestActiveForShapeClass(t *testing.T) {
+	for _, tc := range []struct {
+		m, k, n int
+		want    Config
+	}{
+		{256, 256, 256, DefaultSmallConfig},
+		{1, 256, 1, DefaultSmallConfig},
+		{257, 8, 8, DefaultConfig},
+		{8, 8, 257, DefaultConfig},
+	} {
+		if got := ActiveFor(tc.m, tc.k, tc.n); got != tc.want {
+			t.Errorf("ActiveFor(%d,%d,%d) = %v, want %v", tc.m, tc.k, tc.n, got, tc.want)
 		}
 	}
-}
-
-// TestTuneWithInstallsWinner runs a tiny-budget tune and checks the winner
-// is cached, used by Active, and produces correct results.
-func TestTuneWithInstallsWinner(t *testing.T) {
-	defer resetTunedForTest()
-	resetTunedForTest()
-	cfg, err := TuneWith(TuneOptions{N: 48, Reps: 1})
-	if err != nil {
-		t.Fatal(err)
+	for name, cfg := range map[string]Config{"DefaultConfig": DefaultConfig, "DefaultSmallConfig": DefaultSmallConfig} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s invalid: %v", name, err)
+		}
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("tuned config invalid: %v", err)
-	}
-	got, ok := Tuned()
-	if !ok || got != cfg {
-		t.Fatalf("Tuned() = %v, %v; want %v, true", got, ok, cfg)
-	}
-	if Active() != cfg {
-		t.Fatal("Active() does not return the tuned config")
-	}
-	// Second call must return the cached winner without re-tuning.
-	cfg2, err := TuneWith(TuneOptions{N: 8, Reps: 1})
-	if err != nil || cfg2 != cfg {
-		t.Fatalf("cached TuneWith = %v, %v; want %v", cfg2, err, cfg)
-	}
-	// The tuned config must compute correctly.
-	a, b := randMat(37, 29, 1), randMat(29, 41, 2)
-	want := matrix.MustNew(37, 41)
-	gotC := matrix.MustNew(37, 41)
-	if err := GemmNaive(1, a, b, 0, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := Gemm(1, a, b, 0, gotC); err != nil {
-		t.Fatal(err)
-	}
-	if d := matrix.MaxAbsDiff(gotC, want); d > 1e-3 {
-		t.Errorf("tuned Gemm differs from naive by %v", d)
-	}
-}
-
-func TestSetTuned(t *testing.T) {
-	defer resetTunedForTest()
-	resetTunedForTest()
-	if err := SetTuned(Config{MC: 10, KC: 8, NC: 8, MR: 4, NR: 4}); err == nil {
-		t.Error("SetTuned accepted an invalid config")
-	}
-	want := Config{MC: 16, KC: 8, NC: 16, MR: 4, NR: 4}
-	if err := SetTuned(want); err != nil {
-		t.Fatal(err)
-	}
-	if Active() != want {
-		t.Error("SetTuned config not active")
-	}
-}
-
-// resetTunedForTest clears the process-wide tuned configuration.
-func resetTunedForTest() {
-	tuned.mu.Lock()
-	tuned.ok = false
-	tuned.cfg = Config{}
-	tuned.mu.Unlock()
 }

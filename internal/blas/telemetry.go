@@ -1,33 +1,17 @@
 package blas
 
-import (
-	"fpmpart/internal/telemetry"
-)
+import "fpmpart/internal/telemetry"
 
 // Kernel telemetry: where GEMM wall time goes (packing vs micro-kernel
-// compute), the throughput achieved, and which tile set the autotuner
-// picked. Everything is recorded on the process-wide registry and is free
-// while telemetry is disabled, so the hot path only pays when a tool runs
-// with -metrics-addr / -telemetry-json.
+// compute) and the throughput achieved. Everything is recorded on the
+// process-wide registry and is free while telemetry is disabled, so the hot
+// path only pays when a tool runs with -metrics-addr / -telemetry-json.
 var (
 	gemmCalls          = telemetry.Default().Counter("blas_gemm_calls_total")
 	gemmFlopsTotal     = telemetry.Default().Counter("blas_gemm_flops_total")
 	gemmPackSeconds    = telemetry.Default().Counter("blas_gemm_pack_seconds_total")
 	gemmComputeSeconds = telemetry.Default().Counter("blas_gemm_compute_seconds_total")
 	gemmGflops         = telemetry.Default().Histogram("blas_gemm_gflops", telemetry.ExpBuckets(0.125, 2, 12))
-	batchCalls         = telemetry.Default().Counter("blas_batch_calls_total")
-	batchItems         = telemetry.Default().Counter("blas_batch_items_total")
-	batchGroups        = telemetry.Default().Counter("blas_batch_groups_total")
-	batchPacksSaved    = telemetry.Default().Counter("blas_batch_packb_saved_total")
-	batchGflops        = telemetry.Default().Histogram("blas_batch_gflops", telemetry.ExpBuckets(0.125, 2, 12))
-	strassenCalls      = telemetry.Default().Counter("blas_strassen_calls_total")
-	strassenLeaves     = telemetry.Default().Counter("blas_strassen_leaf_gemms_total")
-	tuneSeconds        = telemetry.Default().Gauge("blas_tune_seconds")
-	tileMC             = telemetry.Default().Gauge("blas_tile_mc")
-	tileKC             = telemetry.Default().Gauge("blas_tile_kc")
-	tileNC             = telemetry.Default().Gauge("blas_tile_nc")
-	tileMR             = telemetry.Default().Gauge("blas_tile_mr")
-	tileNR             = telemetry.Default().Gauge("blas_tile_nr")
 )
 
 // recordGemm publishes one packed-GEMM call's breakdown. flops is the
@@ -46,66 +30,4 @@ func recordGemm(m, n, k int, packSec, computeSec, wallSec float64) {
 	if wallSec > 0 {
 		gemmGflops.Observe(flops / wallSec / 1e9)
 	}
-}
-
-// recordBatch publishes one GemmBatch call's aggregate breakdown: how many
-// items and shape groups it covered, how many packB runs the shared-B
-// clustering saved, and the aggregate throughput across the batch.
-func recordBatch(items, groups, packsSaved int, flops, wallSec float64) {
-	reg := telemetry.Default()
-	if !reg.Enabled() {
-		return
-	}
-	batchCalls.Inc()
-	batchItems.Add(float64(items))
-	batchGroups.Add(float64(groups))
-	batchPacksSaved.Add(float64(packsSaved))
-	if wallSec > 0 {
-		batchGflops.Observe(flops / wallSec / 1e9)
-	}
-}
-
-// recordStrassen publishes one Strassen call: the recursion bottomed out in
-// leaves packed-GEMM leaf calls (counting the odd-dimension peel fixups).
-func recordStrassen(leaves int) {
-	reg := telemetry.Default()
-	if !reg.Enabled() {
-		return
-	}
-	strassenCalls.Inc()
-	strassenLeaves.Add(float64(leaves))
-}
-
-// recordTuned publishes an externally installed tile set (SetTuned).
-func recordTuned(cfg Config) {
-	reg := telemetry.Default()
-	if !reg.Enabled() {
-		return
-	}
-	setTileGauges(cfg)
-	reg.Event("blas.config", "config", cfg.String())
-}
-
-// recordTune publishes the autotuner's winner and its trial throughput.
-func recordTune(cfg Config, trialSec, gflops, totalSec float64) {
-	reg := telemetry.Default()
-	if !reg.Enabled() {
-		return
-	}
-	setTileGauges(cfg)
-	tuneSeconds.Set(totalSec)
-	reg.Event("blas.tune",
-		"config", cfg.String(),
-		"trial_seconds", trialSec,
-		"trial_gflops", gflops,
-		"tune_seconds", totalSec,
-	)
-}
-
-func setTileGauges(cfg Config) {
-	tileMC.Set(float64(cfg.MC))
-	tileKC.Set(float64(cfg.KC))
-	tileNC.Set(float64(cfg.NC))
-	tileMR.Set(float64(cfg.MR))
-	tileNR.Set(float64(cfg.NR))
 }

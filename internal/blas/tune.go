@@ -1,12 +1,6 @@
 package blas
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"fpmpart/internal/matrix"
-)
+import "fmt"
 
 // Config is one cache/register blocking parameter set for the packed GEMM:
 // mc×kc blocks of A (sized for L2), kc×nc blocks of B (sized for L3, reused
@@ -16,21 +10,19 @@ type Config struct {
 	MR, NR     int
 }
 
-// DefaultConfig is a conservative parameter set that performs well without
-// tuning. On amd64 with AVX2+FMA it selects the 6×16 assembly register
+// DefaultConfig is the large shape class configuration, used by Gemm and
+// GemmParallel. On amd64 with AVX2+FMA it selects the 6×16 assembly register
 // tile (12 YMM accumulators); elsewhere the 8×4 scalar tile, which keeps
 // 32 accumulators plus operand temporaries within what the compiler
 // allocates to registers with modest spilling. In both cases the A block
 // (~120×256 float32 ≈ 120 KiB) fits mid-size L2 caches and the B
 // micro-panel (256×nr float32) stays in L1 across a panel sweep.
 //
-// The untuned default deliberately does NOT select the AVX-512 tile even
-// when the CPU supports it: on several AVX-512 generations sustained
-// 512-bit FMA drops the core's license frequency, which can slow the rest
-// of a mixed workload. The wider tile is installed by the measurement
-// paths instead — Tune explores it in tuneCandidates, and the small shape
-// class defaults to it (see DefaultSmallConfig) where the latency win on
-// batched serving traffic has been measured.
+// It deliberately does NOT select the AVX-512 tile even when the CPU
+// supports it: on several AVX-512 generations sustained 512-bit FMA drops
+// the core's license frequency, which can slow the rest of a mixed
+// workload. Only the small shape class uses the wider tile (see
+// DefaultSmallConfig).
 var DefaultConfig = defaultConfig()
 
 func defaultConfig() Config {
@@ -40,7 +32,7 @@ func defaultConfig() Config {
 	return Config{MC: 128, KC: 256, NC: 2048, MR: 8, NR: 4}
 }
 
-// DefaultSmallConfig is the untuned configuration for the small shape
+// DefaultSmallConfig is the configuration for the small shape
 // class (every dimension ≤ SmallSizeMax). With AVX-512 it selects the
 // 8×32 assembly tile: small problems are latency-bound bursts where the
 // doubled register-tile width is a pure win and license-frequency effects
@@ -81,287 +73,18 @@ func (c Config) String() string {
 }
 
 // SmallSizeMax is the boundary of the small shape class: problems whose
-// largest dimension is at most SmallSizeMax select the small-class
-// configuration (ActiveSmall) in ActiveFor and GemmBatch. 256 is where the
-// whole working set (three operands ≤ 256×256 float32 = 768 KiB) still
-// fits mid-size L2 caches, so cache blocking matters less than register
-// tile width and per-call overhead.
+// largest dimension is at most SmallSizeMax select DefaultSmallConfig in
+// ActiveFor. 256 is where the whole working set (three operands ≤ 256×256
+// float32 = 768 KiB) still fits mid-size L2 caches, so cache blocking
+// matters less than register tile width and per-call overhead.
 const SmallSizeMax = 256
 
-// tuned holds the process-wide autotuned configurations, one per shape
-// class. The large class is what Tune/SetTuned/Active have always managed;
-// the small class exists because the large-n winner is the wrong tile set
-// for small batched problems (its mc/nc blocking fragments a tiny C and
-// its trial size never measures small-n effects).
-var tuned struct {
-	mu      sync.Mutex
-	cfg     Config
-	ok      bool
-	small   Config
-	smallOK bool
-}
-
-// Active returns the configuration the package-level entry points (Gemm,
-// GemmParallel) use: the autotuned one when Tune or SetTuned has run,
-// DefaultConfig otherwise.
-func Active() Config {
-	tuned.mu.Lock()
-	defer tuned.mu.Unlock()
-	if tuned.ok {
-		return tuned.cfg
-	}
-	return DefaultConfig
-}
-
-// ActiveSmall returns the small-class configuration: the one installed by
-// TuneSmall or SetTunedSmall, DefaultSmallConfig otherwise.
-func ActiveSmall() Config {
-	tuned.mu.Lock()
-	defer tuned.mu.Unlock()
-	if tuned.smallOK {
-		return tuned.small
-	}
-	return DefaultSmallConfig
-}
-
-// ActiveFor selects the active configuration by shape class: problems
-// whose largest dimension is at most SmallSizeMax get the small-class
-// configuration, everything else the process-wide large-class one. This is
-// what GemmBatch uses per shape group; callers sizing individual Gemm
-// calls can use it the same way with GemmPacked.
+// ActiveFor selects the configuration by shape class: DefaultSmallConfig
+// when every dimension is at most SmallSizeMax, DefaultConfig otherwise.
+// Callers sizing individual GEMM calls pass its result to GemmPacked.
 func ActiveFor(m, k, n int) Config {
 	if m <= SmallSizeMax && k <= SmallSizeMax && n <= SmallSizeMax {
-		return ActiveSmall()
+		return DefaultSmallConfig
 	}
-	return Active()
-}
-
-// Tuned reports the cached autotuned configuration, if any.
-func Tuned() (Config, bool) {
-	tuned.mu.Lock()
-	defer tuned.mu.Unlock()
-	return tuned.cfg, tuned.ok
-}
-
-// TunedSmall reports the cached small-class configuration, if any.
-func TunedSmall() (Config, bool) {
-	tuned.mu.Lock()
-	defer tuned.mu.Unlock()
-	return tuned.small, tuned.smallOK
-}
-
-// SetTunedSmall installs cfg as the small-class configuration. It replaces
-// any earlier TuneSmall result.
-func SetTunedSmall(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	tuned.mu.Lock()
-	tuned.small, tuned.smallOK = cfg, true
-	tuned.mu.Unlock()
-	recordTuned(cfg)
-	return nil
-}
-
-// SetTuned installs cfg as the process-wide configuration (e.g. one
-// restored from a previous run). It replaces any earlier Tune result.
-func SetTuned(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	tuned.mu.Lock()
-	tuned.cfg, tuned.ok = cfg, true
-	tuned.mu.Unlock()
-	recordTuned(cfg)
-	return nil
-}
-
-// TuneOptions controls the autotuner's trial budget.
-type TuneOptions struct {
-	// N is the square trial problem size (default 256): large enough that
-	// packing amortises and the kc loop runs more than once, small enough
-	// that a full search stays well under a second.
-	N int
-	// Reps is how many timed runs each candidate gets; the fastest counts
-	// (default 2).
-	Reps int
-	// Workers is the worker count trials run with (default 1 — the
-	// register/cache tiles that win single-threaded win parallel too, since
-	// workers share the same per-core hierarchy).
-	Workers int
-}
-
-// tuneCandidates is the autotuner search space: every implemented unrolled
-// register tile crossed with cache blockings from small-L2 to large-L2
-// machines. NC is fixed per candidate at a size where the packed B block
-// (kc×nc float32) stays within a few MiB of last-level cache.
-func tuneCandidates() []Config {
-	tiles := [][2]int{{4, 4}, {8, 4}, {6, 4}, {4, 8}, {8, 8}}
-	if hasAVX2FMA {
-		// The assembly tile dominates the scalar ones wherever it runs, so
-		// put the trial budget into its cache blockings instead.
-		tiles = [][2]int{{6, 16}, {8, 8}, {8, 4}}
-	}
-	if hasAVX512 {
-		// The 512-bit tile usually wins outright, but keep the AVX2 tile in
-		// the race: on license-frequency-limited parts the narrower tile can
-		// still come out ahead, and the trial measures exactly that.
-		tiles = [][2]int{{8, 32}, {6, 16}, {8, 8}}
-	}
-	var out []Config
-	for _, rt := range tiles {
-		mr, nr := rt[0], rt[1]
-		for _, cb := range [][2]int{{64, 256}, {128, 256}, {256, 256}, {128, 512}, {96, 384}} {
-			mc := cb[0] - cb[0]%mr
-			nc := 2048 - 2048%nr
-			out = append(out, Config{MC: mc, KC: cb[1], NC: nc, MR: mr, NR: nr})
-		}
-	}
-	return out
-}
-
-// smallTuneCandidates is the small-class search space: the same register
-// tiles with cache blockings that keep a SmallSizeMax problem in one or
-// two blocks (large mc/kc, so packing runs once and C is not fragmented).
-func smallTuneCandidates() []Config {
-	tiles := [][2]int{{8, 4}, {8, 8}, {4, 8}}
-	if hasAVX2FMA {
-		tiles = [][2]int{{6, 16}, {8, 8}}
-	}
-	if hasAVX512 {
-		tiles = [][2]int{{8, 32}, {6, 16}}
-	}
-	var out []Config
-	for _, rt := range tiles {
-		mr, nr := rt[0], rt[1]
-		for _, cb := range [][2]int{{256, 256}, {256, 128}, {128, 256}} {
-			mc := cb[0] + (mr-cb[0]%mr)%mr // round UP so mc covers the class
-			nc := 2048 - 2048%nr
-			out = append(out, Config{MC: mc, KC: cb[1], NC: nc, MR: mr, NR: nr})
-		}
-	}
-	return out
-}
-
-// Tune times every candidate configuration on a short GEMM trial, installs
-// the fastest as the process-wide configuration, and returns it. The result
-// is cached: subsequent calls return the cached winner without re-running
-// trials. Trial operands are seeded, so a machine always tunes to the same
-// data.
-func Tune() (Config, error) { return TuneWith(TuneOptions{}) }
-
-// TuneWith is Tune with an explicit trial budget.
-func TuneWith(opts TuneOptions) (Config, error) {
-	if opts.N <= 0 {
-		opts.N = 256
-	}
-	tuned.mu.Lock()
-	if tuned.ok {
-		cfg := tuned.cfg
-		tuned.mu.Unlock()
-		return cfg, nil
-	}
-	tuned.mu.Unlock()
-
-	best, err := runTuneTrials(tuneCandidates(), opts)
-	if err != nil {
-		return Config{}, err
-	}
-
-	tuned.mu.Lock()
-	// Another goroutine may have raced us here; first writer wins so every
-	// caller observes one stable configuration.
-	if !tuned.ok {
-		tuned.cfg, tuned.ok = best, true
-	} else {
-		best = tuned.cfg
-	}
-	tuned.mu.Unlock()
-	return best, nil
-}
-
-// TuneSmall is Tune for the small shape class: it times the small-class
-// candidates on a SmallSizeMax/2 trial problem, installs the winner as the
-// class configuration, and caches the result.
-func TuneSmall() (Config, error) { return TuneSmallWith(TuneOptions{}) }
-
-// TuneSmallWith is TuneSmall with an explicit trial budget.
-func TuneSmallWith(opts TuneOptions) (Config, error) {
-	if opts.N <= 0 {
-		opts.N = SmallSizeMax / 2
-	}
-	tuned.mu.Lock()
-	if tuned.smallOK {
-		cfg := tuned.small
-		tuned.mu.Unlock()
-		return cfg, nil
-	}
-	tuned.mu.Unlock()
-
-	best, err := runTuneTrials(smallTuneCandidates(), opts)
-	if err != nil {
-		return Config{}, err
-	}
-
-	tuned.mu.Lock()
-	if !tuned.smallOK {
-		tuned.small, tuned.smallOK = best, true
-	} else {
-		best = tuned.small
-	}
-	tuned.mu.Unlock()
-	return best, nil
-}
-
-// runTuneTrials times every candidate on a seeded n×n trial and returns
-// the fastest.
-func runTuneTrials(cands []Config, opts TuneOptions) (Config, error) {
-	if opts.Reps <= 0 {
-		opts.Reps = 2
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	n := opts.N
-	a := matrix.MustNew(n, n)
-	b := matrix.MustNew(n, n)
-	c := matrix.MustNew(n, n)
-	a.FillRandom(11)
-	b.FillRandom(12)
-
-	start := time.Now()
-	best := Config{}
-	bestSec := 0.0
-	for _, cand := range cands {
-		if err := cand.Validate(); err != nil {
-			return Config{}, err
-		}
-		sec, err := tuneTrial(cand, a, b, c, opts)
-		if err != nil {
-			return Config{}, err
-		}
-		if bestSec == 0 || sec < bestSec {
-			best, bestSec = cand, sec
-		}
-	}
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	recordTune(best, bestSec, flops/bestSec/1e9, time.Since(start).Seconds())
-	return best, nil
-}
-
-// tuneTrial times one candidate: best of opts.Reps runs.
-func tuneTrial(cfg Config, a, b, c *matrix.Dense, opts TuneOptions) (float64, error) {
-	var best float64
-	for r := 0; r < opts.Reps; r++ {
-		c.Zero()
-		t0 := time.Now()
-		if err := GemmPacked(1, a, b, 1, c, cfg, opts.Workers); err != nil {
-			return 0, err
-		}
-		sec := time.Since(t0).Seconds()
-		if best == 0 || sec < best {
-			best = sec
-		}
-	}
-	return best, nil
+	return DefaultConfig
 }

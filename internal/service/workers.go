@@ -138,7 +138,9 @@ func (s *Server) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req workerd.ExecuteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkerBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkerBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}

@@ -97,7 +97,7 @@ func TestWorkerEndpointsLifecycle(t *testing.T) {
 	}
 
 	// A verified job over both workers via the HTTP surface.
-	body, _ := json.Marshal(workerd.ExecuteRequest{Kind: workerd.KindGemm, Rows: 96, K: 32, N: 32, Verify: true})
+	body, _ := json.Marshal(workerd.ExecuteRequest{Rows: 96, K: 32, N: 32, Verify: true})
 	resp, data = doReq(t, http.MethodPost, ts.URL+"/v1/execute", "application/json", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute: status %d: %s", resp.StatusCode, data)
@@ -157,6 +157,18 @@ func TestWorkerEndpointsRejections(t *testing.T) {
 		t.Errorf("execute with no workers: status %d, want 400: %s", resp.StatusCode, data)
 	}
 
+	// With a worker registered, bodies the executor cannot run exactly as
+	// written are still a 400: /v1/execute runs GEMM only, so a job kind or
+	// any other unknown field is rejected rather than ignored.
+	if status, _ := registerWorker(t, ts.URL, "w1", startTestWorker(t, "w1")); status != http.StatusOK {
+		t.Fatalf("register: status %d", status)
+	}
+	stencil := []byte(`{"kind":"stencil","iters":3,"rows":64,"n":32}`)
+	resp, data = doReq(t, http.MethodPost, ts.URL+"/v1/execute", "application/json", stencil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("execute with a job kind: status %d, want 400: %s", resp.StatusCode, data)
+	}
+
 	// Workers disabled: the routes are absent (404), not half-mounted.
 	s2, ts2 := newTestServer(t, Config{ModelDir: t.TempDir(), DisableRequestTracing: true})
 	t.Cleanup(s2.Close)
@@ -191,7 +203,7 @@ func TestExecuteFeedsRefinement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, _ := json.Marshal(workerd.ExecuteRequest{Kind: workerd.KindGemm, Rows: 96, K: 32, N: 32, Rounds: 3})
+	body, _ := json.Marshal(workerd.ExecuteRequest{Rows: 96, K: 32, N: 32, Rounds: 3})
 	resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/execute", "application/json", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("execute: status %d: %s", resp.StatusCode, data)

@@ -40,19 +40,15 @@ const (
 	PartitionEven = "even"
 )
 
-// ExecuteRequest is the body of POST /v1/execute: run a job across the
+// ExecuteRequest is the body of POST /v1/execute: run a GEMM job across the
 // registered workers.
 type ExecuteRequest struct {
-	// Kind selects the kernel. Empty means gemm.
-	Kind JobKind `json:"kind,omitempty"`
-	// Rows is the partitioned dimension (rows of C / grid rows). Required.
+	// Rows is the partitioned dimension (rows of C). Required.
 	Rows int `json:"rows"`
 	// N is the column count; default Rows.
 	N int `json:"n,omitempty"`
 	// K is the gemm depth; default N.
 	K int `json:"k,omitempty"`
-	// Iters is the stencil sweep count per round; default 4.
-	Iters int `json:"iters,omitempty"`
 	// Rounds repeats the partition+dispatch cycle, re-partitioning each
 	// round on the then-current models; default 1.
 	Rounds int `json:"rounds,omitempty"`
@@ -70,12 +66,6 @@ type ExecuteRequest struct {
 }
 
 func (r *ExecuteRequest) normalize() error {
-	if r.Kind == "" {
-		r.Kind = KindGemm
-	}
-	if r.Kind != KindGemm && r.Kind != KindStencil {
-		return fmt.Errorf("workerd: unknown job kind %q", r.Kind)
-	}
 	if r.Rows <= 0 {
 		return fmt.Errorf("workerd: rows must be positive, got %d", r.Rows)
 	}
@@ -84,9 +74,6 @@ func (r *ExecuteRequest) normalize() error {
 	}
 	if r.K <= 0 {
 		r.K = r.N
-	}
-	if r.Iters <= 0 {
-		r.Iters = 4
 	}
 	if r.Rounds <= 0 {
 		r.Rounds = 1
@@ -134,7 +121,6 @@ type RoundReport struct {
 // ExecuteReport is the answer to POST /v1/execute.
 type ExecuteReport struct {
 	Job       string        `json:"job"`
-	Kind      JobKind       `json:"kind"`
 	Rows      int           `json:"rows"`
 	K         int           `json:"k"`
 	N         int           `json:"n"`
@@ -215,7 +201,7 @@ func (e *Executor) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteRep
 	}
 
 	report := &ExecuteReport{
-		Job: job, Kind: req.Kind,
+		Job:  job,
 		Rows: req.Rows, K: req.K, N: req.N,
 		Rounds: req.Rounds, Partition: req.Partition,
 		Workers: sel,
@@ -392,10 +378,9 @@ func (rs *roundState) dispatch(ctx context.Context, row0, row1 int, workers []Wo
 		go func(s *sent) {
 			defer wg.Done()
 			s.resp, s.err = rs.e.sendShard(ctx, s.share.worker, &ShardRequest{
-				Job: rs.job, Kind: rs.req.Kind, Seed: rs.req.Seed,
+				Job: rs.job, Seed: rs.req.Seed,
 				Rows: rs.req.Rows, K: rs.req.K, N: rs.req.N,
-				Row0: s.row0, Row1: s.row1,
-				Iters: rs.req.Iters, Round: rs.round,
+				Row0: s.row0, Row1: s.row1, Round: rs.round,
 				ReturnResult: rs.returnResult,
 			})
 		}(s)
@@ -536,7 +521,7 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 		return nil, fmt.Errorf("worker %s: answered band [%d,%d), asked [%d,%d)", w.Name, out.Row0, out.Row1, sr.Row0, sr.Row1)
 	}
 	if sr.ReturnResult {
-		want := bandBytes(sr.Kind, sr.Row1-sr.Row0, sr.N)
+		want := bandBytes(sr.Row1-sr.Row0, sr.N)
 		if len(out.Result) != want {
 			return nil, fmt.Errorf("worker %s: band payload %d bytes, want %d", w.Name, len(out.Result), want)
 		}
@@ -551,12 +536,7 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 }
 
 // bandBytes is the wire size of one result band.
-func bandBytes(kind JobKind, rows, n int) int {
-	if kind == KindStencil {
-		return 8 * rows * n
-	}
-	return 4 * rows * n
-}
+func bandBytes(rows, n int) int { return 4 * rows * n }
 
 // verifyOutcomes replays the final round's exact shard boundaries on the
 // local kernel and compares byte-for-byte. On a single-ISA fleet the packed
@@ -574,7 +554,7 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 			return false, 0, 0, fmt.Errorf("gathered bands not contiguous: have %d, next starts at %d", cur, o.report.Row0)
 		}
 		cur = o.report.Row1
-		if len(o.data) != bandBytes(req.Kind, o.report.Units, req.N) {
+		if len(o.data) != bandBytes(o.report.Units, req.N) {
 			return false, 0, 0, fmt.Errorf("band [%d,%d) missing result payload", o.report.Row0, o.report.Row1)
 		}
 		local, _, lerr := localShard(req, o.report.Row0, o.report.Row1, workers)
@@ -583,7 +563,7 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 		}
 		if !bytes.Equal(local, o.data) {
 			bitExact = false
-			if d := bandDiff(req.Kind, o.data, local); d > maxDiff {
+			if d := bandDiff(o.data, local); d > maxDiff {
 				maxDiff = d
 			}
 		}
@@ -598,32 +578,19 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 // localShard replays one shard on the coordinator's own kernel.
 func localShard(req *ExecuteRequest, row0, row1, workers int) ([]byte, float64, error) {
 	sr := &ShardRequest{
-		Job: "verify", Kind: req.Kind, Seed: req.Seed,
+		Job: "verify", Seed: req.Seed,
 		Rows: req.Rows, K: req.K, N: req.N,
-		Row0: row0, Row1: row1, Iters: req.Iters,
-	}
-	if req.Kind == KindStencil {
-		return executeStencil(sr)
+		Row0: row0, Row1: row1,
 	}
 	return executeGemm(sr, workers)
 }
 
 // bandDiff reports the max absolute element difference between two bands.
-func bandDiff(kind JobKind, a, b []byte) float64 {
+func bandDiff(a, b []byte) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
 	}
 	max := 0.0
-	if kind == KindStencil {
-		for i := 0; i+8 <= len(a); i += 8 {
-			x := math.Float64frombits(leUint64(a[i:]))
-			y := math.Float64frombits(leUint64(b[i:]))
-			if d := math.Abs(x - y); d > max {
-				max = d
-			}
-		}
-		return max
-	}
 	for i := 0; i+4 <= len(a); i += 4 {
 		x := float64(math.Float32frombits(leUint32(a[i:])))
 		y := float64(math.Float32frombits(leUint32(b[i:])))
@@ -636,10 +603,6 @@ func bandDiff(kind JobKind, a, b []byte) float64 {
 
 func leUint32(p []byte) uint32 {
 	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-}
-
-func leUint64(p []byte) uint64 {
-	return uint64(leUint32(p)) | uint64(leUint32(p[4:]))<<32
 }
 
 func sortedKeys(m map[string]bool) []string {

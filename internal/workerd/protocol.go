@@ -1,7 +1,7 @@
 // Package workerd turns fpmd's cluster/comm layers from a simulation into a
 // distributed executor: real worker processes (cmd/fpmworker) register with
-// fpmd, heartbeat, execute partitioned GEMM/stencil shards on their local
-// packed internal/blas kernels, and stream per-shard timings back.
+// fpmd, heartbeat, execute partitioned GEMM shards on their local packed
+// internal/blas kernel, and stream per-shard timings back.
 //
 // The package has two halves, joined only by the HTTP wire protocol below:
 //
@@ -46,39 +46,22 @@ const (
 	InfoPath = "/worker/v1/info"
 )
 
-// JobKind selects the shard kernel.
-type JobKind string
-
-// Supported shard kernels.
-const (
-	// KindGemm partitions the row dimension of C = A·B over the workers.
-	KindGemm JobKind = "gemm"
-	// KindStencil partitions the rows of an independent-band 5-point stencil
-	// sweep (each shard owns its band's boundaries; no halo exchange — the
-	// bands are independent sub-grids, which is what the FPM's unit measures).
-	KindStencil JobKind = "stencil"
-)
-
 // ShardRequest is the body of POST /worker/v1/shard: one contiguous band of
-// the job's row dimension.
+// the row dimension of C = A·B.
 type ShardRequest struct {
 	// Job identifies the execute call (for logs and tracing).
 	Job string `json:"job"`
-	// Kind selects the kernel. Empty means gemm.
-	Kind JobKind `json:"kind,omitempty"`
 	// Seed regenerates the operands: A = FillRandom(Seed), B =
-	// FillRandom(Seed+1). The grid of a stencil shard is seeded analogously.
+	// FillRandom(Seed+1).
 	Seed int64 `json:"seed"`
 	// Rows, K, N are the full problem dimensions: C is Rows×N, A is Rows×K,
-	// B is K×N. A stencil uses Rows×N grids and ignores K.
+	// B is K×N.
 	Rows int `json:"rows"`
 	K    int `json:"k"`
 	N    int `json:"n"`
 	// Row0, Row1 bound this shard's band: rows [Row0, Row1) of C.
 	Row0 int `json:"row0"`
 	Row1 int `json:"row1"`
-	// Iters is the stencil sweep count (ignored by gemm).
-	Iters int `json:"iters,omitempty"`
 	// Round is the execute round this shard belongs to (the fault plan's
 	// iteration index on the worker side).
 	Round int `json:"round"`
@@ -90,21 +73,11 @@ type ShardRequest struct {
 
 // Validate reports malformed shard requests.
 func (r *ShardRequest) Validate() error {
-	kind := r.Kind
-	if kind == "" {
-		kind = KindGemm
-	}
-	if kind != KindGemm && kind != KindStencil {
-		return fmt.Errorf("workerd: unknown shard kind %q", r.Kind)
-	}
 	if r.Rows <= 0 || r.N <= 0 {
 		return fmt.Errorf("workerd: invalid dimensions rows=%d n=%d", r.Rows, r.N)
 	}
-	if kind == KindGemm && r.K <= 0 {
+	if r.K <= 0 {
 		return fmt.Errorf("workerd: invalid gemm depth k=%d", r.K)
-	}
-	if kind == KindStencil && r.Iters <= 0 {
-		return fmt.Errorf("workerd: invalid stencil iters=%d", r.Iters)
 	}
 	if r.Row0 < 0 || r.Row1 > r.Rows || r.Row0 >= r.Row1 {
 		return fmt.Errorf("workerd: invalid band [%d,%d) of %d rows", r.Row0, r.Row1, r.Rows)

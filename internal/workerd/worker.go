@@ -18,7 +18,6 @@ import (
 	"fpmpart/internal/faults"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/matrix"
-	"fpmpart/internal/stencil"
 	"fpmpart/internal/telemetry"
 )
 
@@ -97,7 +96,9 @@ const maxShardBody = 1 << 20
 
 func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxShardBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
@@ -105,7 +106,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
-	band, seconds, err := w.execute(&req)
+	band, seconds, err := executeGemm(&req, w.opts.Workers)
 	if err != nil {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
 		return
@@ -155,19 +156,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		slog.Float64("seconds", seconds))
 }
 
-// execute runs the shard kernel and returns the result band bytes and the
-// measured kernel seconds (operand regeneration excluded: the FPM models
-// compute speed, and regeneration cost is constant per round, not per unit).
-func (w *Worker) execute(req *ShardRequest) ([]byte, float64, error) {
-	switch req.Kind {
-	case KindStencil:
-		return executeStencil(req)
-	default:
-		return executeGemm(req, w.opts.Workers)
-	}
-}
-
-// executeGemm computes rows [Row0,Row1) of C = A·B with the packed kernel.
+// executeGemm computes rows [Row0,Row1) of C = A·B with the packed kernel
+// and returns the result band bytes and the measured kernel seconds (operand
+// regeneration excluded: the FPM models compute speed, and regeneration cost
+// is constant per round, not per unit).
 // Bit-determinism: operands are regenerated from the seed, and the config is
 // selected by the shard's shape class, so any process replaying the same
 // shard on the same ISA produces identical bytes.
@@ -198,26 +190,6 @@ func executeGemm(req *ShardRequest, workers int) ([]byte, float64, error) {
 	}
 	seconds := time.Since(start).Seconds()
 	return encodeBand(c), seconds, nil
-}
-
-// executeStencil runs Iters sweeps over an independent Band×N sub-grid.
-func executeStencil(req *ShardRequest) ([]byte, float64, error) {
-	g, err := stencil.NewGrid(req.Row1-req.Row0, req.N)
-	if err != nil {
-		return nil, 0, err
-	}
-	g.FillSine()
-	start := time.Now()
-	out, err := stencil.RunSequential(g, req.Iters)
-	if err != nil {
-		return nil, 0, err
-	}
-	seconds := time.Since(start).Seconds()
-	buf := make([]byte, 8*len(out.Data))
-	for i, v := range out.Data {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf, seconds, nil
 }
 
 // encodeBand serializes a compact (stride == cols) or strided band to

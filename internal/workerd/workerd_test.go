@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,26 +101,38 @@ func startWorker(t *testing.T, pool *Pool, models *mapModels, name string, speed
 
 func TestShardRequestValidate(t *testing.T) {
 	bad := []ShardRequest{
-		{Kind: "fft", Rows: 10, K: 10, N: 10, Row1: 10},
-		{Kind: KindGemm, Rows: 0, K: 10, N: 10},
-		{Kind: KindGemm, Rows: 10, K: 0, N: 10, Row1: 5},
-		{Kind: KindStencil, Rows: 10, N: 10, Row1: 5}, // iters missing
-		{Kind: KindGemm, Rows: 10, K: 10, N: 10, Row0: 5, Row1: 5},
-		{Kind: KindGemm, Rows: 10, K: 10, N: 10, Row0: 0, Row1: 11},
+		{Rows: 0, K: 10, N: 10},
+		{Rows: 10, K: 0, N: 10, Row1: 5},
+		{Rows: 10, K: 10, N: 10, Row0: 5, Row1: 5},
+		{Rows: 10, K: 10, N: 10, Row0: 0, Row1: 11},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
 			t.Errorf("case %d: expected error, got nil", i)
 		}
 	}
-	ok := ShardRequest{Kind: KindGemm, Rows: 10, K: 4, N: 4, Row0: 2, Row1: 8, Seed: 1}
+	ok := ShardRequest{Rows: 10, K: 4, N: 4, Row0: 2, Row1: 8, Seed: 1}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid request rejected: %v", err)
+	}
+
+	// On the wire, a body the worker cannot run exactly as written is a 400:
+	// shards are GEMM only, so a job kind or any other unknown field is
+	// rejected rather than ignored.
+	w, err := NewWorker(WorkerOptions{Name: "v", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stencil := `{"kind":"stencil","iters":3,"rows":10,"k":4,"n":4,"row0":0,"row1":5}`
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ShardPath, strings.NewReader(stencil)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("shard with a job kind: status %d, want 400: %s", rec.Code, rec.Body)
 	}
 }
 
 func TestGemmShardDeterminism(t *testing.T) {
-	req := &ShardRequest{Job: "t", Kind: KindGemm, Seed: 7, Rows: 96, K: 32, N: 48, Row0: 16, Row1: 64}
+	req := &ShardRequest{Job: "t", Seed: 7, Rows: 96, K: 32, N: 48, Row0: 16, Row1: 64}
 	a, _, err := executeGemm(req, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +150,7 @@ func TestGemmShardDeterminism(t *testing.T) {
 }
 
 func TestBandEncodeDecodeRoundtrip(t *testing.T) {
-	req := &ShardRequest{Job: "t", Kind: KindGemm, Seed: 3, Rows: 20, K: 8, N: 10, Row0: 5, Row1: 15}
+	req := &ShardRequest{Job: "t", Seed: 3, Rows: 20, K: 8, N: 10, Row0: 5, Row1: 15}
 	raw, _, err := executeGemm(req, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -309,24 +322,6 @@ func TestExecuteVerifiedBitExact(t *testing.T) {
 	}
 }
 
-func TestExecuteStencilVerified(t *testing.T) {
-	models := newMapModels()
-	pool := NewPool(models, PoolOptions{TTL: time.Minute})
-	startWorker(t, pool, models, "s1", 200, nil)
-	startWorker(t, pool, models, "s2", 200, nil)
-
-	exec := NewExecutor(pool, models, nil, ExecutorOptions{})
-	rep, err := exec.Execute(context.Background(), ExecuteRequest{
-		Kind: KindStencil, Rows: 128, N: 64, Iters: 3, Verify: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.BitExact {
-		t.Fatalf("stencil result not bit-exact: maxDiff=%v", rep.MaxAbsDiff)
-	}
-}
-
 func TestExecuteEvenSplit(t *testing.T) {
 	models := newMapModels()
 	pool := NewPool(models, PoolOptions{TTL: time.Minute})
@@ -358,7 +353,6 @@ func TestExecuteRejectsBadRequests(t *testing.T) {
 	exec := NewExecutor(pool, models, nil, ExecutorOptions{})
 	cases := []ExecuteRequest{
 		{Rows: 0},
-		{Rows: 10, Kind: "fft"},
 		{Rows: 10, Partition: "zigzag"},
 		{Rows: 10, Rounds: 20000},
 	}
