@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundShares -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzFPMPartition -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzGemmDifferential -fuzztime=15s ./internal/blas/
+	$(GO) test -fuzz=FuzzShardRequest -fuzztime=15s ./internal/workerd/
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -6,7 +6,6 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Dense is a row-major dense matrix of float32 values. A Dense may be a
@@ -78,13 +77,30 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// FillRandom fills m with reproducible uniform values in [-1, 1).
-func (m *Dense) FillRandom(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+// FillRandom fills m with reproducible uniform values in [-1, 1). It is
+// FillRandomAt(seed, 0).
+func (m *Dense) FillRandom(seed int64) { m.FillRandomAt(seed, 0) }
+
+// splitMixGamma is SplitMix64's stream increment (the golden ratio in 64-bit
+// fixed point).
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// FillRandomAt fills m with rows [row0, row0+m.Rows) of the m.Cols-wide
+// matrix that FillRandom(seed) generates. Element (r, c) of that matrix is
+// output r·Cols+c of the SplitMix64 stream seeded with seed, its top 24 bits
+// mapped exactly to a float32 in [-1, 1) — so any band of rows can be
+// generated on its own, bit-identical to the same rows of the whole matrix.
+func (m *Dense) FillRandomAt(seed int64, row0 int) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
+		state := uint64(seed) + uint64(row0+i)*uint64(m.Cols)*splitMixGamma
 		for j := range row {
-			row[j] = float32(rng.Float64()*2 - 1)
+			state += splitMixGamma
+			z := state
+			z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			z ^= z >> 31
+			row[j] = float32(int32(z>>40)-1<<23) * (1.0 / (1 << 23))
 		}
 	}
 }

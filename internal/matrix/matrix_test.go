@@ -156,6 +156,64 @@ func TestFillAndNorm(t *testing.T) {
 	}
 }
 
+// A band generated on its own is bit-identical to the same rows of the whole
+// matrix: this is what lets a worker regenerate only its band of A.
+func TestFillRandomAtSeeksRows(t *testing.T) {
+	for _, sh := range []struct{ rows, cols, row0, band int }{
+		{1, 1, 0, 1}, {7, 3, 2, 4}, {64, 48, 16, 48}, {256, 256, 64, 192}, {33, 17, 32, 1},
+	} {
+		full := MustNew(sh.rows, sh.cols)
+		full.FillRandom(9)
+		want, _ := full.View(sh.row0, 0, sh.band, sh.cols)
+
+		compact := MustNew(sh.band, sh.cols)
+		compact.FillRandomAt(9, sh.row0)
+		// The same band written into a strided view of a wider parent.
+		parent := MustNew(sh.band+2, sh.cols+5)
+		parent.FillConstant(7)
+		strided, _ := parent.View(1, 2, sh.band, sh.cols)
+		strided.FillRandomAt(9, sh.row0)
+
+		for _, got := range []*Dense{compact, strided} {
+			for i := 0; i < sh.band; i++ {
+				for j := 0; j < sh.cols; j++ {
+					if math.Float32bits(got.At(i, j)) != math.Float32bits(want.At(i, j)) {
+						t.Fatalf("%dx%d rows %d+%d stride %d: (%d,%d) = %v, want %v",
+							sh.rows, sh.cols, sh.row0, sh.band, got.Stride, i, j, got.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+		// The view's fill stays inside its window.
+		for i := 0; i < parent.Rows; i++ {
+			for j := 0; j < parent.Cols; j++ {
+				inside := i >= 1 && i < 1+sh.band && j >= 2 && j < 2+sh.cols
+				if !inside && parent.At(i, j) != 7 {
+					t.Fatalf("FillRandomAt on a view wrote parent (%d,%d)", i, j)
+				}
+			}
+		}
+		for _, v := range full.Data {
+			if v < -1 || v >= 1 {
+				t.Fatalf("random value %v out of [-1,1)", v)
+			}
+		}
+	}
+
+	a, b := MustNew(16, 16), MustNew(16, 16)
+	a.FillRandom(1)
+	b.FillRandom(2)
+	same := 0
+	for i := range a.Data {
+		if a.Data[i] == b.Data[i] {
+			same++
+		}
+	}
+	if same > 1 {
+		t.Errorf("seeds 1 and 2 agree on %d of %d elements", same, len(a.Data))
+	}
+}
+
 func TestEqualWithinAndDiff(t *testing.T) {
 	a, b := MustNew(2, 2), MustNew(2, 2)
 	a.FillConstant(1)

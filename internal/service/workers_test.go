@@ -178,6 +178,44 @@ func TestWorkerEndpointsRejections(t *testing.T) {
 	}
 }
 
+// TestOversizedJobRejected: a shape whose operands no worker could allocate
+// is a 400 at the worker and at /v1/execute, and the worker keeps serving.
+// The shard body below names a job whose A has 2^40 elements; a worker that
+// allocated it would die of an out-of-memory error, which cannot be
+// recovered.
+func TestOversizedJobRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		ModelDir:              t.TempDir(),
+		EnableWorkers:         true,
+		DisableRequestTracing: true,
+	})
+	t.Cleanup(s.Close)
+	w1 := startTestWorker(t, "w1")
+	if status, _ := registerWorker(t, ts.URL, "w1", w1); status != http.StatusOK {
+		t.Fatalf("register: status %d", status)
+	}
+
+	shard := []byte(`{"rows":1048576,"k":1048576,"n":1,"row0":0,"row1":1}`)
+	if resp, data := doReq(t, http.MethodPost, w1+workerd.ShardPath, "application/json", shard); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized shard: status %d, want 400: %s", resp.StatusCode, data)
+	}
+	for _, body := range [][]byte{shard, []byte(`{"rows":1048576,"k":1048576,"n":1}`)} {
+		if resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/execute", "application/json", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("execute %s: status %d, want 400: %s", body, resp.StatusCode, data)
+		}
+	}
+
+	body, _ := json.Marshal(workerd.ExecuteRequest{Rows: 64, K: 16, N: 16, Verify: true})
+	resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/execute", "application/json", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute after the oversized bodies: status %d: %s", resp.StatusCode, data)
+	}
+	var report workerd.ExecuteReport
+	if err := json.Unmarshal(data, &report); err != nil || !report.BitExact || len(report.Deaths) != 0 {
+		t.Fatalf("worker did not keep serving: %v: %s", err, data)
+	}
+}
+
 // TestExecuteFeedsRefinement: measured shard timings from /v1/execute flow
 // into the observe refiner, which republishes the worker's model under a
 // bumped generation — the closed loop FPM partitioning of a real fleet

@@ -3,8 +3,10 @@ package workerd
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"math"
@@ -75,6 +77,9 @@ func (r *ExecuteRequest) normalize() error {
 	if r.K <= 0 {
 		r.K = r.N
 	}
+	if err := checkOperands(r.Rows, r.K, r.N); err != nil {
+		return err
+	}
 	if r.Rounds <= 0 {
 		r.Rounds = 1
 	}
@@ -136,8 +141,8 @@ type ExecuteReport struct {
 	Verified   bool    `json:"verified"`
 	BitExact   bool    `json:"bit_exact,omitempty"`
 	MaxAbsDiff float64 `json:"max_abs_diff,omitempty"`
-	// Checksum is FNV-1a over the assembled result (final round).
-	Checksum uint64 `json:"checksum,omitempty"`
+	// Checksum is the CRC-32C of the assembled result (final round).
+	Checksum uint32 `json:"checksum,omitempty"`
 }
 
 // ExecutorOptions tunes dispatch.
@@ -491,7 +496,8 @@ func (rs *roundState) recordGen(name string) {
 }
 
 // sendShard posts one shard and validates the answer (band length and
-// checksum when the band was requested).
+// checksum when the band was requested), reading no more of it than
+// maxShardResponse.
 func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest) (*ShardResponse, error) {
 	body, err := json.Marshal(sr)
 	if err != nil {
@@ -514,7 +520,7 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 		return nil, fmt.Errorf("worker %s: status %d: %s", w.Name, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	var out ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardResponse(sr))).Decode(&out); err != nil {
 		return nil, fmt.Errorf("worker %s: decoding shard response: %w", w.Name, err)
 	}
 	if out.Row0 != sr.Row0 || out.Row1 != sr.Row1 {
@@ -538,15 +544,28 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 // bandBytes is the wire size of one result band.
 func bandBytes(rows, n int) int { return 4 * rows * n }
 
+// shardResponseSlack covers a shard response's fields other than the band.
+const shardResponseSlack = 4 << 10
+
+// maxShardResponse is the most of a worker's answer to sr the executor
+// reads: the base64 band when sr asks for it, plus the slack. A longer body
+// fails to decode instead of being read on.
+func maxShardResponse(sr *ShardRequest) int64 {
+	n := int64(shardResponseSlack)
+	if sr.ReturnResult {
+		n += int64(base64.StdEncoding.EncodedLen(bandBytes(sr.Row1-sr.Row0, sr.N)))
+	}
+	return n
+}
+
 // verifyOutcomes replays the final round's exact shard boundaries on the
 // local kernel and compares byte-for-byte. On a single-ISA fleet the packed
 // kernels are bit-deterministic per shard shape, so any mismatch is a real
 // corruption, not float noise.
-func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool, maxDiff float64, checksum uint64, err error) {
+func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool, maxDiff float64, checksum uint32, err error) {
 	sorted := append([]shardOutcome(nil), outcomes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].report.Row0 < sorted[j].report.Row0 })
 	cur := 0
-	var assembled []byte
 	bitExact = true
 	workers := runtime.GOMAXPROCS(0)
 	for _, o := range sorted {
@@ -557,7 +576,7 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 		if len(o.data) != bandBytes(o.report.Units, req.N) {
 			return false, 0, 0, fmt.Errorf("band [%d,%d) missing result payload", o.report.Row0, o.report.Row1)
 		}
-		local, _, lerr := localShard(req, o.report.Row0, o.report.Row1, workers)
+		local, lerr := localShard(req, o.report.Row0, o.report.Row1, workers)
 		if lerr != nil {
 			return false, 0, 0, fmt.Errorf("local replay of band [%d,%d): %w", o.report.Row0, o.report.Row1, lerr)
 		}
@@ -567,22 +586,26 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 				maxDiff = d
 			}
 		}
-		assembled = append(assembled, o.data...)
+		checksum = crc32.Update(checksum, castagnoli, o.data)
 	}
 	if cur != req.Rows {
 		return false, 0, 0, fmt.Errorf("gathered bands cover %d of %d rows", cur, req.Rows)
 	}
-	return bitExact, maxDiff, checksumBytes(assembled), nil
+	return bitExact, maxDiff, checksum, nil
 }
 
-// localShard replays one shard on the coordinator's own kernel.
-func localShard(req *ExecuteRequest, row0, row1, workers int) ([]byte, float64, error) {
-	sr := &ShardRequest{
+// localShard replays one shard on the coordinator's own kernel and returns
+// its encoded band.
+func localShard(req *ExecuteRequest, row0, row1, workers int) ([]byte, error) {
+	c, _, err := executeGemm(&ShardRequest{
 		Job: "verify", Seed: req.Seed,
 		Rows: req.Rows, K: req.K, N: req.N,
 		Row0: row0, Row1: row1,
+	}, workers)
+	if err != nil {
+		return nil, err
 	}
-	return executeGemm(sr, workers)
+	return encodeBand(c), nil
 }
 
 // bandDiff reports the max absolute element difference between two bands.

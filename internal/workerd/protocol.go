@@ -22,18 +22,19 @@
 //     time, as the paper folds PCIe transfer into a GPU's speed.
 //
 // Determinism contract: a GEMM shard is rows [Row0,Row1) of C = A·B where A
-// (Rows×K) and B (K×N) are regenerated from the job seed on every worker via
-// matrix.Dense.FillRandom. The packed kernels are bit-deterministic for a
-// given shard shape (parallel == sequential, config chosen by shape class),
-// so on a homogeneous fleet the gathered C is bit-identical to a local
-// GemmPacked reference replaying the same shard boundaries — which is
-// exactly what cmd/fpmworker's TestWorkersEndToEnd asserts after killing a
-// worker mid-run.
+// (Rows×K) and B (K×N) are defined by the job seed through the row-seekable
+// matrix.Dense.FillRandomAt. A worker generates only A's [Row0,Row1) band and
+// B, bit-identical to the same rows of the whole operands. The packed kernels
+// are bit-deterministic for a given shard shape (parallel == sequential,
+// config chosen by shape class), so on a homogeneous fleet the gathered C is
+// bit-identical to a local GemmPacked reference replaying the same shard
+// boundaries — which is exactly what cmd/fpmworker's TestWorkersEndToEnd
+// asserts after killing a worker mid-run.
 package workerd
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"time"
 )
 
@@ -51,8 +52,8 @@ const (
 type ShardRequest struct {
 	// Job identifies the execute call (for logs and tracing).
 	Job string `json:"job"`
-	// Seed regenerates the operands: A = FillRandom(Seed), B =
-	// FillRandom(Seed+1).
+	// Seed defines the operands: A = FillRandom(Seed), B = FillRandom(Seed+1).
+	// The worker generates only A's band, with FillRandomAt(Seed, Row0).
 	Seed int64 `json:"seed"`
 	// Rows, K, N are the full problem dimensions: C is Rows×N, A is Rows×K,
 	// B is K×N.
@@ -71,7 +72,8 @@ type ShardRequest struct {
 	ReturnResult bool `json:"return_result,omitempty"`
 }
 
-// Validate reports malformed shard requests.
+// Validate reports malformed shard requests. A shard is valid only as a band
+// of a job the executor accepts, so its job's operands are bounded too.
 func (r *ShardRequest) Validate() error {
 	if r.Rows <= 0 || r.N <= 0 {
 		return fmt.Errorf("workerd: invalid dimensions rows=%d n=%d", r.Rows, r.N)
@@ -81,6 +83,26 @@ func (r *ShardRequest) Validate() error {
 	}
 	if r.Row0 < 0 || r.Row1 > r.Rows || r.Row0 >= r.Row1 {
 		return fmt.Errorf("workerd: invalid band [%d,%d) of %d rows", r.Row0, r.Row1, r.Rows)
+	}
+	return checkOperands(r.Rows, r.K, r.N)
+}
+
+// maxOperandElems bounds each operand of a job — A, B and C — and so every
+// band of them a worker allocates: no request can make a worker allocate
+// past what a process survives (an out-of-memory runtime error cannot be
+// recovered).
+const maxOperandElems = 1 << 28
+
+// checkOperands rejects a rows×k×n job whose A, B or C would exceed
+// maxOperandElems. Every argument must be positive.
+func checkOperands(rows, k, n int) error {
+	for _, op := range []struct {
+		name       string
+		rows, cols int
+	}{{"A", rows, k}, {"B", k, n}, {"C", rows, n}} {
+		if op.rows > maxOperandElems/op.cols {
+			return fmt.Errorf("workerd: %s of %d×%d exceeds %d elements", op.name, op.rows, op.cols, maxOperandElems)
+		}
 	}
 	return nil
 }
@@ -93,9 +115,10 @@ type ShardResponse struct {
 	Row0    int     `json:"row0"`
 	Row1    int     `json:"row1"`
 	Seconds float64 `json:"seconds"`
-	// Checksum is an FNV-1a 64-bit hash over the result band bytes, so the
-	// coordinator can cross-check a band it did not ask to have shipped.
-	Checksum uint64 `json:"checksum"`
+	// Checksum is the CRC-32C of the result band bytes (float32
+	// little-endian, row-major) — sent whether or not the band is, so the
+	// coordinator can check a shipped band against it.
+	Checksum uint32 `json:"checksum"`
 	// Result is the band's float32 little-endian bytes (JSON base64), present
 	// only when the request set ReturnResult.
 	Result []byte `json:"result,omitempty"`
@@ -131,10 +154,10 @@ type WorkerInfo struct {
 	Failures int64 `json:"failures"`
 }
 
-// checksumBytes is the band checksum both sides compute: FNV-1a over the
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the CPU's
+// CRC instructions where there are any.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksumBytes is the band checksum both sides compute: CRC-32C over the
 // raw float32 little-endian bytes.
-func checksumBytes(p []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(p)
-	return h.Sum64()
-}
+func checksumBytes(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }

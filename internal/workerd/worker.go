@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"math"
@@ -106,7 +107,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
-	band, seconds, err := executeGemm(&req, w.opts.Workers)
+	c, seconds, err := executeGemm(&req, w.opts.Workers)
 	if err != nil {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
 		return
@@ -142,10 +143,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		Job: req.Job, Worker: w.opts.Name,
 		Row0: req.Row0, Row1: req.Row1,
 		Seconds:  seconds,
-		Checksum: checksumBytes(band),
+		Checksum: bandChecksum(c),
 	}
 	if req.ReturnResult {
-		resp.Result = band
+		resp.Result = encodeBand(c)
 	}
 	shardsExecuted.Inc()
 	shardSeconds.Observe(seconds)
@@ -157,14 +158,17 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 }
 
 // executeGemm computes rows [Row0,Row1) of C = A·B with the packed kernel
-// and returns the result band bytes and the measured kernel seconds (operand
-// regeneration excluded: the FPM models compute speed, and regeneration cost
-// is constant per round, not per unit).
-// Bit-determinism: operands are regenerated from the seed, and the config is
+// and returns that band of C and the measured kernel seconds (operand
+// generation excluded: the FPM models compute speed, and generation cost is
+// constant per round, not per unit).
+// Only A's band and B are generated, A's with FillRandomAt, so a shard's
+// operands cost its band, not the whole job.
+// Bit-determinism: operands are generated from the seed, and the config is
 // selected by the shard's shape class, so any process replaying the same
 // shard on the same ISA produces identical bytes.
-func executeGemm(req *ShardRequest, workers int) ([]byte, float64, error) {
-	a, err := matrix.New(req.Rows, req.K)
+func executeGemm(req *ShardRequest, workers int) (*matrix.Dense, float64, error) {
+	band := req.Row1 - req.Row0
+	a, err := matrix.New(band, req.K)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -172,39 +176,48 @@ func executeGemm(req *ShardRequest, workers int) ([]byte, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	a.FillRandom(req.Seed)
-	b.FillRandom(req.Seed + 1)
-	band := req.Row1 - req.Row0
-	av, err := a.View(req.Row0, 0, band, req.K)
-	if err != nil {
-		return nil, 0, err
-	}
 	c, err := matrix.New(band, req.N)
 	if err != nil {
 		return nil, 0, err
 	}
+	a.FillRandomAt(req.Seed, req.Row0)
+	b.FillRandom(req.Seed + 1)
 	cfg := blas.ActiveFor(band, req.K, req.N)
 	start := time.Now()
-	if err := blas.GemmPacked(1, av, b, 0, c, cfg, workers); err != nil {
+	if err := blas.GemmPacked(1, a, b, 0, c, cfg, workers); err != nil {
 		return nil, 0, err
 	}
-	seconds := time.Since(start).Seconds()
-	return encodeBand(c), seconds, nil
+	return c, time.Since(start).Seconds(), nil
+}
+
+// encodeRow writes row as float32 little-endian bytes into dst[:4·len(row)].
+func encodeRow(dst []byte, row []float32) {
+	for j, v := range row {
+		binary.LittleEndian.PutUint32(dst[4*j:], math.Float32bits(v))
+	}
 }
 
 // encodeBand serializes a compact (stride == cols) or strided band to
 // row-major float32 little-endian bytes.
 func encodeBand(c *matrix.Dense) []byte {
-	buf := make([]byte, 4*c.Rows*c.Cols)
-	o := 0
+	w := 4 * c.Cols
+	buf := make([]byte, w*c.Rows)
 	for i := 0; i < c.Rows; i++ {
-		row := c.Data[i*c.Stride : i*c.Stride+c.Cols]
-		for _, v := range row {
-			binary.LittleEndian.PutUint32(buf[o:], math.Float32bits(v))
-			o += 4
-		}
+		encodeRow(buf[i*w:], c.Data[i*c.Stride:i*c.Stride+c.Cols])
 	}
 	return buf
+}
+
+// bandChecksum is checksumBytes(encodeBand(c)), computed row by row through
+// one row-sized buffer so a band that is not shipped is never encoded whole.
+func bandChecksum(c *matrix.Dense) uint32 {
+	buf := make([]byte, 4*c.Cols)
+	var sum uint32
+	for i := 0; i < c.Rows; i++ {
+		encodeRow(buf, c.Data[i*c.Stride:i*c.Stride+c.Cols])
+		sum = crc32.Update(sum, castagnoli, buf)
+	}
+	return sum
 }
 
 // decodeBand is encodeBand's inverse into rows×cols.

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"fpmpart/internal/blas"
 	"fpmpart/internal/faults"
 	"fpmpart/internal/fpm"
+	"fpmpart/internal/matrix"
 	"fpmpart/internal/refine"
 )
 
@@ -105,6 +107,8 @@ func TestShardRequestValidate(t *testing.T) {
 		{Rows: 10, K: 0, N: 10, Row1: 5},
 		{Rows: 10, K: 10, N: 10, Row0: 5, Row1: 5},
 		{Rows: 10, K: 10, N: 10, Row0: 0, Row1: 11},
+		{Rows: 1 << 20, K: 1 << 20, N: 1, Row0: 0, Row1: 1},
+		{Rows: 1 << 62, K: 1 << 62, N: 1 << 62, Row0: 0, Row1: 1},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -141,19 +145,42 @@ func TestGemmShardDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a, b) {
+	if a.Rows != 48 || a.Cols != 48 {
+		t.Fatalf("shard returned a %dx%d band, want 48x48", a.Rows, a.Cols)
+	}
+	if !bytes.Equal(encodeBand(a), encodeBand(b)) {
 		t.Fatal("gemm shard bytes differ between 1 and 4 kernel workers")
 	}
-	if checksumBytes(a) != checksumBytes(b) {
+	if bandChecksum(a) != bandChecksum(b) {
 		t.Fatal("checksums differ")
+	}
+
+	// The band equals the same rows of C computed from whole operands.
+	fullA, fullB := matrix.MustNew(req.Rows, req.K), matrix.MustNew(req.K, req.N)
+	fullA.FillRandom(req.Seed)
+	fullB.FillRandom(req.Seed + 1)
+	av, err := fullA.View(req.Row0, 0, req.Row1-req.Row0, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrix.MustNew(req.Row1-req.Row0, req.N)
+	if err := blas.GemmPacked(1, av, fullB, 0, want, blas.ActiveFor(want.Rows, req.K, req.N), 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBand(a), encodeBand(want)) {
+		t.Fatal("band-only shard differs from the same rows of the whole product")
 	}
 }
 
 func TestBandEncodeDecodeRoundtrip(t *testing.T) {
 	req := &ShardRequest{Job: "t", Seed: 3, Rows: 20, K: 8, N: 10, Row0: 5, Row1: 15}
-	raw, _, err := executeGemm(req, 1)
+	c, _, err := executeGemm(req, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	raw := encodeBand(c)
+	if bandChecksum(c) != checksumBytes(raw) {
+		t.Fatal("row-by-row checksum differs from the checksum of the encoded band")
 	}
 	m, err := decodeBand(raw, 10, 10)
 	if err != nil {
@@ -355,8 +382,14 @@ func TestExecuteRejectsBadRequests(t *testing.T) {
 		{Rows: 0},
 		{Rows: 10, Partition: "zigzag"},
 		{Rows: 10, Rounds: 20000},
+		{Rows: 1 << 20, K: 1 << 20, N: 1},
+		{Rows: 1 << 15}, // N and K default to Rows: 2^30-element operands
 	}
 	for i, req := range cases {
+		// Rejected by normalize itself, not only for want of workers.
+		if err := req.normalize(); err == nil {
+			t.Errorf("case %d: normalize accepted %+v", i, req)
+		}
 		if _, err := exec.Execute(context.Background(), req); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
