@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFPMPartition -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzGemmDifferential -fuzztime=15s ./internal/blas/
 	$(GO) test -fuzz=FuzzShardRequest -fuzztime=15s ./internal/workerd/
+	$(GO) test -fuzz=FuzzObserveRequest -fuzztime=15s ./internal/service/
 
 experiments:
 	$(GO) run ./cmd/experiments

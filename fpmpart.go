@@ -384,8 +384,8 @@ func DescribeModel(m *Model) string { return fpm.DescribeModel(m) }
 // is off by default and effectively free while disabled; enable it and attach
 // sinks to observe a run.
 
-// TelemetryRegistry holds counters, gauges, histograms and spans, and
-// exports them as Prometheus text, JSON snapshots and Chrome traces.
+// TelemetryRegistry holds counters, gauges and histograms, and exports them
+// as Prometheus text and JSON snapshots.
 type TelemetryRegistry = telemetry.Registry
 
 // Telemetry returns the default registry every fpmpart package records into.

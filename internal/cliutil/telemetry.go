@@ -30,7 +30,7 @@ type TelemetryFlags struct {
 // default flag set.
 func (t *TelemetryFlags) Register() {
 	flag.StringVar(&t.MetricsAddr, "metrics-addr", "",
-		"serve Prometheus text (/metrics), a JSON snapshot (/metrics.json) and the span trace (/trace.json) on this address while running")
+		"serve Prometheus text (/metrics) and a JSON snapshot (/metrics.json) on this address while running")
 	flag.StringVar(&t.TraceOut, "trace-out", "",
 		"write a Chrome trace_event JSON file of the run to this path (load in Perfetto or chrome://tracing)")
 	flag.StringVar(&t.JSONOut, "telemetry-json", "",

@@ -18,6 +18,20 @@ import (
 	"fpmpart/internal/service"
 )
 
+// Peer RPC, failure-detection and replication constants.
+const (
+	// failThreshold is how many consecutive failed probes mark a peer dead.
+	failThreshold = 2
+	// requestTimeout bounds each peer RPC (forward, replicate, probe, state
+	// fetch); a forward carries a cold solve.
+	requestTimeout = 10 * time.Second
+	// replicateAttempts is how many times a model push to one peer is tried
+	// before giving up (the peer's join sweep repairs the miss).
+	replicateAttempts = 3
+	// replicateBackoff is the delay between replication attempts.
+	replicateBackoff = 100 * time.Millisecond
+)
+
 // Options configures one cluster member.
 type Options struct {
 	// Self is this instance's advertised base URL (scheme + host:port),
@@ -31,19 +45,6 @@ type Options struct {
 	VNodes int
 	// ProbeInterval is the health-check period. Default 500ms.
 	ProbeInterval time.Duration
-	// FailThreshold is how many consecutive failed probes mark a peer
-	// dead. Default 2.
-	FailThreshold int
-	// RequestTimeout bounds each peer RPC (forward, replicate, probe,
-	// state fetch). Default 10s — a forward carries a cold solve.
-	RequestTimeout time.Duration
-	// ReplicateAttempts is how many times a model push to one peer is
-	// tried before giving up (the peer's join sweep repairs the miss).
-	// Default 3.
-	ReplicateAttempts int
-	// ReplicateBackoff is the delay between replication attempts.
-	// Default 100ms.
-	ReplicateBackoff time.Duration
 	// Logger receives membership/replication events. Nil discards.
 	Logger *slog.Logger
 }
@@ -51,18 +52,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 10 * time.Second
-	}
-	if o.ReplicateAttempts <= 0 {
-		o.ReplicateAttempts = 3
-	}
-	if o.ReplicateBackoff <= 0 {
-		o.ReplicateBackoff = 100 * time.Millisecond
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -107,7 +96,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	opts.Self = strings.TrimSuffix(opts.Self, "/")
 	client := &http.Client{
-		Timeout: opts.RequestTimeout,
+		Timeout: requestTimeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 16,
@@ -119,7 +108,7 @@ func New(opts Options) (*Cluster, error) {
 		client: client,
 		logger: opts.Logger,
 	}
-	c.mem = newMembership(opts.Self, peers, opts.VNodes, opts.FailThreshold, client, opts.Logger)
+	c.mem = newMembership(opts.Self, peers, opts.VNodes, client, opts.Logger)
 	return c, nil
 }
 
@@ -241,7 +230,7 @@ func (c *Cluster) ReplicateModel(id string, gen uint64, raw []byte) {
 
 // rejectedError marks a replication response that can never succeed on
 // retry (a definitive 4xx: bad body, invalid generation header). Retrying
-// one would burn ReplicateAttempts × ReplicateBackoff per peer per write
+// one would burn replicateAttempts × replicateBackoff per peer per write
 // for nothing.
 type rejectedError struct {
 	status int
@@ -261,11 +250,11 @@ func retryableStatus(status int) bool {
 
 func (c *Cluster) pushModel(peer, id string, gen uint64, raw []byte) {
 	var lastErr error
-	for attempt := 0; attempt < c.opts.ReplicateAttempts; attempt++ {
+	for attempt := 0; attempt < replicateAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.opts.ReplicateBackoff)
+			time.Sleep(replicateBackoff)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.opts.RequestTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 		err := c.putModelTo(ctx, peer, id, gen, raw)
 		cancel()
 		if err == nil {
@@ -323,7 +312,7 @@ func (c *Cluster) ReplicateDelete(id string) {
 		c.repWG.Add(1)
 		go func(peer string) {
 			defer c.repWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), c.opts.RequestTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodDelete, peer+"/cluster/v1/models/"+id, nil)
 			if err != nil {

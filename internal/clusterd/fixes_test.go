@@ -135,7 +135,7 @@ func TestForwardOverflowFallsBackToLocalSolve(t *testing.T) {
 // TestReplicationRetryClassification: a definitive 4xx from a replication
 // target is pushed exactly once and counted as rejected; transport-ish
 // statuses (5xx, 429) are retried the configured number of times. Before the
-// fix every 400 burned ReplicateAttempts × ReplicateBackoff per write.
+// fix every 400 burned replicateAttempts × replicateBackoff per write.
 func TestReplicationRetryClassification(t *testing.T) {
 	withTelemetry(t)
 	var status atomic.Int64
@@ -149,11 +149,7 @@ func TestReplicationRetryClassification(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	c, err := New(Options{
-		Self:              "http://127.0.0.1:1",
-		ReplicateAttempts: 3,
-		ReplicateBackoff:  time.Millisecond,
-	})
+	c, err := New(Options{Self: "http://127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +161,8 @@ func TestReplicationRetryClassification(t *testing.T) {
 	}{
 		{http.StatusBadRequest, 1, "rejected"},
 		{http.StatusNotFound, 1, "rejected"},
-		{http.StatusInternalServerError, 3, "error"},
-		{http.StatusTooManyRequests, 3, "error"},
+		{http.StatusInternalServerError, replicateAttempts, "error"},
+		{http.StatusTooManyRequests, replicateAttempts, "error"},
 	}
 	for _, tc := range cases {
 		status.Store(tc.status)

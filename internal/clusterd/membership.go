@@ -12,17 +12,16 @@ import (
 // ring over them. Peers are probed at /healthz on a fixed interval: a 200
 // is healthy, anything else — a 503 from a draining peer, a refused
 // connection from a dead one — is a failure. A peer is declared dead after
-// FailThreshold consecutive failures (so one dropped probe doesn't churn
+// failThreshold consecutive failures (so one dropped probe doesn't churn
 // the ring) and revived by a single success (so a restarted peer takes its
 // key range back quickly). The local instance is always a member of its own
 // ring: even while draining it can still serve the requests it has.
 type membership struct {
-	self      string
-	peers     []string // remote peers only (self excluded)
-	vnodes    int
-	failAfter int
-	client    *http.Client
-	logger    *slog.Logger
+	self   string
+	peers  []string // remote peers only (self excluded)
+	vnodes int
+	client *http.Client
+	logger *slog.Logger
 
 	mu    sync.RWMutex
 	alive map[string]bool
@@ -35,24 +34,20 @@ type membership struct {
 	done     chan struct{}
 }
 
-func newMembership(self string, peers []string, vnodes, failAfter int, client *http.Client, logger *slog.Logger) *membership {
+func newMembership(self string, peers []string, vnodes int, client *http.Client, logger *slog.Logger) *membership {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	if failAfter <= 0 {
-		failAfter = 2
-	}
 	m := &membership{
-		self:      self,
-		peers:     peers,
-		vnodes:    vnodes,
-		failAfter: failAfter,
-		client:    client,
-		logger:    logger,
-		alive:     make(map[string]bool, len(peers)),
-		fails:     make(map[string]int, len(peers)),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		self:   self,
+		peers:  peers,
+		vnodes: vnodes,
+		client: client,
+		logger: logger,
+		alive:  make(map[string]bool, len(peers)),
+		fails:  make(map[string]int, len(peers)),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	// Start optimistic: an unreachable peer costs one forward fallback until
 	// the first probe round lands, whereas starting pessimistic would route
@@ -119,7 +114,7 @@ func (m *membership) observe(peer string, ok bool) {
 	}
 	probeFailures(peer).Inc()
 	m.fails[peer]++
-	if m.alive[peer] && m.fails[peer] >= m.failAfter {
+	if m.alive[peer] && m.fails[peer] >= failThreshold {
 		m.alive[peer] = false
 		peerAlive(peer).Set(0)
 		m.rebuildLocked()

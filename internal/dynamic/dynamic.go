@@ -26,21 +26,15 @@ import (
 // platform the balancer runs against.
 type Oracle func(device, units int) float64
 
+// threshold is the relative imbalance ((max-min)/min) above which a
+// redistribution is triggered.
+const threshold = 0.05
+
 // Options tunes the balancer.
 type Options struct {
-	// Threshold is the relative imbalance ((max-min)/min) above which a
-	// redistribution is triggered. Default 0.05.
-	Threshold float64
 	// MigrationCost is the time charged per unit moved between devices
 	// (data redistribution over shared memory or network). Default 0.
 	MigrationCost float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Threshold <= 0 {
-		o.Threshold = 0.05
-	}
-	return o
 }
 
 // Step records one application iteration.
@@ -91,7 +85,6 @@ func Run(oracle Oracle, initial []int, nIters int, opts Options) (Trace, error) 
 	if nIters <= 0 {
 		return Trace{}, fmt.Errorf("dynamic: invalid iteration count %d", nIters)
 	}
-	opts = opts.withDefaults()
 	total := 0
 	units := make([]int, len(initial))
 	for i, u := range initial {
@@ -146,18 +139,8 @@ func Run(oracle Oracle, initial []int, nIters int, opts Options) (Trace, error) 
 		}
 		// Rebalance when out of tolerance (and not on the final iteration,
 		// where it could no longer pay off).
-		if step.Imbalance > opts.Threshold && it < nIters-1 {
-			speeds := make([]float64, len(units))
-			for d, u := range units {
-				if u > 0 && times[d] > 0 {
-					speeds[d] = float64(u) / times[d]
-				} else {
-					// A device with no work yet: probe it with the average
-					// apparent speed so it can re-enter the distribution.
-					speeds[d] = float64(total) / float64(len(units)) / hi
-				}
-			}
-			next, err := partition.RoundShares(speeds, total, caps)
+		if step.Imbalance > threshold && it < nIters-1 {
+			next, err := Redistribute(units, times, total, caps)
 			if err != nil {
 				return Trace{}, err
 			}
@@ -178,4 +161,31 @@ func Run(oracle Oracle, initial []int, nIters int, opts Options) (Trace, error) 
 		tr.TotalSeconds += step.Makespan + step.MigrationSeconds
 	}
 	return tr, nil
+}
+
+// Redistribute is the balancer's proportional rule: it splits total units
+// over the devices in proportion to the speed each showed on its last share,
+// units[d]/times[d], within caps (+Inf for an uncapped device). A device
+// that ran nothing has no observed speed; it is probed with the average
+// apparent speed total/p/hi, hi being the slowest observed time, so it can
+// re-enter the distribution.
+func Redistribute(units []int, times []float64, total int, caps []float64) ([]int, error) {
+	hi := 0.0
+	for d, u := range units {
+		if u > 0 && times[d] > hi {
+			hi = times[d]
+		}
+	}
+	if hi == 0 {
+		return nil, errors.New("dynamic: no observed speeds to redistribute by")
+	}
+	speeds := make([]float64, len(units))
+	for d, u := range units {
+		if u > 0 && times[d] > 0 {
+			speeds[d] = float64(u) / times[d]
+		} else {
+			speeds[d] = float64(total) / float64(len(units)) / hi
+		}
+	}
+	return partition.RoundShares(speeds, total, caps)
 }

@@ -31,7 +31,7 @@ func TestRunBalancedStartNeverRebalances(t *testing.T) {
 func TestRunConvergesFromBadStart(t *testing.T) {
 	// Device 0 is 4x faster; a 50/50 start is badly unbalanced.
 	o := linearOracle([]float64{0.25, 1})
-	tr, err := Run(o, []int{50, 50}, 10, Options{Threshold: 0.05})
+	tr, err := Run(o, []int{50, 50}, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +122,18 @@ func TestIdleProbeUsesAverageSpeed(t *testing.T) {
 }
 
 func TestIdleDeviceOverridesThreshold(t *testing.T) {
-	// The infinite imbalance of an idle device must trigger redistribution
-	// no matter how lax the threshold is.
-	o := linearOracle([]float64{1, 1})
-	tr, err := Run(o, []int{100, 0}, 3, Options{Threshold: 1000})
+	// The two working devices finish together, so their imbalance is 0 and
+	// under the threshold; only the idle third device's infinite imbalance
+	// can trigger the redistribution that hands it work.
+	o := linearOracle([]float64{1, 1, 1})
+	tr, err := Run(o, []int{50, 50, 0}, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Rebalances == 0 {
-		t.Fatalf("idle device never triggered a rebalance: %+v", tr)
+	if !math.IsInf(tr.Steps[0].Imbalance, 1) || tr.Steps[0].Moved == 0 {
+		t.Fatalf("idle device did not trigger a rebalance: %+v", tr.Steps[0])
 	}
-	if final := tr.Steps[len(tr.Steps)-1].Units; final[1] == 0 {
+	if final := tr.Steps[len(tr.Steps)-1].Units; final[2] == 0 {
 		t.Errorf("idle device still idle after %d rebalances: %v", tr.Rebalances, final)
 	}
 }

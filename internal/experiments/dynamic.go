@@ -103,9 +103,7 @@ func AblationDynamic(models *Models, n, iters int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dynamic %s start: %w", s.name, err)
 		}
-		tr, err := dynamic.Run(oracle, res.Units(), iters, dynamic.Options{
-			Threshold: 0.05, MigrationCost: migration,
-		})
+		tr, err := dynamic.Run(oracle, res.Units(), iters, dynamic.Options{MigrationCost: migration})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dynamic from %s: %w", s.name, err)
 		}

@@ -15,7 +15,8 @@ import (
 // Each policy runs with the crash at 25%, 50% and 75% progress and is
 // compared against the fault-free FPM run — extending the paper's
 // static-vs-dynamic argument to the unstable-platform case it could not
-// test: a static FPM distribution is also the right *recovery target*.
+// test. On this platform no survivor's new share crosses a memory cliff, so
+// both recovery policies land on nearly the same split.
 //
 // spec overrides the injected faults (ParseSpec syntax); when empty, the
 // default scenario crashes the first GPU. seed resolves any seed-drawn
@@ -41,7 +42,7 @@ func Recovery(models *Models, n, iters int, spec string, seed int64) (*Table, er
 		},
 		Notes: []string{
 			"FPM re-partitioning restores a static balanced distribution on the survivors in one rebalance",
-			"proportional redistribution converges to a similar split but from one observed sample",
+			"proportional redistribution by observed units/second lands within a percent of FPM: no survivor's new share crosses a memory cliff",
 			"no-recovery loses the victim's share of every remaining iteration",
 		},
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,14 +47,16 @@ func TestRecoveryExperiment(t *testing.T) {
 			}
 		}
 	}
-	// The headline claim: FPM re-partitioning recovers cheaper than
-	// proportional redistribution at every crash point.
+	// No survivor's share crosses a memory cliff here, so the proportional
+	// rule (speed as units/second on each survivor's last share) lands on
+	// the split FPM re-partitioning finds: the two totals agree within 5% at
+	// every crash point.
 	for i := 1; i < len(tab.Rows); i += 3 {
 		fpmTotal := cell(t, tab, i, 7)
 		propTotal := cell(t, tab, i+1, 7)
-		if fpmTotal >= propTotal {
-			t.Errorf("crash point %d: FPM recovery (%v s) not cheaper than proportional (%v s)",
-				(i-1)/3, fpmTotal, propTotal)
+		if math.Abs(propTotal/fpmTotal-1) > 0.05 {
+			t.Errorf("crash point %d: proportional recovery (%v s) not within 5%% of FPM (%v s)",
+				(i-1)/3, propTotal, fpmTotal)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package refine closes the feedback loop between serving and model
 // building: observed (model, device, size, seconds) samples from live
-// execution — the resilient loop's observed-vs-predicted signal, or clients
-// posting to fpmd's /v1/observe — are accumulated into size-bucketed
+// execution — shard timings from fpmd's job executor, or clients posting to
+// fpmd's /v1/observe — are accumulated into size-bucketed
 // statistical estimators, and once a bucket's mean is statistically reliable
 // the affected knots of the registered functional performance model are
 // rebuilt and re-published under a bumped generation.
@@ -54,6 +54,32 @@ type Registry interface {
 	Publish(id string, pl *fpm.PiecewiseLinear, gen uint64) (bool, error)
 }
 
+// Reliability, bucketing and rebuild constants.
+const (
+	// confidence and relErr are the stats.Estimator reliability targets: a
+	// bucket mean is reliable when its confidence-level interval has
+	// relative half-width <= relErr.
+	confidence = 0.95
+	relErr     = 0.05
+	// changeThreshold is the minimum relative shift of an already-published
+	// bucket mean that re-arms a rebuild; below it, new samples confirming
+	// the published knot do not burn generations.
+	changeThreshold = relErr
+	// bucketsPerOctave is the geometric size-bucket resolution: sizes within
+	// a factor 2^(1/bucketsPerOctave) share a bucket (~9% wide).
+	bucketsPerOctave = 8
+	// maxBuckets bounds the buckets per model; samples that would create
+	// more are dropped (counted in telemetry).
+	maxBuckets = 512
+	// mergeEps is the relative abscissa tolerance for merging rebuilt knots
+	// over the current model (fpm.MergeEps): about half a bucket width, so a
+	// bucket's drifting representative size keeps replacing its own knot
+	// instead of accumulating neighbours.
+	mergeEps = 0.04
+	// smoothWindow is the fpm.Smooth window applied after the merge.
+	smoothWindow = 1
+)
+
 // Config tunes the refiner. The zero value selects the documented defaults.
 type Config struct {
 	// MinSamples is the per-bucket floor before a bucket's mean may be
@@ -65,33 +91,10 @@ type Config struct {
 	// stays bounded under unbounded traffic while drift keeps being tracked.
 	// Default 512.
 	MaxSamplesPerBucket int
-	// Confidence and RelErr are the stats.Estimator reliability targets:
-	// the bucket mean is reliable when its Confidence-level interval has
-	// relative half-width <= RelErr. Defaults 0.95 and 0.05.
-	Confidence float64
-	RelErr     float64
 	// Cooldown is the minimum interval between published rebuilds of one
 	// model, so bursty observe traffic cannot cause a generation-bump storm
 	// (every bump invalidates cached solutions cluster-wide). Default 5s.
 	Cooldown time.Duration
-	// ChangeThreshold is the minimum relative shift of an already-published
-	// bucket mean that re-arms a rebuild; below it, new samples confirming
-	// the published knot do not burn generations. Default = RelErr.
-	ChangeThreshold float64
-	// BucketsPerOctave is the geometric size-bucket resolution: sizes within
-	// a factor 2^(1/BucketsPerOctave) share a bucket. Default 8 (~9% wide).
-	BucketsPerOctave int
-	// MaxBuckets bounds the buckets per model; samples that would create
-	// more are dropped (counted in telemetry). Default 512.
-	MaxBuckets int
-	// MergeEps is the relative abscissa tolerance for merging rebuilt knots
-	// over the current model (fpm.MergeEps). Default 0.04 — about half a
-	// default bucket width, so a bucket's drifting representative size keeps
-	// replacing its own knot instead of accumulating neighbours.
-	MergeEps float64
-	// SmoothWindow is the fpm.Smooth window applied after the merge.
-	// Default 1.
-	SmoothWindow int
 	// Now is the clock (injectable for tests). Default time.Now.
 	Now func() time.Time
 }
@@ -112,29 +115,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxSamplesPerBucket < c.MinSamples {
 		c.MaxSamplesPerBucket = c.MinSamples
 	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = 0.95
-	}
-	if c.RelErr <= 0 {
-		c.RelErr = 0.05
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.ChangeThreshold <= 0 {
-		c.ChangeThreshold = c.RelErr
-	}
-	if c.BucketsPerOctave <= 0 {
-		c.BucketsPerOctave = 8
-	}
-	if c.MaxBuckets <= 0 {
-		c.MaxBuckets = 512
-	}
-	if c.MergeEps <= 0 {
-		c.MergeEps = 0.04
-	}
-	if c.SmoothWindow <= 0 {
-		c.SmoothWindow = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -220,7 +202,7 @@ func (r *Refiner) Forget(id string) {
 
 // bucketIndex maps a size onto its geometric bucket.
 func (r *Refiner) bucketIndex(size float64) int {
-	return int(math.Floor(math.Log2(size) * float64(r.cfg.BucketsPerOctave)))
+	return int(math.Floor(math.Log2(size) * bucketsPerOctave))
 }
 
 // Observe accumulates a batch of samples for one model and, when a bucket's
@@ -252,22 +234,17 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 		idx := r.bucketIndex(s.Size)
 		b, ok := st.buckets[idx]
 		if !ok {
-			if len(st.buckets) >= r.cfg.MaxBuckets {
+			if len(st.buckets) >= maxBuckets {
 				recordDropped(1)
 				continue
 			}
-			b = &bucket{
-				est:   stats.NewEstimator(r.cfg.Confidence, r.cfg.RelErr, r.cfg.MinSamples, r.cfg.MaxSamplesPerBucket),
-				sizes: &stats.Sample{},
-			}
-			b.est.Robust = true
+			b = &bucket{est: r.newEstimator(), sizes: &stats.Sample{}}
 			st.buckets[idx] = b
 		}
 		if b.est.N() >= r.cfg.MaxSamplesPerBucket {
 			// Window full: restart the estimator so drift keeps being
 			// tracked with bounded memory. Published state is retained.
-			b.est = stats.NewEstimator(r.cfg.Confidence, r.cfg.RelErr, r.cfg.MinSamples, r.cfg.MaxSamplesPerBucket)
-			b.est.Robust = true
+			b.est = r.newEstimator()
 			b.sizes = &stats.Sample{}
 		}
 		b.est.Add(s.Seconds)
@@ -288,7 +265,7 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 			dirty = true
 			continue
 		}
-		if rel := math.Abs(b.est.Mean()-b.pubMean) / b.pubMean; rel > r.cfg.ChangeThreshold {
+		if rel := math.Abs(b.est.Mean()-b.pubMean) / b.pubMean; rel > changeThreshold {
 			dirty = true
 		}
 	}
@@ -312,6 +289,13 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 		st.everPub = true
 	}
 	return out, nil
+}
+
+// newEstimator starts a bucket's robust sample window.
+func (r *Refiner) newEstimator() *stats.Estimator {
+	est := stats.NewEstimator(confidence, relErr, r.cfg.MinSamples, r.cfg.MaxSamplesPerBucket)
+	est.Robust = true
+	return est
 }
 
 // rebuildLocked rebuilds the model's reliable knots and publishes the merged
@@ -348,11 +332,11 @@ func (r *Refiner) rebuildLocked(id string, st *modelState, out *Result) (bool, e
 	if err != nil {
 		return false, fmt.Errorf("refine: rebuild %q: %w", id, err)
 	}
-	merged, err := fpm.MergeEps(r.cfg.MergeEps, base, partial)
+	merged, err := fpm.MergeEps(mergeEps, base, partial)
 	if err != nil {
 		return false, fmt.Errorf("refine: merge %q: %w", id, err)
 	}
-	smoothed, err := fpm.Smooth(merged, r.cfg.SmoothWindow)
+	smoothed, err := fpm.Smooth(merged, smoothWindow)
 	if err != nil {
 		return false, fmt.Errorf("refine: smooth %q: %w", id, err)
 	}
@@ -375,58 +359,4 @@ func (r *Refiner) rebuildLocked(id string, st *modelState, out *Result) (bool, e
 		p.b.pubMean = p.mean
 	}
 	return true, nil
-}
-
-// SampleBatch accumulates per-model observations from an executing loop
-// (internal/resilient's ObserveSink is the natural producer) for periodic
-// delivery to a Refiner or an fpmd /v1/observe endpoint. Safe for
-// concurrent use.
-type SampleBatch struct {
-	mu      sync.Mutex
-	samples map[string][]Sample
-}
-
-// NewSampleBatch returns an empty batch.
-func NewSampleBatch() *SampleBatch {
-	return &SampleBatch{samples: map[string][]Sample{}}
-}
-
-// Add records one observation for a model.
-func (b *SampleBatch) Add(model string, s Sample) {
-	b.mu.Lock()
-	b.samples[model] = append(b.samples[model], s)
-	b.mu.Unlock()
-}
-
-// Len reports the total buffered sample count.
-func (b *SampleBatch) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, ss := range b.samples {
-		n += len(ss)
-	}
-	return n
-}
-
-// Take drains the batch, returning the accumulated samples grouped by model.
-func (b *SampleBatch) Take() map[string][]Sample {
-	b.mu.Lock()
-	out := b.samples
-	b.samples = map[string][]Sample{}
-	b.mu.Unlock()
-	return out
-}
-
-// Sink adapts the batch to resilient.Options.ObserveSink: device indices map
-// to model ids positionally (the same order the devices were handed to
-// resilient.Run). Out-of-range devices and non-positive shares are ignored.
-func (b *SampleBatch) Sink(modelIDs []string) func(device, units int, seconds float64) {
-	ids := append([]string(nil), modelIDs...)
-	return func(device, units int, seconds float64) {
-		if device < 0 || device >= len(ids) || units <= 0 || !(seconds > 0) || math.IsInf(seconds, 0) {
-			return
-		}
-		b.Add(ids[device], Sample{Size: float64(units), Seconds: seconds})
-	}
 }

@@ -68,8 +68,6 @@ func (c *testClock) Advance(d time.Duration) {
 func testConfig(clk *testClock) Config {
 	return Config{
 		MinSamples: 4,
-		Confidence: 0.95,
-		RelErr:     0.05,
 		Cooldown:   5 * time.Second,
 		Now:        clk.Now,
 	}
@@ -288,21 +286,22 @@ func TestStalePublishRetriesLater(t *testing.T) {
 func TestMaxBucketsDropsOverflow(t *testing.T) {
 	reg := newFakeReg(fpm.MustPiecewiseLinear([]fpm.Point{{Size: 100, Speed: 100}}))
 	clk := &testClock{t: time.Unix(1000, 0)}
-	cfg := testConfig(clk)
-	cfg.MaxBuckets = 1
-	r, err := New(reg, cfg)
+	r, err := New(reg, testConfig(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Observe("m", []Sample{
-		{Size: 100, Seconds: 1},
-		{Size: 100000, Seconds: 1}, // second bucket: dropped
-	})
+	// One sample in the middle of each of maxBuckets+8 consecutive buckets:
+	// the first maxBuckets are kept, the rest dropped.
+	var batch []Sample
+	for i := 0; i < maxBuckets+8; i++ {
+		batch = append(batch, Sample{Size: math.Exp2((float64(i) + 0.5) / bucketsPerOctave), Seconds: 1})
+	}
+	res, err := r.Observe("m", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Accepted != 1 || res.Buckets != 1 {
-		t.Errorf("MaxBuckets=1 accepted %d across %d buckets", res.Accepted, res.Buckets)
+	if res.Accepted != maxBuckets || res.Buckets != maxBuckets {
+		t.Errorf("accepted %d across %d buckets, want %d across %d", res.Accepted, res.Buckets, maxBuckets, maxBuckets)
 	}
 }
 
@@ -347,37 +346,6 @@ func TestForgetDropsState(t *testing.T) {
 	if ok {
 		t.Error("Forget left model state behind")
 	}
-}
-
-func TestSampleBatchSink(t *testing.T) {
-	b := NewSampleBatch()
-	sink := b.Sink([]string{"cpu", "gpu"})
-	sink(0, 100, 0.5)
-	sink(1, 400, 0.25)
-	sink(1, 400, 0.26)
-	sink(2, 100, 0.5)  // out of range: ignored
-	sink(-1, 100, 0.5) // out of range: ignored
-	sink(0, 0, 0.5)    // zero share: ignored
-	sink(0, 100, 0)    // non-positive time: ignored
-	sink(0, 100, math.NaN())
-	if b.Len() != 3 {
-		t.Fatalf("batch len %d, want 3", b.Len())
-	}
-	got := b.Take()
-	if len(got["cpu"]) != 1 || len(got["gpu"]) != 2 {
-		t.Errorf("take grouped %v", got)
-	}
-	if got["gpu"][0] != (Sample{Size: 400, Seconds: 0.25}) {
-		t.Errorf("gpu sample %+v", got["gpu"][0])
-	}
-	if b.Len() != 0 {
-		t.Error("Take did not drain")
-	}
-	// The sink snapshot is isolated from later mutation of the id slice.
-	ids := []string{"a"}
-	sink2 := NewSampleBatch().Sink(ids)
-	ids[0] = "mutated"
-	_ = sink2
 }
 
 func TestConcurrentObserve(t *testing.T) {

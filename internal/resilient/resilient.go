@@ -17,18 +17,19 @@
 //     iteration-aware oracle. A failed call is retried with capped
 //     exponential backoff — transient stalls recover, crashes do not.
 //  3. An iteration whose observed time deviates from the FPM prediction by
-//     more than Options.DeviationThreshold is an anomaly; Strikes
-//     consecutive anomalies confirm a degradation.
+//     more than half is an anomaly; three consecutive anomalies confirm a
+//     degradation.
 //  4. On a confirmed failure the device is dropped (crash) or demoted
 //     (degradation: its model is rescaled to the observed speed), the
 //     surviving work is re-partitioned with partition.FPM, the moved units
-//     are charged through the communication model, and the victim's share
-//     of the interrupted iteration is re-executed by the survivors before
-//     the run continues.
+//     are charged Options.MigrationCost each, and the victim's share of the
+//     interrupted iteration is re-executed by the survivors before the run
+//     continues.
 //
 // Recovery policies FPMRepartition, Proportional and NoRecovery exist so
-// the recovery experiment can compare FPM re-partitioning against a
-// dynamic-balancer-style proportional split and against doing nothing.
+// the recovery experiment can compare FPM re-partitioning against the
+// dynamic balancer's proportional rule (dynamic.Redistribute) and against
+// doing nothing.
 package resilient
 
 import (
@@ -36,10 +37,27 @@ import (
 	"fmt"
 	"math"
 
-	"fpmpart/internal/comm"
+	"fpmpart/internal/dynamic"
 	"fpmpart/internal/faults"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/partition"
+)
+
+// Detection and retry constants.
+const (
+	// deviationThreshold is the relative deviation of an observed iteration
+	// time from its FPM prediction ((obs-pred)/pred) above which the
+	// iteration counts as an anomaly.
+	deviationThreshold = 0.5
+	// strikeLimit is the number of consecutive anomalous iterations that
+	// confirm a degradation (transients shorter than this ride through on
+	// the strike counter alone).
+	strikeLimit = 3
+	// maxRetries caps the retry attempts of a failed oracle call.
+	maxRetries = 4
+	// retryBackoff is the delay in seconds charged before the first retry,
+	// doubling on each subsequent one.
+	retryBackoff = 1e-3
 )
 
 // Policy selects how a confirmed failure is recovered.
@@ -50,8 +68,9 @@ const (
 	// FPMRepartition re-partitions the surviving devices with partition.FPM
 	// on their (possibly demoted) functional performance models.
 	FPMRepartition Policy = iota
-	// Proportional redistributes in proportion to the speeds observed on
-	// the last completed iteration — the dynamic balancer's rule.
+	// Proportional redistributes in proportion to the speeds (units per
+	// second) observed on each survivor's last share — the dynamic
+	// balancer's rule, dynamic.Redistribute.
 	Proportional
 	// NoRecovery drops the device's work on the floor: no redistribution,
 	// the lost units are never processed. The run reports Completed=false.
@@ -71,86 +90,12 @@ func (p Policy) String() string {
 	}
 }
 
-// Options tunes detection, retry and recovery.
+// Options selects the recovery policy and prices migration.
 type Options struct {
-	// DeviationThreshold is the relative deviation of an observed iteration
-	// time from its FPM prediction ((obs-pred)/pred) above which the
-	// iteration counts as an anomaly. Default 0.5.
-	DeviationThreshold float64
-	// Strikes is the number of consecutive anomalous iterations that
-	// confirm a degradation (transients shorter than this ride through on
-	// the strike counter alone). Default 3.
-	Strikes int
-	// MaxRetries caps the retry attempts of a failed oracle call. Default 4.
-	MaxRetries int
-	// RetryBackoff is the delay charged before the first retry, doubling on
-	// each subsequent one. Default 1e-3 seconds.
-	RetryBackoff float64
-	// UnitBytes is the data weight of one computation unit, used to charge
-	// migrations through the communication model. Default 0 (migration is
-	// charged via MigrationCost).
-	UnitBytes float64
-	// Network prices migrations at message level: moving m units costs
-	// Latency + m*UnitBytes/LinkBandwidth seconds. When nil, migrations
-	// cost MigrationCost per unit instead.
-	Network *comm.Network
-	// MigrationCost is the scalar fallback cost per unit moved. Default 0.
+	// MigrationCost is the time charged per unit moved. Default 0.
 	MigrationCost float64
 	// Policy is the recovery policy. Default FPMRepartition.
 	Policy Policy
-	// PartitionOpts tunes the FPM re-partitioner.
-	PartitionOpts partition.FPMOptions
-	// ObserveSink, when non-nil, receives every successfully timed iteration
-	// share (device index, units executed, observed seconds) — the
-	// observed-vs-predicted signal the loop already computes, exported as raw
-	// material for online model refinement (refine.SampleBatch adapts it to
-	// observe batches). Called synchronously from Run; keep it cheap.
-	ObserveSink func(device, units int, seconds float64)
-}
-
-func (o Options) withDefaults() (Options, error) {
-	if o.DeviationThreshold < 0 {
-		return o, fmt.Errorf("resilient: negative deviation threshold %v", o.DeviationThreshold)
-	}
-	if o.Strikes < 0 {
-		return o, fmt.Errorf("resilient: negative strike count %d", o.Strikes)
-	}
-	if o.MaxRetries < 0 {
-		return o, fmt.Errorf("resilient: negative retry cap %d", o.MaxRetries)
-	}
-	if o.RetryBackoff < 0 || o.UnitBytes < 0 || o.MigrationCost < 0 {
-		return o, fmt.Errorf("resilient: negative cost (backoff %v, unit bytes %v, migration %v)",
-			o.RetryBackoff, o.UnitBytes, o.MigrationCost)
-	}
-	if o.Network != nil {
-		if err := o.Network.Validate(); err != nil {
-			return o, err
-		}
-	}
-	if o.DeviationThreshold == 0 {
-		o.DeviationThreshold = 0.5
-	}
-	if o.Strikes == 0 {
-		o.Strikes = 3
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 4
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 1e-3
-	}
-	return o, nil
-}
-
-// migrationSeconds prices moving `moved` units under the options.
-func (o Options) migrationSeconds(moved int) float64 {
-	if moved <= 0 {
-		return 0
-	}
-	if o.Network != nil {
-		return o.Network.Latency + float64(moved)*o.UnitBytes/o.Network.LinkBandwidth
-	}
-	return float64(moved) * o.MigrationCost
 }
 
 // EventKind classifies trace events.
@@ -253,8 +198,10 @@ type deviceState struct {
 	dev     partition.Device
 	alive   bool
 	strikes int
-	// lastTime is the last successfully observed iteration time.
-	lastTime float64
+	// lastUnits and lastTime are the share and time of the last
+	// successfully observed iteration.
+	lastUnits int
+	lastTime  float64
 }
 
 // Run executes nIters iterations of the application over n units on the
@@ -272,19 +219,15 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 	if n <= 0 || nIters <= 0 {
 		return Trace{}, fmt.Errorf("resilient: invalid problem size n=%d, iterations=%d", n, nIters)
 	}
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return Trace{}, err
+	if opts.MigrationCost < 0 {
+		return Trace{}, fmt.Errorf("resilient: negative migration cost %v", opts.MigrationCost)
 	}
-
-	span := startRecoverySpan("run")
-	defer span.End()
 
 	state := make([]*deviceState, len(devices))
 	for i, d := range devices {
 		state[i] = &deviceState{dev: d, alive: true}
 	}
-	units, err := partitionAlive(state, n, opts)
+	units, err := partitionAlive(state, n)
 	if err != nil {
 		return Trace{}, fmt.Errorf("resilient: initial partition: %w", err)
 	}
@@ -299,7 +242,7 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 			if !st.alive || units[d] == 0 {
 				continue
 			}
-			t, retrySec, retries, err := attempt(oracle, d, units[d], it, opts, &tr)
+			t, retrySec, retries, err := attempt(oracle, d, units[d], it, &tr)
 			step.RetrySeconds += retrySec
 			tr.Retries += retries
 			if err != nil {
@@ -314,10 +257,7 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 					Detail: err.Error()})
 				continue
 			}
-			st.lastTime = t
-			if opts.ObserveSink != nil {
-				opts.ObserveSink(d, units[d], t)
-			}
+			st.lastUnits, st.lastTime = units[d], t
 			total := t + retrySec
 			if total > step.Makespan {
 				step.Makespan = total
@@ -325,12 +265,12 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 			// Anomaly detection against the FPM prediction.
 			if pred := preds[d]; pred > 0 {
 				relDev := (t - pred) / pred
-				if relDev > opts.DeviationThreshold {
+				if relDev > deviationThreshold {
 					st.strikes++
 					recordAnomaly(relDev)
 					tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventAnomaly,
 						Detail: fmt.Sprintf("observed %.3gs vs predicted %.3gs (%.0f%% over)", t, pred, relDev*100)})
-					if st.strikes >= opts.Strikes {
+					if st.strikes >= strikeLimit {
 						confirmedSlow = append(confirmedSlow, d)
 					}
 				} else {
@@ -367,10 +307,10 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				}
 				moved := unitsMoved(units, next)
 				step.Moved += moved
-				step.MigrationSeconds += opts.migrationSeconds(moved)
+				step.MigrationSeconds += float64(moved) * opts.MigrationCost
 				// Survivors re-execute the victims' share of this iteration,
 				// split in proportion to their new assignment.
-				recSec, err := recoverResidual(oracle, state, next, lostThisIter, n, it, opts)
+				recSec, err := recoverResidual(oracle, state, next, lostThisIter, n, it)
 				if err != nil {
 					return tr, fmt.Errorf("resilient: residual re-execution at iteration %d: %w", it, err)
 				}
@@ -404,19 +344,20 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				tr.Demoted = append(tr.Demoted, d)
 				recordDemote()
 				tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventDemote,
-					Detail: fmt.Sprintf("model rescaled by %.3g after %d strikes", factor, opts.Strikes)})
+					Detail: fmt.Sprintf("model rescaled by %.3g after %d strikes", factor, strikeLimit)})
 			}
 			next, err := repartition(state, n, opts)
 			if err != nil {
 				return tr, fmt.Errorf("resilient: demotion re-partition at iteration %d: %w", it, err)
 			}
 			moved := unitsMoved(units, next)
+			migration := float64(moved) * opts.MigrationCost
 			step.Moved += moved
-			step.MigrationSeconds += opts.migrationSeconds(moved)
+			step.MigrationSeconds += migration
 			units = next
 			preds = predict(state, units)
 			tr.Rebalances++
-			recordRebalance(moved, opts.migrationSeconds(moved))
+			recordRebalance(moved, migration)
 			tr.Events = append(tr.Events, Event{Iter: it, Device: -1, Kind: EventRepartition,
 				Detail: fmt.Sprintf("%s after demotion, %d units moved", opts.Policy, moved)})
 		}
@@ -435,7 +376,7 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 // returns the successful iteration time, the backoff seconds charged, and
 // the number of retries performed; err is non-nil only when every attempt
 // failed.
-func attempt(oracle faults.Oracle, d, u, it int, opts Options, tr *Trace) (t, backoff float64, retries int, err error) {
+func attempt(oracle faults.Oracle, d, u, it int, tr *Trace) (t, backoff float64, retries int, err error) {
 	t, err = oracle(d, u, it)
 	if err == nil {
 		if err = checkTime(t, d); err != nil {
@@ -447,8 +388,8 @@ func attempt(oracle faults.Oracle, d, u, it int, opts Options, tr *Trace) (t, ba
 		// A crash is permanent by contract: don't burn backoff on it.
 		return 0, 0, 0, err
 	}
-	delay := opts.RetryBackoff
-	for r := 0; r < opts.MaxRetries; r++ {
+	delay := retryBackoff
+	for r := 0; r < maxRetries; r++ {
 		backoff += delay
 		delay *= 2
 		retries++
@@ -477,7 +418,7 @@ func checkTime(t float64, d int) error {
 }
 
 // partitionAlive runs an FPM partition over all live devices.
-func partitionAlive(state []*deviceState, n int, opts Options) ([]int, error) {
+func partitionAlive(state []*deviceState, n int) ([]int, error) {
 	devs := make([]partition.Device, 0, len(state))
 	idx := make([]int, 0, len(state))
 	for i, st := range state {
@@ -489,7 +430,7 @@ func partitionAlive(state []*deviceState, n int, opts Options) ([]int, error) {
 	if len(devs) == 0 {
 		return nil, errors.New("resilient: no surviving devices")
 	}
-	res, err := partition.FPM(devs, n, opts.PartitionOpts)
+	res, err := partition.FPM(devs, n, partition.FPMOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -502,53 +443,36 @@ func partitionAlive(state []*deviceState, n int, opts Options) ([]int, error) {
 
 // repartition redistributes n units over the live devices per the policy.
 func repartition(state []*deviceState, n int, opts Options) ([]int, error) {
-	if opts.Policy == Proportional {
-		speeds := make([]float64, 0, len(state))
-		idx := make([]int, 0, len(state))
-		var fallback float64
-		var have int
-		for i, st := range state {
-			if !st.alive {
-				continue
-			}
-			idx = append(idx, i)
-			if st.lastTime > 0 {
-				// Observed speed at the last completed share.
-				speeds = append(speeds, 1/st.lastTime)
-				fallback += 1 / st.lastTime
-				have++
-			} else {
-				speeds = append(speeds, 0)
-			}
-		}
-		if len(idx) == 0 {
-			return nil, errors.New("resilient: no surviving devices")
-		}
-		if have == 0 {
-			return nil, errors.New("resilient: no observed speeds to redistribute by")
-		}
-		avg := fallback / float64(have)
-		caps := make([]float64, len(idx))
-		for j := range speeds {
-			if speeds[j] == 0 {
-				speeds[j] = avg
-			}
-			caps[j] = math.Inf(1)
-			if mu := state[idx[j]].dev.MaxUnits; mu > 0 {
-				caps[j] = mu
-			}
-		}
-		rounded, err := partition.RoundShares(speeds, n, caps)
-		if err != nil {
-			return nil, err
-		}
-		units := make([]int, len(state))
-		for j, u := range rounded {
-			units[idx[j]] = u
-		}
-		return units, nil
+	if opts.Policy != Proportional {
+		return partitionAlive(state, n)
 	}
-	return partitionAlive(state, n, opts)
+	var idx, last []int
+	var times, caps []float64
+	for i, st := range state {
+		if !st.alive {
+			continue
+		}
+		idx = append(idx, i)
+		last = append(last, st.lastUnits)
+		times = append(times, st.lastTime)
+		c := math.Inf(1)
+		if mu := st.dev.MaxUnits; mu > 0 {
+			c = mu
+		}
+		caps = append(caps, c)
+	}
+	if len(idx) == 0 {
+		return nil, errors.New("resilient: no surviving devices")
+	}
+	shares, err := dynamic.Redistribute(last, times, n, caps)
+	if err != nil {
+		return nil, err
+	}
+	units := make([]int, len(state))
+	for j, u := range shares {
+		units[idx[j]] = u
+	}
+	return units, nil
 }
 
 // recoverResidual re-executes the failed devices' share of the interrupted
@@ -556,7 +480,7 @@ func repartition(state []*deviceState, n int, opts Options) ([]int, error) {
 // and returns the extra makespan. When a survivor's oracle call fails too
 // (e.g. it is itself stalled), its model prediction stands in — the charge
 // must not be lost just because the platform is having a bad day.
-func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, residual, n, it int, opts Options) (float64, error) {
+func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, residual, n, it int) (float64, error) {
 	if residual <= 0 {
 		return 0, nil
 	}

@@ -5,11 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"fpmpart/internal/comm"
 	"fpmpart/internal/faults"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/partition"
-	"fpmpart/internal/refine"
 )
 
 // constDevices builds constant-speed devices (units/second) whose oracle is
@@ -156,11 +154,31 @@ func TestProportionalRecovery(t *testing.T) {
 	}
 }
 
+// TestProportionalRecoveryWeighsUnitsPerSecond: after an FPM start every
+// survivor's iteration time is equal, so a rule weighing survivors by
+// 1/time splits them evenly ([0 35 35], 35 s per iteration). Speed is
+// units per second: the survivors ran 20 units and 10 units in 10 s each,
+// so the split is 2:1, the same [0 47 23] FPM re-partitioning finds.
+func TestProportionalRecoveryWeighsUnitsPerSecond(t *testing.T) {
+	devs, base := constDevices(t, 4, 2, 1)
+	oracle := injected(t, "crash:dev=0,iter=2", 7, base)
+	tr, err := Run(devs, oracle, 70, 5, Options{Policy: Proportional})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.FinalUnits, []int{0, 47, 23}) {
+		t.Errorf("final units = %v, want [0 47 23]", tr.FinalUnits)
+	}
+	if last := tr.Steps[len(tr.Steps)-1]; math.Abs(last.Makespan-23.5) > 1e-9 {
+		t.Errorf("post-crash makespan = %v, want 23.5", last.Makespan)
+	}
+}
+
 func TestTransientStallRidesOutOnRetries(t *testing.T) {
 	devs, base := constDevices(t, 4, 2, 2)
 	// Stall shorter than the retry budget: the device recovers in place.
 	oracle := injected(t, "stall:dev=1,iter=3,len=2", 7, base)
-	tr, err := Run(devs, oracle, 80, 10, Options{MaxRetries: 4, RetryBackoff: 0.5})
+	tr, err := Run(devs, oracle, 80, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +188,15 @@ func TestTransientStallRidesOutOnRetries(t *testing.T) {
 	if tr.Retries != 2 {
 		t.Errorf("retries = %d, want 2 (one per stalled call)", tr.Retries)
 	}
-	// Backoff is charged to the stalled iteration: 0.5 + 1.0 on top of the
-	// device's 10s share, making it the iteration's critical path.
+	// Backoff is charged to the stalled iteration: retryBackoff, then
+	// double it, on top of the device's 10s share, making it the
+	// iteration's critical path.
 	st := tr.Steps[3]
-	if math.Abs(st.RetrySeconds-1.5) > 1e-9 {
-		t.Errorf("retry seconds = %v, want 1.5", st.RetrySeconds)
+	if want := retryBackoff + 2*retryBackoff; math.Abs(st.RetrySeconds-want) > 1e-12 {
+		t.Errorf("retry seconds = %v, want %v", st.RetrySeconds, want)
 	}
-	if math.Abs(st.Makespan-11.5) > 1e-9 {
-		t.Errorf("stalled iteration makespan = %v, want 11.5", st.Makespan)
+	if want := 10 + 3*retryBackoff; math.Abs(st.Makespan-want) > 1e-9 {
+		t.Errorf("stalled iteration makespan = %v, want %v", st.Makespan, want)
 	}
 	if tr.UnitsProcessed != 80*10 {
 		t.Errorf("units processed = %d, want %d", tr.UnitsProcessed, 80*10)
@@ -186,9 +205,9 @@ func TestTransientStallRidesOutOnRetries(t *testing.T) {
 
 func TestStallBeyondRetryBudgetDropsDevice(t *testing.T) {
 	devs, base := constDevices(t, 4, 2, 2)
-	// A 10-call stall outlasts 3 retries: confirmed failure, device dropped.
+	// A 10-call stall outlasts every retry: confirmed failure, device dropped.
 	oracle := injected(t, "stall:dev=2,iter=4,len=10", 7, base)
-	tr, err := Run(devs, oracle, 80, 12, Options{MaxRetries: 3})
+	tr, err := Run(devs, oracle, 80, 12, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +226,7 @@ func TestSlowdownDetectedAndDemoted(t *testing.T) {
 	devs, base := constDevices(t, 4, 2, 2)
 	// Device 0 degrades 3x at iteration 4: observed 30s vs predicted 10s.
 	oracle := injected(t, "slow:dev=0,iter=4,factor=3", 7, base)
-	tr, err := Run(devs, oracle, 80, 15, Options{DeviationThreshold: 0.5, Strikes: 3})
+	tr, err := Run(devs, oracle, 80, 15, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,33 +279,6 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestMigrationChargedThroughCommModel(t *testing.T) {
-	devs, base := constDevices(t, 4, 2, 2)
-	oracle := injected(t, "crash:dev=0,iter=5", 7, base)
-	net := comm.DefaultNetwork()
-	opts := Options{
-		Policy:    FPMRepartition,
-		UnitBytes: 1e6,
-		Network:   &net,
-	}
-	tr, err := Run(devs, oracle, 80, 10, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Rebalances != 1 {
-		t.Fatalf("rebalances = %d, want 1", tr.Rebalances)
-	}
-	step := tr.Steps[5]
-	// 40 units × 1 MB over the network's link bandwidth, plus latency.
-	want := opts.Network.Latency + 40*1e6/opts.Network.LinkBandwidth
-	if math.Abs(step.MigrationSeconds-want) > 1e-12 {
-		t.Errorf("migration = %v, want %v", step.MigrationSeconds, want)
-	}
-	if step.Moved != 40 {
-		t.Errorf("moved = %d, want 40", step.Moved)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	devs, base := constDevices(t, 1)
 	oracle := injected(t, "", 1, base)
@@ -302,12 +294,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(devs, oracle, 10, 0, Options{}); err == nil {
 		t.Error("zero iterations accepted")
 	}
-	if _, err := Run(devs, oracle, 10, 5, Options{DeviationThreshold: -1}); err == nil {
-		t.Error("negative threshold accepted")
-	}
-	if _, err := Run(devs, oracle, 10, 5, Options{MaxRetries: -1}); err == nil {
-		t.Error("negative retry cap accepted")
-	}
 	if _, err := Run(devs, oracle, 10, 5, Options{MigrationCost: -1}); err == nil {
 		t.Error("negative migration cost accepted")
 	}
@@ -319,62 +305,5 @@ func TestAllDevicesCrashIsAnError(t *testing.T) {
 	_, err := Run(devs, oracle, 40, 10, Options{})
 	if err == nil {
 		t.Fatal("run with every device crashed should fail")
-	}
-}
-
-// TestObserveSink pins the observe wiring: every successfully timed share —
-// and only those — reaches the sink, with the units and seconds the loop
-// actually measured. refine.SampleBatch is the intended consumer, so the
-// test goes through it end-to-end.
-func TestObserveSink(t *testing.T) {
-	devs, base := constDevices(t, 4, 2, 2)
-	batch := refine.NewSampleBatch()
-	ids := []string{"devA", "devB", "devC"}
-	const n, iters = 80, 5
-	tr, err := Run(devs, injected(t, "", 1, base), n, iters, Options{
-		ObserveSink: batch.Sink(ids),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Completed {
-		t.Fatalf("run did not complete: %+v", tr)
-	}
-	got := batch.Take()
-	speeds := []float64{4, 2, 2}
-	for d, id := range ids {
-		ss := got[id]
-		if len(ss) != iters {
-			t.Fatalf("%s: %d samples, want %d", id, len(ss), iters)
-		}
-		for _, s := range ss {
-			if s.Size <= 0 {
-				t.Fatalf("%s: non-positive size %v", id, s.Size)
-			}
-			want := s.Size / speeds[d]
-			if math.Abs(s.Seconds-want) > 1e-12 {
-				t.Errorf("%s: seconds %v, want %v for %v units", id, s.Seconds, want, s.Size)
-			}
-		}
-	}
-
-	// A crashed device stops emitting: its post-crash attempts fail, so no
-	// samples for it after the drop while survivors keep reporting.
-	batch2 := refine.NewSampleBatch()
-	tr, err = Run(devs, injected(t, "crash:dev=0,iter=2", 1, base), n, iters, Options{
-		ObserveSink: batch2.Sink(ids),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Dropped) != 1 || tr.Dropped[0] != 0 {
-		t.Fatalf("crash scenario: dropped %v", tr.Dropped)
-	}
-	got = batch2.Take()
-	if len(got["devA"]) >= iters {
-		t.Errorf("crashed device kept emitting: %d samples", len(got["devA"]))
-	}
-	if len(got["devB"]) != iters || len(got["devC"]) != iters {
-		t.Errorf("survivors under-reported: B=%d C=%d", len(got["devB"]), len(got["devC"]))
 	}
 }

@@ -3,8 +3,7 @@ package resilient
 import "fpmpart/internal/telemetry"
 
 // Recovery metrics: every detection and recovery action of the resilient
-// runtime, plus a span per run so recoveries appear on the trace timeline.
-// Free while telemetry is disabled.
+// runtime. Free while telemetry is disabled.
 var (
 	retriesTotal    = telemetry.Default().Counter("resilient_retries_total")
 	anomaliesTotal  = telemetry.Default().Counter("resilient_anomalies_total")
@@ -16,23 +15,6 @@ var (
 	deviationGauge  = telemetry.Default().Gauge("resilient_last_deviation")
 	migrationHist   = telemetry.Default().Histogram("resilient_migration_seconds", nil)
 )
-
-// nopSpan satisfies the End call when tracing is disabled.
-type span interface{ End() }
-
-type nopSpan struct{}
-
-func (nopSpan) End() {}
-
-// startRecoverySpan opens a span on the "resilient" lane when telemetry is
-// enabled, so recovery shows up on exported Chrome traces.
-func startRecoverySpan(name string) span {
-	reg := telemetry.Default()
-	if !reg.Enabled() {
-		return nopSpan{}
-	}
-	return reg.Tracer().Start("resilient", name)
-}
 
 func recordRetry() {
 	if telemetry.Default().Enabled() {

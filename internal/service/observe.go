@@ -13,12 +13,12 @@ import (
 	"fpmpart/internal/telemetry"
 )
 
-// POST /v1/observe: online FPM refinement from live traffic. Clients (and
-// the resilient runtime's observed-vs-predicted signal) post batches of
-// observed executions; the refiner accumulates them into size-bucketed
-// estimators and republishes refined models under bumped generations, which
-// invalidates dependent solution-cache entries by construction and — in
-// cluster mode — replicates to peers highest-wins.
+// POST /v1/observe: online FPM refinement from live traffic. Clients post
+// batches of observed executions (the job executor hands its shard timings
+// to the same refiner through workerObserver); the refiner accumulates them
+// into size-bucketed estimators and republishes refined models under bumped
+// generations, which invalidates dependent solution-cache entries by
+// construction and — in cluster mode — replicates to peers highest-wins.
 
 // observeSample is one observed execution of a device's kernel.
 type observeSample struct {

@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,4 +420,45 @@ func TestObserveConvergesOnHiddenModel(t *testing.T) {
 	if inv := fpm.Diagnose(final.PL); len(inv) != 0 {
 		t.Errorf("refined model has %d time inversions: %v", len(inv), inv)
 	}
+}
+
+// FuzzObserveRequest: whatever the body, POST /v1/observe answers 200, 400
+// or 409. A panic would surface as instrument's 500, so "never a 5xx" covers
+// both. Two samples per bucket and a nanosecond cooldown let fuzzed batches
+// reach the rebuild and publish path, not just the decoder.
+func FuzzObserveRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"model":"dev","samples":[{"size":10,"seconds":0.1},{"size":10,"seconds":0.11}]}`,
+		`{"samples":[{"model":"dev","device":"gpu0","size":1e6,"seconds":3},{"model":"dev","size":5e-324,"seconds":1e308}]}`,
+		`{"model":"dev","samples":[{"size":10,"seconds":0}]}`,
+		`{"model":"nope","samples":[{"size":10,"seconds":0.1}]}`,
+		`{"model":"dev","samples":[]}`,
+		`{"model":"dev","samples":[{"size":"NaN","seconds":1}]}`,
+		`{"model":"dev","samples":[{"size":1e308,"seconds":5e-324},{"size":1e308,"seconds":5e-324}]}`,
+		`[]`, `null`, ``, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := New(Config{
+		EnableObserve: true,
+		Refine:        refine.Config{MinSamples: 2, Cooldown: time.Nanosecond},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Models.Put("dev", testModel(f)); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/observe", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict:
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+	})
 }

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"regexp"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,9 +88,6 @@ type Config struct {
 	// FlightRecorderSize is the number of recent request traces retained in
 	// the flight-recorder ring. Default 256.
 	FlightRecorderSize int
-	// FlightRecorderReserve is the number of slowest (and, separately,
-	// errored) traces retained beyond the recent ring. Default 32.
-	FlightRecorderReserve int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the service
 	// handler. Off by default: the endpoints expose process internals.
 	EnablePprof bool
@@ -116,12 +112,11 @@ type Config struct {
 	// WorkerTTL is how long a worker stays live without a heartbeat.
 	// Default 5s.
 	WorkerTTL time.Duration
-	// ExecuteTimeout bounds one POST /v1/execute job end to end (it runs
-	// past the per-request deadline by design). Default 10m.
-	ExecuteTimeout time.Duration
-	// ShardTimeout bounds one shard dispatch within a job. Default 2m.
-	ShardTimeout time.Duration
 }
+
+// flightRecorderReserve is the number of slowest (and, separately, errored)
+// traces the flight recorder retains beyond its recent ring.
+const flightRecorderReserve = 32
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
@@ -136,13 +131,13 @@ func (c Config) withDefaults() Config {
 	if c.FlightRecorderSize <= 0 {
 		c.FlightRecorderSize = 256
 	}
-	if c.FlightRecorderReserve <= 0 {
-		c.FlightRecorderReserve = 32
+	if c.WorkerTTL <= 0 {
+		c.WorkerTTL = 5 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	return workerDefaults(c)
+	return c
 }
 
 // Server is the partitioning service: model registry + solution cache +
@@ -188,7 +183,7 @@ func New(cfg Config) (*Server, error) {
 		s.cache.purgeModel(id, gen)
 	}
 	if !cfg.DisableRequestTracing {
-		s.recorder = telemetry.NewFlightRecorder(cfg.FlightRecorderSize, cfg.FlightRecorderReserve)
+		s.recorder = telemetry.NewFlightRecorder(cfg.FlightRecorderSize, flightRecorderReserve)
 	}
 	if cfg.EnableObserve {
 		r, err := refine.New(refineRegistry{s}, cfg.Refine)
@@ -203,8 +198,7 @@ func New(cfg Config) (*Server, error) {
 			Logger: cfg.Logger,
 		})
 		s.executor = workerd.NewExecutor(s.pool, workerModelSource{s}, workerObserver{s}, workerd.ExecutorOptions{
-			ShardTimeout: cfg.ShardTimeout,
-			Logger:       cfg.Logger,
+			Logger: cfg.Logger,
 		})
 		s.pool.Start()
 	}
@@ -267,7 +261,6 @@ func (s *Server) Handler() http.Handler {
 	th := telemetry.Default().Handler()
 	mux.Handle("GET /metrics", th)
 	mux.Handle("GET /metrics.json", th)
-	mux.Handle("GET /trace.json", th)
 	if s.cfg.EnablePprof {
 		return telemetry.WithPprof(mux)
 	}
@@ -996,27 +989,4 @@ func (s *Server) ServeHandler(addr string, h http.Handler) (string, func(context
 		return shutdown(ctx)
 	}
 	return bound, drain, nil
-}
-
-// Routes returns the ordered list of routes the service can mount.
-func Routes() []string {
-	rs := []string{
-		"GET /healthz",
-		"GET /v1/models",
-		"PUT /v1/models/{id}",
-		"GET /v1/models/{id}",
-		"DELETE /v1/models/{id}",
-		"POST /v1/partition",
-		"POST /v1/predict",
-		"POST /v1/observe",
-		"POST /v1/workers",
-		"GET /v1/workers",
-		"POST /v1/workers/{name}/heartbeat",
-		"DELETE /v1/workers/{name}",
-		"POST /v1/execute",
-		"GET /metrics",
-		"GET /debug/requests",
-	}
-	sort.Strings(rs)
-	return rs
 }

@@ -20,7 +20,7 @@ import (
 	"fpmpart/internal/layout"
 )
 
-func testModel(t *testing.T) *fpm.PiecewiseLinear {
+func testModel(t testing.TB) *fpm.PiecewiseLinear {
 	t.Helper()
 	return fpm.MustPiecewiseLinear([]fpm.Point{
 		{Size: 10, Speed: 120}, {Size: 100, Speed: 400},

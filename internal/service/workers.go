@@ -89,6 +89,10 @@ func (s *Server) Close() {
 // maxWorkerBody bounds a registration or execute request body.
 const maxWorkerBody = 1 << 20
 
+// executeTimeout bounds one POST /v1/execute job end to end (it runs past
+// the per-request deadline by design).
+const executeTimeout = 10 * time.Minute
+
 func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var reg workerd.Registration
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkerBody)).Decode(&reg); err != nil {
@@ -146,7 +150,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// A job outlives the standard per-request deadline (rounds × shard time),
 	// so detach from the instrument timeout and apply the execute budget.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.cfg.ExecuteTimeout)
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), executeTimeout)
 	defer cancel()
 	report, err := s.executor.Execute(ctx, req)
 	if err != nil {
@@ -161,18 +165,4 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeResult(r.Context(), w, http.StatusOK, report)
-}
-
-// workerDefaults fills the worker-backend knobs.
-func workerDefaults(c Config) Config {
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = 5 * time.Second
-	}
-	if c.ExecuteTimeout <= 0 {
-		c.ExecuteTimeout = 10 * time.Minute
-	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 2 * time.Minute
-	}
-	return c
 }

@@ -10,7 +10,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 	c := r.Counter("c_total")
 	g := r.Gauge("g")
 	h := r.Histogram("h", nil)
-	tr := r.Tracer()
 	b.Run("counter", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -27,12 +26,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h.Observe(1)
-		}
-	})
-	b.Run("span", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr.Start("lane", "op").End()
 		}
 	})
 }

@@ -98,14 +98,6 @@ func (c *ChromeTrace) AddTimelineByLane(tl *trace.Timeline) {
 	}
 }
 
-// AddTracer adds every finished span of a Tracer under one process; span
-// lanes become threads, and nesting renders as stacked slices.
-func (c *ChromeTrace) AddTracer(process string, tr *Tracer) {
-	for _, s := range tr.Spans() {
-		c.Span(process, s.Lane, s.Name, s.Start, s.End)
-	}
-}
-
 // jsonStr renders a JSON string literal.
 func jsonStr(s string) string {
 	b, err := json.Marshal(s)

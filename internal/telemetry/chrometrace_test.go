@@ -144,21 +144,3 @@ func TestChromeTraceStableAcrossRewrites(t *testing.T) {
 		t.Error("export ordering is not stable")
 	}
 }
-
-func TestChromeTraceFromTracer(t *testing.T) {
-	r := New()
-	r.SetEnabled(true)
-	tr := NewTracer(r)
-	now := 0.0
-	tr.SetClock(func() float64 { now += 0.5; return now - 0.5 })
-	s := tr.Start("build/socket5", "model")
-	s.Child("point").End()
-	s.End()
-	ct := NewChromeTrace()
-	ct.AddTracer("bench", tr)
-	var buf bytes.Buffer
-	if err := ct.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "chrometrace_tracer.golden", buf.Bytes())
-}

@@ -85,7 +85,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  expvar-style JSON snapshot
-//	/trace.json    Chrome trace of the registry's tracer spans
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -95,12 +94,6 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteJSON(w)
-	})
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		ct := NewChromeTrace()
-		ct.AddTracer("tracer", r.Tracer())
-		_ = ct.Write(w)
 	})
 	return mux
 }

@@ -1,9 +1,10 @@
 // Package telemetry is the repo's zero-dependency observability layer: a
-// concurrency-safe metrics registry (counters, gauges, histograms), a
-// hierarchical span tracer, and three sinks — Prometheus text exposition and
-// expvar-style JSON over an optional net/http endpoint, Chrome trace_event
-// JSON (loadable in chrome://tracing or Perfetto), and a structured JSON
-// event log.
+// concurrency-safe metrics registry (counters, gauges, histograms) with
+// Prometheus text and expvar-style JSON exposition over an optional
+// net/http endpoint, a structured JSON event log, per-request traces kept
+// in a flight recorder, and a Chrome trace_event writer (loadable in
+// chrome://tracing or Perfetto) for those request traces and for simulated
+// schedules.
 //
 // The paper's claims are all observability claims (a device-engine timeline,
 // a makespan comparison, timing-noise-sensitive model construction), so the
@@ -40,7 +41,6 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]metric
 	events  atomic.Pointer[EventLog]
-	tracer  *Tracer
 }
 
 // defaultRegistry is the process-wide registry every instrumented package

@@ -155,50 +155,6 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestTracerSpansAndNesting(t *testing.T) {
-	r := New()
-	r.SetEnabled(true)
-	tr := r.Tracer()
-	now := 0.0
-	tr.SetClock(func() float64 { now += 1; return now - 1 })
-	root := tr.Start("partition", "fpm")
-	child := root.Child("bisection")
-	child.End()
-	root.End()
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].Name != "bisection" || spans[0].Depth != 1 || spans[0].Lane != "partition" {
-		t.Errorf("child span = %+v", spans[0])
-	}
-	if spans[1].Name != "fpm" || spans[1].Depth != 0 {
-		t.Errorf("root span = %+v", spans[1])
-	}
-	tl, err := tr.Timeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tl.Lanes(); len(got) != 1 || got[0] != "partition" {
-		t.Errorf("timeline lanes = %v", got)
-	}
-}
-
-func TestTracerDisabledReturnsNilSpan(t *testing.T) {
-	r := New()
-	tr := r.Tracer()
-	s := tr.Start("lane", "op")
-	if s != nil {
-		t.Fatal("disabled tracer returned a live span")
-	}
-	// All of these must be safe on nil.
-	s.Child("x").End()
-	s.End()
-	if len(tr.Spans()) != 0 {
-		t.Error("disabled tracer recorded spans")
-	}
-}
-
 func TestEventLog(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewEventLog(&buf)
@@ -235,8 +191,6 @@ func TestHTTPEndpoint(t *testing.T) {
 	r := New()
 	r.SetEnabled(true)
 	r.Counter("hits_total").Inc()
-	sp := r.Tracer().Start("lane", "op")
-	sp.End()
 	addr, shutdown, err := r.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -260,10 +214,6 @@ func TestHTTPEndpoint(t *testing.T) {
 	var snap map[string]any
 	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
 		t.Errorf("/metrics.json invalid: %v", err)
-	}
-	var ct map[string]any
-	if err := json.Unmarshal([]byte(get("/trace.json")), &ct); err != nil {
-		t.Errorf("/trace.json invalid: %v", err)
 	}
 }
 

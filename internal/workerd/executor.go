@@ -145,23 +145,21 @@ type ExecuteReport struct {
 	Checksum uint32 `json:"checksum,omitempty"`
 }
 
+// shardTimeout bounds one shard request.
+const shardTimeout = 2 * time.Minute
+
 // ExecutorOptions tunes dispatch.
 type ExecutorOptions struct {
-	// ShardTimeout bounds one shard request. Default 120s.
-	ShardTimeout time.Duration
-	// Client performs shard dispatch. Nil = a fresh client with no global
-	// timeout (per-shard deadlines come from ShardTimeout).
-	Client *http.Client
 	// Logger receives dispatch events. Nil discards.
 	Logger *slog.Logger
+	// client performs shard dispatch. Nil = a fresh client with no global
+	// timeout (per-shard deadlines come from shardTimeout).
+	client *http.Client
 }
 
 func (o ExecutorOptions) withDefaults() ExecutorOptions {
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 120 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
+	if o.client == nil {
+		o.client = &http.Client{}
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -503,14 +501,14 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 	if err != nil {
 		return nil, err
 	}
-	cctx, cancel := context.WithTimeout(ctx, e.opts.ShardTimeout)
+	cctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodPost, w.URL+ShardPath, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := e.opts.Client.Do(req)
+	resp, err := e.opts.client.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -25,10 +25,6 @@ type ModelSink interface {
 
 // PoolOptions tunes worker tracking.
 type PoolOptions struct {
-	// Client performs the registration-time reachability probe and (via
-	// the executor) shard dispatch. Nil = a dedicated client with sane
-	// timeouts.
-	Client *http.Client
 	// TTL is how long a worker stays alive without a heartbeat before the
 	// janitor declares it dead. Default 5s.
 	TTL time.Duration
@@ -37,9 +33,6 @@ type PoolOptions struct {
 }
 
 func (o PoolOptions) withDefaults() PoolOptions {
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	if o.TTL <= 0 {
 		o.TTL = 5 * time.Second
 	}
@@ -58,6 +51,8 @@ type poolEntry struct {
 type Pool struct {
 	opts PoolOptions
 	sink ModelSink
+	// client performs the registration-time reachability probe.
+	client *http.Client
 
 	mu      sync.RWMutex
 	workers map[string]*poolEntry
@@ -74,15 +69,12 @@ func NewPool(sink ModelSink, opts PoolOptions) *Pool {
 	return &Pool{
 		opts:    opts.withDefaults(),
 		sink:    sink,
+		client:  &http.Client{Timeout: 10 * time.Second},
 		workers: make(map[string]*poolEntry),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 }
-
-// Client returns the HTTP client shards and the registration probe travel
-// over.
-func (p *Pool) Client() *http.Client { return p.opts.Client }
 
 // TTL returns the liveness window.
 func (p *Pool) TTL() time.Duration { return p.opts.TTL }
@@ -150,7 +142,7 @@ func (p *Pool) probe(ctx context.Context, baseURL string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := p.opts.Client.Do(req)
+	resp, err := p.client.Do(req)
 	if err != nil {
 		return err
 	}

@@ -109,7 +109,7 @@ func TestSendShardBoundsResponse(t *testing.T) {
 
 	var read atomic.Int64
 	client := &http.Client{Transport: countingTransport{base: http.DefaultTransport, n: &read}}
-	e := &Executor{opts: ExecutorOptions{Client: client}.withDefaults()}
+	e := &Executor{opts: ExecutorOptions{client: client}.withDefaults()}
 	for _, ship := range []bool{false, true} {
 		read.Store(0)
 		sr := &ShardRequest{Job: "h", Seed: 1, Rows: 64, K: 8, N: 64, Row0: 0, Row1: 64, ReturnResult: ship}

@@ -445,7 +445,7 @@ func TestExecuteWorkerDeathMidJob(t *testing.T) {
 	}
 
 	obs := &recordObserver{}
-	exec := NewExecutor(pool, models, obs, ExecutorOptions{ShardTimeout: 10 * time.Second})
+	exec := NewExecutor(pool, models, obs, ExecutorOptions{})
 	rep, err := exec.Execute(context.Background(), ExecuteRequest{
 		Rows: 300, K: 48, N: 64, Seed: 5, Verify: true,
 	})
@@ -503,7 +503,7 @@ func TestExecuteAllWorkersDead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exec := NewExecutor(pool, models, nil, ExecutorOptions{ShardTimeout: 10 * time.Second})
+	exec := NewExecutor(pool, models, nil, ExecutorOptions{})
 	_, err := exec.Execute(context.Background(), ExecuteRequest{Rows: 64, K: 16, N: 16})
 	if err == nil {
 		t.Fatal("expected failure when every worker dies")
