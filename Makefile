@@ -37,11 +37,11 @@ staticcheck:
 bench-all:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# CI smoke: one iteration of each GEMM benchmark, just to prove the kernels
-# — including the assembly micro-kernels, when the runner supports them —
-# execute.
+# CI smoke: one iteration of each GEMM and operand-fill benchmark, just to
+# prove the kernels — including the assembly ones, when the runner supports
+# them — execute.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'Gemm' -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench 'Gemm|FillRandom' -benchtime=1x ./...
 
 # Short fuzzing pass over every fuzz target.
 fuzz:
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundShares -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzFPMPartition -fuzztime=15s ./internal/partition/
 	$(GO) test -fuzz=FuzzGemmDifferential -fuzztime=15s ./internal/blas/
+	$(GO) test -fuzz=FuzzFillRandomAt -fuzztime=15s ./internal/matrix/
 	$(GO) test -fuzz=FuzzShardRequest -fuzztime=15s ./internal/workerd/
 	$(GO) test -fuzz=FuzzObserveRequest -fuzztime=15s ./internal/service/
 

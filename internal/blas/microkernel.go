@@ -1,5 +1,15 @@
 package blas
 
+import "fpmpart/internal/cpufeat"
+
+// hasAVX2FMA gates the 6×16 AVX2+FMA tile and the 8×8 transpose pack;
+// hasAVX512 gates the 8×32 AVX-512 tile. Both are false off amd64 and under
+// the noasm build tag, where the scalar unrolled kernels are used.
+var (
+	hasAVX2FMA = cpufeat.AVX2FMA
+	hasAVX512  = cpufeat.AVX512
+)
+
 // Register-blocked micro-kernels. Each computes the rank-kc update
 //
 //	C[0:mr, 0:nr] += Ā · B̄

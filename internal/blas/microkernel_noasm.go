@@ -2,14 +2,6 @@
 
 package blas
 
-// hasAVX2FMA and hasAVX512 are false off amd64 (or under the noasm build
-// tag, which CI uses to exercise the pure-Go fallback kernels on amd64);
-// the scalar unrolled kernels are used.
-var (
-	hasAVX2FMA = false
-	hasAVX512  = false
-)
-
 // microKernel6x16AVX2 falls back to the generic kernel on non-amd64
 // targets. It is only reachable through an explicit 6x16 Config (the
 // defaults do not select it without hasAVX2FMA).

@@ -90,18 +90,25 @@ const splitMixGamma = 0x9e3779b97f4a7c15
 // output r·Cols+c of the SplitMix64 stream seeded with seed, its top 24 bits
 // mapped exactly to a float32 in [-1, 1) — so any band of rows can be
 // generated on its own, bit-identical to the same rows of the whole matrix.
+// On CPUs with AVX-512 an assembly kernel fills each row's first len&^15
+// elements; it produces the same bits as the Go loop.
 func (m *Dense) FillRandomAt(seed int64, row0 int) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		state := uint64(seed) + uint64(row0+i)*uint64(m.Cols)*splitMixGamma
-		for j := range row {
-			state += splitMixGamma
-			z := state
-			z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-			z = (z ^ z>>27) * 0x94d049bb133111eb
-			z ^= z >> 31
-			row[j] = float32(int32(z>>40)-1<<23) * (1.0 / (1 << 23))
-		}
+		fillRow(row, uint64(seed)+uint64(row0+i)*uint64(m.Cols)*splitMixGamma)
+	}
+}
+
+// fillRowGeneric writes SplitMix64 outputs state+γ, state+2γ, … into row.
+// SplitMix64's finaliser ends with z ^= z>>31; it is left out because it
+// cannot change bits 40–63, the only bits kept.
+func fillRowGeneric(row []float32, state uint64) {
+	for j := range row {
+		state += splitMixGamma
+		z := state
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		row[j] = float32(int32(z>>40)-1<<23) * (1.0 / (1 << 23))
 	}
 }
 

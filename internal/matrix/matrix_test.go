@@ -214,6 +214,125 @@ func TestFillRandomAtSeeksRows(t *testing.T) {
 	}
 }
 
+// TestFillRandomGolden pins the operand stream bit for bit. Every worker and
+// the coordinator's verify replay must draw the same operands whatever their
+// ISA, so these patterns may never change. The widths straddle the 16-wide
+// vector step: a lone tail, a full tail, one exact step, step plus one, and
+// two steps plus one.
+func TestFillRandomGolden(t *testing.T) {
+	for _, tc := range []struct {
+		seed             int64
+		row0, rows, cols int
+		bits             []uint32
+	}{
+		{0, 3, 2, 1, []uint32{0x3f711770, 0xbf498cee}},
+		{1, 7, 2, 15, []uint32{
+			0x3f7b08bc, 0x3e8fa6fc, 0xbf70fd52, 0x3f321386, 0x3f51cc04, 0xbe692748, 0xbf339974, 0x3e8b93f8,
+			0x3e479850, 0xbf214d34, 0xbf4cb876, 0x3f7a1a3e, 0xbe41a8e0, 0xbd55d0e0, 0x3e002df0, 0x3ec66248,
+			0x3ef5f7a0, 0x3f70b4b0, 0xbd3a4ce0, 0xbf10fa14, 0xbf1b3720, 0xbf4ff5dc, 0xbe56d8d8, 0xbf05af42,
+			0xbeb5c188, 0xbf040c4e, 0x3d258fc0, 0x3e31abc0, 0xbf57fb9c, 0xbda43af0,
+		}},
+		{-1, 1, 2, 16, []uint32{
+			0xbe3bc3f0, 0xbf1da958, 0xbf39de86, 0xbe1d0908, 0xbe8ad048, 0x3eb0b318, 0xbd6beba0, 0xbf1c8a08,
+			0xbf21922a, 0x3e4317a0, 0x3f30e0b0, 0xbdd74420, 0x3f035e56, 0xbf771044, 0xbf368414, 0x3f3c56ba,
+			0xbe316ed8, 0x3f665510, 0x3e2327e8, 0xbe8adb40, 0xbf5f9672, 0xbf0bef38, 0xbf0dec16, 0xbe138fc0,
+			0x3f03d532, 0x3ecb0bb8, 0xbf683aa2, 0x3ef84b44, 0xbe42e550, 0xbf402158, 0xb920c000, 0x3f30aa5a,
+		}},
+		{math.MinInt64, 5, 2, 17, []uint32{
+			0xbf673998, 0x3f4de302, 0x3f642d64, 0xbeb5f3ac, 0x3ef8258c, 0xbe7ac870, 0x3f59266e, 0xbf50f698,
+			0xbe350078, 0xbf0885c0, 0x3f788a4e, 0x3b8a8d00, 0xbf1e9688, 0xbe8badb0, 0x3edaa1b4, 0xbe4c98c8,
+			0x3ee6e828, 0x3ef59760, 0x3eba53f0, 0xbe37aa08, 0x3f34bdc8, 0xbe9e52d8, 0xbf328884, 0x3e17d780,
+			0xbe947cb0, 0x3f54bbd0, 0xbe9ec3b0, 0x3f00581c, 0xbe63e718, 0x3e5bd120, 0x3f2753dc, 0x3c37d700,
+			0xbdeb5730, 0x3f443a64,
+		}},
+		{1, 2, 1, 33, []uint32{
+			0xbf6cd576, 0xbf74ba3e, 0x3e0c3368, 0xbf428d32, 0xbf2d3384, 0x3f258c3c, 0x3f72042a, 0x3ec3ac24,
+			0x3e0665b0, 0xbd70efa0, 0x3e7decb0, 0x3f386640, 0x3f1c8b46, 0xbf482ace, 0x3e992cc4, 0xbf0ef6d6,
+			0xbe1e3d68, 0x3f463ab8, 0x3ebd82e8, 0x3f61b5b0, 0x3f004afc, 0xbf3f1a9c, 0xbf25642e, 0x3ef3cd6c,
+			0x3f0f92ae, 0xbe6527a8, 0xbf4e6fec, 0x3f67e148, 0x3e4687f8, 0xbf4febaa, 0x3f364052, 0x3f300722,
+			0xbf7ff10a,
+		}},
+		{math.MinInt64, 11, 1, 33, []uint32{
+			0xbf70a62a, 0xbf751112, 0xbf1c923e, 0xbbf8de00, 0x3e2e2b60, 0x3ed87390, 0xbea3dc68, 0x3f1d8aa2,
+			0x3cd42480, 0xbf4bb5d0, 0x3ca9a600, 0xbdd0f380, 0x3e0e1230, 0x3f39f952, 0xbf25405a, 0x3d34a780,
+			0xbf7035ea, 0xbf619180, 0x3f711a2e, 0xbf0ff432, 0xbefa1bb0, 0xbe9bb05c, 0x3e3cab50, 0xbd3e9240,
+			0xbea966a0, 0x3f38c81c, 0x3f640548, 0xbddba710, 0x3f2a3d5c, 0xbe82e780, 0xbefac578, 0x3f5f2630,
+			0x3f234eb6,
+		}},
+	} {
+		m := MustNew(tc.rows, tc.cols)
+		m.FillRandomAt(tc.seed, tc.row0)
+		for i, v := range m.Data {
+			if got := math.Float32bits(v); got != tc.bits[i] {
+				t.Errorf("seed %d rows %d+%d cols %d: element %d = %#08x, want %#08x",
+					tc.seed, tc.row0, tc.rows, tc.cols, i, got, tc.bits[i])
+			}
+		}
+	}
+}
+
+// checkFillMatchesGeneric fills a rows×cols view, pad columns narrower than
+// its parent, with the dispatched FillRandomAt and compares it with
+// fillRowGeneric row by row. The parent's stride gap must stay untouched.
+func checkFillMatchesGeneric(t *testing.T, seed int64, row0, rows, cols, pad int) {
+	t.Helper()
+	const sentinel = 7
+	parent := MustNew(rows, cols+pad)
+	parent.FillConstant(sentinel)
+	v, err := parent.View(0, 0, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.FillRandomAt(seed, row0)
+	want := make([]float32, cols)
+	for i := 0; i < rows; i++ {
+		fillRowGeneric(want, uint64(seed)+uint64(row0+i)*uint64(cols)*splitMixGamma)
+		for j, w := range want {
+			if got := v.At(i, j); math.Float32bits(got) != math.Float32bits(w) {
+				t.Fatalf("seed %d row0 %d %dx%d pad %d: (%d,%d) = %v, generic %v",
+					seed, row0, rows, cols, pad, i, j, got, w)
+			}
+		}
+		for j := cols; j < cols+pad; j++ {
+			if parent.At(i, j) != sentinel {
+				t.Fatalf("seed %d row0 %d %dx%d pad %d: fill wrote the stride gap at (%d,%d)",
+					seed, row0, rows, cols, pad, i, j)
+			}
+		}
+	}
+}
+
+// The dispatched fill (the AVX-512 kernel where the CPU has it) equals the
+// pure-Go row function on compact and strided views.
+func TestFillRandomAtMatchesGeneric(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, math.MinInt64, 0x5eed} {
+		for _, cols := range []int{1, 15, 16, 17, 31, 32, 33, 48, 100, 256} {
+			for _, pad := range []int{0, 3, 16} {
+				checkFillMatchesGeneric(t, seed, 9, 3, cols, pad)
+			}
+		}
+	}
+}
+
+func FuzzFillRandomAt(f *testing.F) {
+	f.Add(int64(0), 0, uint8(1), uint16(1), uint8(0))
+	f.Add(int64(-1), 5, uint8(3), uint16(16), uint8(4))
+	f.Add(int64(math.MinInt64), 1<<20, uint8(2), uint16(299), uint8(17))
+	f.Fuzz(func(t *testing.T, seed int64, row0 int, rows uint8, cols uint16, pad uint8) {
+		r, c := int(rows%8)+1, int(cols%300)+1
+		checkFillMatchesGeneric(t, seed, row0, r, c, int(pad%32))
+	})
+}
+
+// BenchmarkFillRandom fills one 256×256 operand, the exec-small job's B.
+func BenchmarkFillRandom(b *testing.B) {
+	m := MustNew(256, 256)
+	b.SetBytes(int64(4 * len(m.Data)))
+	for i := 0; i < b.N; i++ {
+		m.FillRandom(int64(i))
+	}
+}
+
 func TestEqualWithinAndDiff(t *testing.T) {
 	a, b := MustNew(2, 2), MustNew(2, 2)
 	a.FillConstant(1)

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"time"
+	"unsafe"
 
 	"fpmpart/internal/blas"
 	"fpmpart/internal/faults"
@@ -190,7 +191,25 @@ func executeGemm(req *ShardRequest, workers int) (*matrix.Dense, float64, error)
 	return c, time.Since(start).Seconds(), nil
 }
 
-// encodeRow writes row as float32 little-endian bytes into dst[:4·len(row)].
+// littleEndian reports whether float32 memory is already in wire order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireRow returns row as float32 little-endian bytes. On little-endian
+// targets those are the row's own memory, returned without a copy; elsewhere
+// the row is encoded into *scratch, which grows on first use.
+func wireRow(row []float32, scratch *[]byte) []byte {
+	if littleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 4*len(row))
+	}
+	if len(*scratch) < 4*len(row) {
+		*scratch = make([]byte, 4*len(row))
+	}
+	encodeRow(*scratch, row)
+	return (*scratch)[:4*len(row)]
+}
+
+// encodeRow writes row as float32 little-endian bytes into dst[:4·len(row)]:
+// wireRow's big-endian fallback.
 func encodeRow(dst []byte, row []float32) {
 	for j, v := range row {
 		binary.LittleEndian.PutUint32(dst[4*j:], math.Float32bits(v))
@@ -202,20 +221,20 @@ func encodeRow(dst []byte, row []float32) {
 func encodeBand(c *matrix.Dense) []byte {
 	w := 4 * c.Cols
 	buf := make([]byte, w*c.Rows)
+	var scratch []byte
 	for i := 0; i < c.Rows; i++ {
-		encodeRow(buf[i*w:], c.Data[i*c.Stride:i*c.Stride+c.Cols])
+		copy(buf[i*w:], wireRow(c.Data[i*c.Stride:i*c.Stride+c.Cols], &scratch))
 	}
 	return buf
 }
 
-// bandChecksum is checksumBytes(encodeBand(c)), computed row by row through
-// one row-sized buffer so a band that is not shipped is never encoded whole.
+// bandChecksum is checksumBytes(encodeBand(c)), computed row by row over the
+// rows' wire bytes so a band that is not shipped is never encoded whole.
 func bandChecksum(c *matrix.Dense) uint32 {
-	buf := make([]byte, 4*c.Cols)
+	var scratch []byte
 	var sum uint32
 	for i := 0; i < c.Rows; i++ {
-		encodeRow(buf, c.Data[i*c.Stride:i*c.Stride+c.Cols])
-		sum = crc32.Update(sum, castagnoli, buf)
+		sum = crc32.Update(sum, castagnoli, wireRow(c.Data[i*c.Stride:i*c.Stride+c.Cols], &scratch))
 	}
 	return sum
 }

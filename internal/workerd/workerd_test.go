@@ -192,6 +192,37 @@ func TestBandEncodeDecodeRoundtrip(t *testing.T) {
 	if _, err := decodeBand(raw, 3, 3); err == nil {
 		t.Fatal("expected size-mismatch error")
 	}
+
+	// A strided view of the band: rows 2..5, columns 1..7, a pinned 1.0 at
+	// its origin. The wire stays row-major float32 little-endian.
+	v, err := c.View(2, 1, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Set(0, 0, 1)
+	rawV := encodeBand(v)
+	if got, want := rawV[:4], []byte{0x00, 0x00, 0x80, 0x3f}; !bytes.Equal(got, want) {
+		t.Fatalf("1.0 encodes as % x, want % x", got, want)
+	}
+	if bandChecksum(v) != checksumBytes(rawV) {
+		t.Fatal("strided view: row-by-row checksum differs from the checksum of the encoded band")
+	}
+	mv, err := decodeBand(rawV, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matrix.EqualWithin(mv, v, 0) {
+		t.Fatal("decode(encode(strided view)) != view")
+	}
+	// The big-endian fallback writes the same bytes as the little-endian path.
+	for i := 0; i < v.Rows; i++ {
+		row := v.Data[i*v.Stride : i*v.Stride+v.Cols]
+		enc := make([]byte, 4*len(row))
+		encodeRow(enc, row)
+		if !bytes.Equal(enc, rawV[i*len(enc):(i+1)*len(enc)]) {
+			t.Fatalf("row %d: encodeRow differs from the wire bytes", i)
+		}
+	}
 }
 
 func TestSelfCalibrate(t *testing.T) {
