@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"fpmpart/internal/cliutil"
 	"fpmpart/internal/experiments"
@@ -113,27 +112,9 @@ func main() {
 		return
 	}
 	exit := 0
-	for _, name := range names {
-		tab, err := experiments.Run(name, node, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			exit = 1
-			continue
-		}
-		render := tab.Render
-		if *md {
-			render = tab.RenderMarkdown
-		}
-		if err := render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit = 1
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, tab); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit = 1
-			}
-		}
+	if err := experiments.Print(os.Stdout, node, opts, names, *md, *csvDir); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		exit = 1
 	}
 	if tele.TraceOut != "" {
 		if err := writeHybridTrace(&tele, node, opts, *traceN); err != nil {
@@ -169,16 +150,4 @@ func writeHybridTrace(tele *cliutil.TelemetryFlags, node *hw.Node, opts experime
 		ct.AddTimelineByLane(tl)
 		return nil
 	})
-}
-
-func writeCSV(dir string, tab *experiments.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, tab.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tab.WriteCSV(f)
 }

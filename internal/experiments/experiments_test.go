@@ -590,32 +590,6 @@ func TestExperimentsRunOnAlternativePlatform(t *testing.T) {
 	}
 }
 
-// TestAllRegisteredExperimentsRun smoke-tests every registry entry end to
-// end on the preset node with fast options.
-func TestAllRegisteredExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow: runs every experiment")
-	}
-	node := hw.NewIGNode()
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			tab, err := Run(name, node, testOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tab.ID != name || len(tab.Rows) == 0 || len(tab.Columns) == 0 {
-				t.Errorf("malformed table: id=%q rows=%d cols=%d", tab.ID, len(tab.Rows), len(tab.Columns))
-			}
-			for _, r := range tab.Rows {
-				if len(r) != len(tab.Columns) {
-					t.Errorf("row width %d != %d columns", len(r), len(tab.Columns))
-				}
-			}
-		})
-	}
-}
-
 func TestAblationCommModels(t *testing.T) {
 	m := buildIGModels(t)
 	tab, err := AblationCommModels(m, []int{40})
