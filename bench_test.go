@@ -24,6 +24,7 @@ import (
 	"fpmpart/internal/layout"
 	"fpmpart/internal/matrix"
 	"fpmpart/internal/partition"
+	"fpmpart/internal/telemetry"
 )
 
 var benchOpts = experiments.ModelOptions{Seed: 1, NoiseSigma: 0.01, Points: 14}
@@ -238,7 +239,7 @@ func BenchmarkClusterScaling(b *testing.B) { runExperimentBench(b, "cluster-scal
 // effectively free while recording is off (the default): a disabled counter
 // increment must cost a few nanoseconds and zero allocations.
 func BenchmarkTelemetryDisabled(b *testing.B) {
-	reg := Telemetry()
+	reg := telemetry.Default()
 	if reg.Enabled() {
 		b.Fatal("telemetry unexpectedly enabled")
 	}

@@ -5,12 +5,17 @@ package fpmpart_test
 // -short mode (they shell out to the Go toolchain).
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"fpmpart/internal/service"
 )
 
 var (
@@ -28,7 +33,7 @@ func buildCmds(t *testing.T) string {
 			return
 		}
 		binDir = dir
-		for _, c := range []string{"experiments", "fpmbench", "fpmpartition", "matmul", "stencil"} {
+		for _, c := range []string{"experiments", "fpmbench", "stencil"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(dir, c), "./cmd/"+c)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				buildErr = err
@@ -82,6 +87,31 @@ func TestCLIExperiments(t *testing.T) {
 	if !strings.Contains(out, "| component |") {
 		t.Errorf("markdown output malformed:\n%s", out)
 	}
+	// Chrome trace of a simulated hybrid run, with the GPU engine lanes.
+	traceFile := filepath.Join(dir, "run.json")
+	runCmd(t, "experiments", "-trace-out", traceFile, "-trace-n", "40")
+	data, err = os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &tr); err != nil {
+		t.Fatalf("trace is not Chrome JSON: %v", err)
+	}
+	h2d := false
+	for _, e := range tr.TraceEvents {
+		h2d = h2d || e.Ph == "M" && strings.Contains(e.Args.Name, "h2d")
+	}
+	if len(tr.TraceEvents) == 0 || !h2d {
+		t.Errorf("trace has %d events and no h2d lane", len(tr.TraceEvents))
+	}
 }
 
 func TestCLIFpmbenchAndPartitionRoundTrip(t *testing.T) {
@@ -98,13 +128,26 @@ func TestCLIFpmbenchAndPartitionRoundTrip(t *testing.T) {
 			t.Errorf("model file %s missing: %v", f, err)
 		}
 	}
-	out = runCmd(t, "fpmpartition", "-n", "60", "-models", dir)
-	if !strings.Contains(out, "FPM") || !strings.Contains(out, "GTX680") {
-		t.Errorf("fpmpartition output malformed:\n%s", out)
+	// The model files load the way fpmd -models loads them, and partition.
+	s, err := service.New(service.Config{ModelDir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The FPM row reports a near-balanced distribution.
-	if !strings.Contains(out, "imbalance") {
-		t.Errorf("no imbalance report:\n%s", out)
+	if s.Models.Len() != 4 {
+		t.Fatalf("loaded %d models, want 4: %v", s.Models.Len(), s.Models.List())
+	}
+	body := `{"models":["socket5","socket6","GTX680","TeslaC870"],"n":3600}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/partition", strings.NewReader(body)))
+	var res struct {
+		Total     int     `json:"total"`
+		Imbalance float64 `json:"imbalance"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("partition: %d %v\n%s", rec.Code, err, rec.Body)
+	}
+	if res.Total != 3600 || res.Imbalance > 0.05 {
+		t.Errorf("partition of the loaded models: total %d, imbalance %v", res.Total, res.Imbalance)
 	}
 	// Single-device selection.
 	out = runCmd(t, "fpmbench", "-device", "GTX680", "-points", "6")
@@ -115,26 +158,6 @@ func TestCLIFpmbenchAndPartitionRoundTrip(t *testing.T) {
 	out = runCmd(t, "fpmbench", "-adaptive", "-device", "TeslaC870", "-points", "10")
 	if !strings.Contains(out, "TeslaC870") || !strings.Contains(out, "kernel runs") {
 		t.Errorf("adaptive fpmbench malformed:\n%s", out)
-	}
-}
-
-func TestCLIMatmul(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	out := runCmd(t, "matmul", "-mode", "sim", "-config", "hybrid", "-n", "40")
-	if !strings.Contains(out, "GTX680") || !strings.Contains(out, "total") {
-		t.Errorf("sim output malformed:\n%s", out)
-	}
-	out = runCmd(t, "matmul", "-mode", "real", "-n", "8", "-b", "16", "-procs", "4")
-	if !strings.Contains(out, "verification OK") {
-		t.Errorf("real mode did not verify:\n%s", out)
-	}
-	out = runCmd(t, "matmul", "-mode", "trace", "-n", "45")
-	for _, want := range []string{"GTX680", "h2d", "compute", "busy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -151,17 +174,13 @@ func TestCLIStencil(t *testing.T) {
 	}
 }
 
-// TestExamplesRun executes every example program end to end.
+// TestExamplesRun executes both example programs end to end.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	cases := map[string]string{
 		"quickstart": "FPM imbalance",
-		"hybridnode": "FPM cuts execution time",
-		"outofcore":  "out of core",
-		"jacobi":     "max diff",
-		"cluster":    "predicted cluster makespan",
 		"realfpm":    "predicted imbalance",
 	}
 	for name, want := range cases {

@@ -1,7 +1,7 @@
 // Command fpmworker is one worker process of the distributed execution
 // backend: it self-calibrates a functional performance model of its local
 // packed GEMM kernel, registers with an fpmd coordinator (POST /v1/workers,
-// which also measures wire latency/bandwidth toward this process),
+// which probes this process's /healthz once and publishes the model),
 // heartbeats to stay live, and executes the shards POST /v1/execute
 // dispatches to it — streaming measured per-shard timings back so the
 // coordinator's refinement loop converges the served model on reality.

@@ -31,12 +31,25 @@ type RealResult struct {
 // The result is bit-for-bit the blocked product; tests verify it against a
 // direct GEMM. It returns per-process compute times, which on a real
 // heterogeneous machine would be the input to FPM construction.
-func RunReal(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense) (RealResult, error) {
+//
+// The goroutines all run at the host CPU's speed, so slowdowns (one factor
+// >= 1 per rectangle of bl) emulate slower devices: a process with slowdown
+// s sleeps after each step until the step took s times its compute time,
+// giving it 1/s of the host kernel's speed. A factor of 1 is unmodified.
+func RunReal(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense, slowdowns []float64) (RealResult, error) {
 	if b <= 0 {
 		return RealResult{}, fmt.Errorf("app: invalid block size %d", b)
 	}
 	if err := bl.Validate(); err != nil {
 		return RealResult{}, err
+	}
+	if len(slowdowns) != len(bl.Rects) {
+		return RealResult{}, fmt.Errorf("app: %d slowdowns for %d rectangles", len(slowdowns), len(bl.Rects))
+	}
+	for i, s := range slowdowns {
+		if s < 1 {
+			return RealResult{}, fmt.Errorf("app: slowdown %v < 1 at process %d", s, i)
+		}
 	}
 	n := bl.N
 	dim := n * b
@@ -79,7 +92,12 @@ func RunReal(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense) (RealResult,
 				}
 				// Each "process" is one rank: single-threaded packed GEMM
 				// on its strided C rectangle.
-				errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.DefaultConfig, 1)
+				if errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.DefaultConfig, 1); errs[i] != nil {
+					return
+				}
+				if s := slowdowns[i]; s > 1 {
+					time.Sleep(time.Duration(float64(time.Since(t0)) * (s - 1)))
+				}
 				mu.Lock()
 				res.PerProcessSeconds[i] += time.Since(t0).Seconds()
 				mu.Unlock()
@@ -94,4 +112,24 @@ func RunReal(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense) (RealResult,
 	}
 	res.WallSeconds = time.Since(start).Seconds()
 	return res, nil
+}
+
+// Imbalance returns max/min - 1 over the processes that recorded time.
+func (r RealResult) Imbalance() float64 {
+	lo, hi := -1.0, 0.0
+	for _, s := range r.PerProcessSeconds {
+		if s <= 0 {
+			continue
+		}
+		if lo < 0 || s < lo {
+			lo = s
+		}
+		if s > hi {
+			hi = s
+		}
+	}
+	if lo <= 0 {
+		return 0
+	}
+	return hi/lo - 1
 }

@@ -38,14 +38,6 @@ func New(nodes ...*hw.Node) (*Cluster, error) {
 	return c, c.Validate()
 }
 
-// NewWithInterconnect assembles a cluster whose inter-node broadcasts are
-// priced on a measured network — e.g. the aggregate workerd registration
-// calibration — instead of the 2012-era DefaultInterconnect presets.
-func NewWithInterconnect(interconnect comm.Network, nodes ...*hw.Node) (*Cluster, error) {
-	c := &Cluster{Nodes: nodes, Interconnect: interconnect, IntraNode: comm.DefaultNetwork()}
-	return c, c.Validate()
-}
-
 // Validate reports configuration errors.
 func (c *Cluster) Validate() error {
 	if len(c.Nodes) == 0 {

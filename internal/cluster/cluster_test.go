@@ -128,17 +128,3 @@ func TestInterconnectSlowerThanIntra(t *testing.T) {
 		t.Error("interconnect should be slower than shared memory")
 	}
 }
-
-func TestNewWithInterconnect(t *testing.T) {
-	measured := comm.Network{LinkBandwidth: 1.1e9, AggregateBandwidth: 2.2e9, Latency: 45e-6}
-	cl, err := NewWithInterconnect(measured, hw.NewIGNode(), hw.NewIGNode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Interconnect != measured {
-		t.Fatalf("interconnect %+v, want the measured network %+v", cl.Interconnect, measured)
-	}
-	if _, err := NewWithInterconnect(comm.Network{LinkBandwidth: -1}, hw.NewIGNode()); err == nil {
-		t.Fatal("invalid measured network must fail validation")
-	}
-}

@@ -609,3 +609,46 @@ func TestShedding(t *testing.T) {
 		t.Fatalf("post-saturation request: %d %s", resp.StatusCode, body)
 	}
 }
+
+// FuzzPartitionRequest: whatever the body, POST /v1/partition answers 200,
+// 400 (undecodable or invalid), 404 (unknown model), 422 (the solver or the
+// layout rejected the problem), 429 or 503. A panic would surface as
+// instrument's 500, so "never a 500" covers both.
+func FuzzPartitionRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"models":["dev"],"n":1000}`,
+		`{"models":["dev","dev"],"matrix":40,"layout":true}`,
+		`{"models":["dev","dev"],"n":5000,"caps":[100,1e308]}`,
+		`{"models":["dev","dev"],"n":5000,"caps":[1,1]}`,
+		`{"models":["dev"],"matrix":3037000500}`,
+		`{"models":["dev"],"n":9223372036854775807}`,
+		`{"models":["dev","dev","dev"],"matrix":1,"layout":true}`,
+		`{"models":["nope"],"n":10}`,
+		`{"models":["dev"],"n":10,"matrix":10}`,
+		`{"models":["dev"],"n":10,"caps":[-1]}`,
+		`{"models":[],"n":10}`,
+		`[]`, `null`, ``, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := New(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Models.Put("dev", testModel(f)); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/partition", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusUnprocessableEntity,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}
