@@ -65,7 +65,7 @@ golden:
 	$(GO) test ./internal/experiments -run '^TestAllRegisteredExperimentsRun$$' -update
 
 report:
-	$(GO) run ./cmd/experiments -report experiment-report.md
+	$(GO) run ./cmd/experiments -markdown > experiment-report.md
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

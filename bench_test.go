@@ -24,7 +24,6 @@ import (
 	"fpmpart/internal/layout"
 	"fpmpart/internal/matrix"
 	"fpmpart/internal/partition"
-	"fpmpart/internal/telemetry"
 )
 
 var benchOpts = experiments.ModelOptions{Seed: 1, NoiseSigma: 0.01, Points: 14}
@@ -233,22 +232,3 @@ func BenchmarkFigure4Schedule(b *testing.B) { runExperimentBench(b, "figure4") }
 
 // BenchmarkClusterScaling measures the multi-node FPM experiment.
 func BenchmarkClusterScaling(b *testing.B) { runExperimentBench(b, "cluster-scaling") }
-
-// BenchmarkTelemetryDisabled verifies that the telemetry instrumentation
-// threaded through the partitioner, bench and simulation layers is
-// effectively free while recording is off (the default): a disabled counter
-// increment must cost a few nanoseconds and zero allocations.
-func BenchmarkTelemetryDisabled(b *testing.B) {
-	reg := telemetry.Default()
-	if reg.Enabled() {
-		b.Fatal("telemetry unexpectedly enabled")
-	}
-	c := reg.Counter("bench_disabled_probe_total")
-	h := reg.Histogram("bench_disabled_probe_seconds", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-		h.Observe(1e-3)
-	}
-}

@@ -213,13 +213,4 @@ func TestCLIPlatformConfigAndReport(t *testing.T) {
 	if !strings.Contains(out, "ig.icl.utk.edu") {
 		t.Errorf("platform config not used:\n%s", out)
 	}
-	rep := filepath.Join(dir, "report.md")
-	runCmd(t, "experiments", "-report", rep, "table1")
-	data, err := os.ReadFile(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "# Experiment report") {
-		t.Errorf("report malformed:\n%s", data)
-	}
 }

@@ -26,7 +26,6 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments and exit")
 		csvDir   = flag.String("csv", "", "directory to write per-experiment CSV files into")
 		md       = flag.Bool("markdown", false, "render tables as markdown instead of aligned text")
-		report   = flag.String("report", "", "write a single markdown report of the selected experiments to this file")
 		platform = flag.String("platform", "", "JSON platform config to run on (default: the paper's ig node; see -dump-platform)")
 		dumpPlat = flag.Bool("dump-platform", false, "print the default platform as JSON config and exit")
 		seed     = flag.Int64("seed", 1, "measurement-noise seed")
@@ -60,11 +59,6 @@ func main() {
 		}
 		return
 	}
-	stopTelemetry, err := tele.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	names := flag.Args()
 	if len(names) == 0 && tele.TraceOut == "" {
 		// With -trace-out and no experiment names, only export the trace.
@@ -92,25 +86,6 @@ func main() {
 		FaultSpec:   flt.Spec,
 		FaultSeed:   flt.Seed,
 	}
-	if *report != "" {
-		f, err := os.Create(*report)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteReport(f, node, opts, names); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			f.Close()
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *report, len(names))
-		stopTelemetry()
-		return
-	}
 	exit := 0
 	if err := experiments.Print(os.Stdout, node, opts, names, *md, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -124,7 +99,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s (hybrid n=%d run, kernel v3, Perfetto-loadable)\n", tele.TraceOut, *traceN)
 		}
 	}
-	stopTelemetry()
 	os.Exit(exit)
 }
 

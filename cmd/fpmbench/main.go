@@ -41,11 +41,6 @@ func main() {
 	)
 	tele.Register()
 	flag.Parse()
-	stopTelemetry, err := tele.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer stopTelemetry()
 
 	node := hw.NewIGNode()
 	sizes, err := fpm.Grid(8, *maxSize, *points, "geometric")

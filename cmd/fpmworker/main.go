@@ -39,7 +39,6 @@ import (
 
 	"fpmpart/internal/cliutil"
 	"fpmpart/internal/faults"
-	"fpmpart/internal/telemetry"
 	"fpmpart/internal/workerd"
 )
 
@@ -61,7 +60,6 @@ func main() {
 	var logFlags cliutil.LogFlags
 	logFlags.Register()
 	flag.Parse()
-	telemetry.Default().SetEnabled(true)
 
 	logger, err := logFlags.Logger(os.Stderr)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/par"
 	"fpmpart/internal/stats"
-	"fpmpart/internal/telemetry"
 )
 
 // Adaptive model construction: instead of a fixed grid, measurement points
@@ -96,7 +95,7 @@ func BuildModelAdaptive(k Kernel, lo, hi float64, opts AdaptiveOptions) (*fpm.Pi
 	measured := map[float64]float64{} // size -> mean time
 
 	// measureWave measures the given sizes concurrently, then folds them
-	// into the report, the telemetry stream and the measured map in order.
+	// into the report and the measured map in order.
 	measureWave := func(xs []float64) error {
 		type pointResult struct {
 			est  *stats.Estimator
@@ -116,7 +115,7 @@ func BuildModelAdaptive(k Kernel, lo, hi float64, opts AdaptiveOptions) (*fpm.Pi
 		}
 		for i, x := range xs {
 			measured[x] = results[i].mean
-			rep.addPoint(k.Name(), x, results[i].est, results[i].mean)
+			rep.addPoint(x, results[i].est, results[i].mean)
 		}
 		return nil
 	}
@@ -158,10 +157,6 @@ func BuildModelAdaptive(k Kernel, lo, hi float64, opts AdaptiveOptions) (*fpm.Pi
 			actual := measured[mid]
 			if math.Abs(predicted-actual)/actual > opts.RelTol {
 				next = append(next, interval{iv.a, mid}, interval{mid, iv.b})
-				adaptiveSplits.Inc()
-				telemetry.Default().Event("bench.adaptive.split",
-					"kernel", k.Name(), "lo", iv.a, "hi", iv.b,
-					"predicted", predicted, "actual", actual)
 			}
 		}
 		frontier = next

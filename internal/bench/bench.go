@@ -134,10 +134,9 @@ func measurePoint(k Kernel, x float64, opts Options) (*stats.Estimator, float64,
 	return est, mean, nil
 }
 
-// addPoint folds one measured point into the report and the telemetry
-// registry; called in grid order so reports and event streams are identical
-// at any worker count.
-func (rep *Report) addPoint(kernel string, x float64, est *stats.Estimator, mean float64) {
+// addPoint folds one measured point into the report; called in grid order so
+// reports are identical at any worker count.
+func (rep *Report) addPoint(x float64, est *stats.Estimator, mean float64) {
 	rep.Points = append(rep.Points, PointReport{
 		Size: x, MeanTime: mean, Reps: est.N(), Converged: est.Converged(),
 	})
@@ -145,7 +144,6 @@ func (rep *Report) addPoint(kernel string, x float64, est *stats.Estimator, mean
 	for _, v := range est.Sample().Values() {
 		rep.TotalTime += v
 	}
-	recordPoint(kernel, x, est, mean)
 }
 
 // BuildModel benchmarks the kernel at each of the given sizes and returns
@@ -153,8 +151,8 @@ func (rep *Report) addPoint(kernel string, x float64, est *stats.Estimator, mean
 // the kernel's MaxSize are skipped; it is an error if none remain.
 //
 // Grid points are measured concurrently on a pool of opts.Parallelism
-// workers. For PointKernel kernels the resulting model, report and
-// telemetry stream are bit-identical to a sequential build.
+// workers. For PointKernel kernels the resulting model and report are
+// bit-identical to a sequential build.
 func BuildModel(k Kernel, sizes []float64, opts Options) (*fpm.PiecewiseLinear, Report, error) {
 	if k == nil {
 		return nil, Report{}, errors.New("bench: nil kernel")
@@ -199,7 +197,7 @@ func BuildModel(k Kernel, sizes []float64, opts Options) (*fpm.PiecewiseLinear, 
 	}
 	samples := make([]fpm.TimeSample, 0, len(kept))
 	for i, x := range kept {
-		rep.addPoint(k.Name(), x, results[i].est, results[i].mean)
+		rep.addPoint(x, results[i].est, results[i].mean)
 		samples = append(samples, fpm.TimeSample{Size: x, Seconds: results[i].mean})
 	}
 	model, err := fpm.FromTimings(samples)

@@ -44,7 +44,9 @@ func TestBuildModelWithNoiseConverges(t *testing.T) {
 	k := &FuncKernel{KernelName: "noisy", F: func(x float64) (float64, error) {
 		return noise.Perturb(x / 50), nil
 	}}
-	m, rep, err := BuildModel(k, []float64{100, 200}, Options{RelErr: 0.02, MaxReps: 500})
+	// One shared noise stream is not safe for concurrent Run calls, so the
+	// points are measured sequentially.
+	m, rep, err := BuildModel(k, []float64{100, 200}, Options{RelErr: 0.02, MaxReps: 500, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fpmpart/internal/matrix"
-	"fpmpart/internal/telemetry"
 )
 
 // Gemm computes C = alpha·A·B + beta·C using the packed kernel with
@@ -168,18 +166,8 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 	}
 	m, n, k := c.Rows, c.Cols, a.Cols
 
-	telemetryOn := telemetry.Default().Enabled()
-	var wallStart time.Time
-	var packNanos, computeNanos atomic.Int64
-	if telemetryOn {
-		wallStart = time.Now()
-	}
-
 	if alpha == 0 {
 		applyBetaRange(beta, c, 0, m)
-		if telemetryOn {
-			recordGemm(m, n, 0, 0, 0, time.Since(wallStart).Seconds())
-		}
 		return nil
 	}
 
@@ -217,22 +205,15 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 		for pc := 0; pc < k; pc += kc {
 			kcLen := min(kc, k-pc)
 
-			var t0 time.Time
-			if telemetryOn {
-				t0 = time.Now()
-			}
 			if workers > 1 {
 				packBParallel(bbuf, b, pc, jc, kcLen, ncLen, nr, workers)
 			} else {
 				packB(bbuf, b, pc, jc, kcLen, ncLen, nr)
 			}
-			if telemetryOn {
-				packNanos.Add(int64(time.Since(t0)))
-			}
 
 			if workers <= 1 {
 				gemmWorker(kern, stKern, alpha, a, bbuf, c, 0, nBlocksM, nil,
-					jc, pc, mc, kcLen, ncLen, mr, nr, telemetryOn, &packNanos, &computeNanos)
+					jc, pc, mc, kcLen, ncLen, mr, nr)
 				continue
 			}
 			var next atomic.Int64
@@ -242,17 +223,11 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 				go func() {
 					defer wg.Done()
 					gemmWorker(kern, stKern, alpha, a, bbuf, c, 0, nBlocksM, &next,
-						jc, pc, mc, kcLen, ncLen, mr, nr, telemetryOn, &packNanos, &computeNanos)
+						jc, pc, mc, kcLen, ncLen, mr, nr)
 				}()
 			}
 			wg.Wait()
 		}
-	}
-	if telemetryOn {
-		recordGemm(m, n, k,
-			float64(packNanos.Load())/1e9,
-			float64(computeNanos.Load())/1e9,
-			time.Since(wallStart).Seconds())
 	}
 	return nil
 }
@@ -263,8 +238,7 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 // sequentially. Each worker packs its own A block into a pooled buffer.
 func gemmWorker(kern, stKern microKernel, alpha float32, a *matrix.Dense, bbuf []float32, c *matrix.Dense,
 	blk0, blkN int, queue *atomic.Int64,
-	jc, pc, mc, kcLen, ncLen, mr, nr int,
-	telemetryOn bool, packNanos, computeNanos *atomic.Int64) {
+	jc, pc, mc, kcLen, ncLen, mr, nr int) {
 
 	m := c.Rows
 	abufP := getPanelBuf(ceilDiv(mc, mr) * mr * kcLen)
@@ -285,20 +259,8 @@ func gemmWorker(kern, stKern microKernel, alpha float32, a *matrix.Dense, bbuf [
 		ic := blk * mc
 		mcLen := min(mc, m-ic)
 
-		var t0 time.Time
-		if telemetryOn {
-			t0 = time.Now()
-		}
 		packA(abuf, a, alpha, ic, pc, mcLen, kcLen, mr)
-		if telemetryOn {
-			now := time.Now()
-			packNanos.Add(int64(now.Sub(t0)))
-			t0 = now
-		}
 		macroKernel(kern, stKern, abuf, bbuf, c, ic, jc, mcLen, ncLen, kcLen, mr, nr)
-		if telemetryOn {
-			computeNanos.Add(int64(time.Since(t0)))
-		}
 	}
 }
 

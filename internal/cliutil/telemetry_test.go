@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fpmpart/internal/telemetry"
@@ -12,17 +11,6 @@ import (
 
 func TestInactiveFlagsAreNoops(t *testing.T) {
 	var tf TelemetryFlags
-	if tf.Active() {
-		t.Error("zero flags reported active")
-	}
-	stop, err := tf.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	if telemetry.Default().Enabled() {
-		t.Error("inactive flags enabled the registry")
-	}
 	called := false
 	if err := tf.WriteChromeTrace(func(*telemetry.ChromeTrace) error {
 		called = true
@@ -32,41 +20,6 @@ func TestInactiveFlagsAreNoops(t *testing.T) {
 	}
 	if called {
 		t.Error("WriteChromeTrace built a trace without -trace-out")
-	}
-}
-
-func TestStartEventLogAndSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	tf := TelemetryFlags{JSONOut: filepath.Join(dir, "events.jsonl")}
-	if !tf.Active() {
-		t.Fatal("flags with -telemetry-json not active")
-	}
-	stop, err := tf.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.Default()
-	if !reg.Enabled() {
-		t.Fatal("Start did not enable the registry")
-	}
-	reg.Event("test.event", "k", 1)
-	stop()
-	defer reg.SetEnabled(false)
-
-	data, err := os.ReadFile(tf.JSONOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("want test event + final snapshot, got %d lines: %q", len(lines), data)
-	}
-	var last map[string]any
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
-		t.Fatal(err)
-	}
-	if last["event"] != "metrics.snapshot" {
-		t.Errorf("final event = %v, want metrics.snapshot", last["event"])
 	}
 }
 
@@ -92,14 +45,4 @@ func TestWriteChromeTrace(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Error("no trace events written")
 	}
-}
-
-func TestStartMetricsEndpoint(t *testing.T) {
-	tf := TelemetryFlags{MetricsAddr: "127.0.0.1:0"}
-	stop, err := tf.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	telemetry.Default().SetEnabled(false)
 }

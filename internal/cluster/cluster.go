@@ -146,7 +146,6 @@ func (c *Cluster) Simulate(procs []Process, bl *layout.BlockLayout, opts app.Sim
 
 	// Communication: split each iteration's pivot transfers by locality.
 	blockBytes := c.Nodes[0].BlockBytes()
-	var intraMsgs, interMsgs, intraBytes, interBytes float64
 	for k := 0; k < bl.N; k++ {
 		trs, err := comm.PivotTransfers(bl, k, blockBytes)
 		if err != nil {
@@ -158,10 +157,8 @@ func (c *Cluster) Simulate(procs []Process, bl *layout.BlockLayout, opts app.Sim
 			from, to := procs[tr.From].Node, procs[tr.To].Node
 			if from == to {
 				intra[from] = append(intra[from], tr)
-				intraMsgs, intraBytes = intraMsgs+1, intraBytes+tr.Bytes
 			} else {
 				inter = append(inter, tr)
-				interMsgs, interBytes = interMsgs+1, interBytes+tr.Bytes
 			}
 		}
 		var worstIntra float64
@@ -181,10 +178,6 @@ func (c *Cluster) Simulate(procs []Process, bl *layout.BlockLayout, opts app.Sim
 		res.IntraCommSeconds += worstIntra
 		res.InterCommSeconds += interT
 	}
-	intraMessagesTotal.Add(intraMsgs)
-	interMessagesTotal.Add(interMsgs)
-	intraBytesTotal.Add(intraBytes)
-	interBytesTotal.Add(interBytes)
 	res.TotalSeconds = res.ComputeSeconds + res.IntraCommSeconds + res.InterCommSeconds
 	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fpmpart/internal/service"
+	"fpmpart/internal/telemetry"
 )
 
 // member is one in-process cluster instance: a service.Server with a
@@ -232,6 +233,12 @@ func TestClusterReplicationAndForwarding(t *testing.T) {
 	status, res, raw := postPartition(t, members[1].base, []string{"m1"}, 10000)
 	if status != http.StatusOK || !(res.Cached || res.Coalesced) {
 		t.Fatalf("repeat key not served from cache: status %d %s", status, raw)
+	}
+
+	// The ring has now registered its per-peer series (liveness, probes,
+	// replication); all of them must pass the hygiene rules.
+	for _, v := range telemetry.Hygiene(telemetry.Default()) {
+		t.Errorf("metric hygiene: %s", v)
 	}
 }
 

@@ -140,8 +140,6 @@ func (n Network) IterationTime(transfers []Transfer, procs int) (float64, error)
 			makespan = floor
 		}
 	}
-	messagesTotal.Add(float64(len(transfers)))
-	bytesTotal.Add(totalBytes)
 	return makespan, nil
 }
 

@@ -156,7 +156,6 @@ func Run(oracle Oracle, initial []int, nIters int, opts Options) (Trace, error) 
 			tr.Rebalances++
 			tr.TotalMoved += moved
 		}
-		recordStep(it, step)
 		tr.Steps = append(tr.Steps, step)
 		tr.TotalSeconds += step.Makespan + step.MigrationSeconds
 	}

@@ -611,26 +611,6 @@ func TestAblationCommModels(t *testing.T) {
 	}
 }
 
-func TestWriteReport(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteReport(&buf, hw.NewIGNode(), testOpts(), []string{"table1", "ablation-dma"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"# Experiment report", "### table1", "### ablation-dma", "| --- |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	if err := WriteReport(&buf, &hw.Node{}, testOpts(), nil); err == nil {
-		t.Error("invalid node accepted")
-	}
-	if err := WriteReport(&buf, hw.NewIGNode(), testOpts(), []string{"nope"}); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}
-
 func TestAblationNoise(t *testing.T) {
 	tab, err := AblationNoise(hw.NewIGNode(), 60, testOpts())
 	if err != nil {

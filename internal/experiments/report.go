@@ -50,37 +50,3 @@ func writeCSV(dir string, tab *Table) error {
 	defer f.Close()
 	return tab.WriteCSV(f)
 }
-
-// WriteReport runs the named experiments (all when names is nil) and writes
-// a single markdown document — a live counterpart of EXPERIMENTS.md,
-// regenerated from the current models and code.
-func WriteReport(w io.Writer, node *hw.Node, opts ModelOptions, names []string) error {
-	if err := node.Validate(); err != nil {
-		return err
-	}
-	if names == nil {
-		names = Names()
-	}
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# Experiment report — %s\n\n", node.Name); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"Generated by `cmd/experiments -report` (seed %d, noise %.3g, GPU kernel %s).\n\n",
-		opts.Seed, opts.NoiseSigma, opts.Version); err != nil {
-		return err
-	}
-	for _, name := range names {
-		tab, err := Run(name, node, opts)
-		if err != nil {
-			return fmt.Errorf("experiments: report %s: %w", name, err)
-		}
-		if err := tab.RenderMarkdown(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}

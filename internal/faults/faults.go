@@ -340,17 +340,14 @@ func (in *Injector) apply(device, iter int) (float64, error) {
 		}
 		switch f.Kind {
 		case Crash:
-			recordFault("crash")
 			return 0, fmt.Errorf("device %d at iteration %d: %w", device, iter, ErrCrashed)
 		case Stall:
 			if in.spent[i] < f.Len {
 				in.spent[i]++
-				recordFault("stall")
 				return 0, fmt.Errorf("device %d at iteration %d (call %d/%d): %w",
 					device, iter, in.spent[i], f.Len, ErrStalled)
 			}
 		case Slowdown:
-			recordFault("slow")
 			factor *= f.Factor
 		}
 	}

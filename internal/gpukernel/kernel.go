@@ -127,25 +127,15 @@ func Time(v Version, inv Invocation) (Breakdown, error) {
 	if err := inv.validate(); err != nil {
 		return Breakdown{}, err
 	}
-	var (
-		bd  Breakdown
-		err error
-	)
 	switch v {
 	case V1:
-		bd, err = timeV1(inv)
+		return timeV1(inv)
 	case V2:
-		bd, err = timeV2(inv)
+		return timeV2(inv)
 	case V3:
-		bd, err = timeV3(inv)
-	default:
-		return Breakdown{}, fmt.Errorf("gpukernel: unknown version %d", int(v))
+		return timeV3(inv)
 	}
-	if err != nil {
-		return Breakdown{}, err
-	}
-	recordInvocation(v, bd)
-	return bd, nil
+	return Breakdown{}, fmt.Errorf("gpukernel: unknown version %d", int(v))
 }
 
 // Speed returns the kernel speed in flops/second at the invocation's

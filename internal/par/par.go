@@ -3,9 +3,8 @@
 // dominant cost of the paper's methodology (Section V: repeat-until-reliable
 // measurement at every grid point), and most of that work — grid points,
 // devices, experiment units — is embarrassingly parallel. The pool keeps the
-// fan-out bounded, reports worker utilization through internal/telemetry,
-// and preserves sequential error semantics: the error returned is always the
-// one a sequential loop would have hit first.
+// fan-out bounded and preserves sequential error semantics: the error
+// returned is always the one a sequential loop would have hit first.
 //
 // Determinism is the callers' contract: tasks write into index-addressed
 // slots and derive any randomness from per-task seeds (see
@@ -16,21 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"fpmpart/internal/telemetry"
-)
-
-// Pool metrics: how many pools run, how many tasks they process, how wide
-// they are and how well the workers are kept busy. Free while the registry
-// is disabled.
-var (
-	poolsTotal  = telemetry.Default().Counter("par_pools_total")
-	tasksTotal  = telemetry.Default().Counter("par_tasks_total")
-	poolWorkers = telemetry.Default().Histogram("par_pool_workers", telemetry.ExpBuckets(1, 2, 8))
-	// poolUtilization is Σ busy time / (workers × wall time) per pool run —
-	// 1.0 means every worker computed for the whole pool lifetime.
-	poolUtilization = telemetry.Default().Histogram("par_pool_utilization", nil)
 )
 
 // Workers resolves a requested pool width: 0 selects GOMAXPROCS, anything
@@ -59,15 +43,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	reg := telemetry.Default()
-	enabled := reg.Enabled()
-	var start time.Time
-	if enabled {
-		start = time.Now()
-		poolsTotal.Inc()
-		tasksTotal.Add(float64(n))
-		poolWorkers.Observe(float64(workers))
-	}
 	errs := make([]error, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
@@ -76,7 +51,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 			}
 		}
 	} else {
-		var next, busyNanos atomic.Int64
+		var next atomic.Int64
 		var aborted atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -88,26 +63,14 @@ func ForEach(workers, n int, fn func(i int) error) error {
 					if i >= n || aborted.Load() {
 						return
 					}
-					var t0 time.Time
-					if enabled {
-						t0 = time.Now()
-					}
 					if err := fn(i); err != nil {
 						errs[i] = err
 						aborted.Store(true)
-					}
-					if enabled {
-						busyNanos.Add(int64(time.Since(t0)))
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		if enabled {
-			if wall := time.Since(start); wall > 0 {
-				poolUtilization.Observe(float64(busyNanos.Load()) / (float64(workers) * float64(wall)))
-			}
-		}
 	}
 	for _, err := range errs {
 		if err != nil {

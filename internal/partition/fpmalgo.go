@@ -85,12 +85,6 @@ func FPMContext(ctx context.Context, devices []Device, n int, _ FPMOptions) (Res
 	target := float64(n)
 	iterations := 0
 	converged := false
-	// Per-iteration events are built only for an installed sink: the
-	// registry is enabled in every daemon, an event log almost never.
-	var events *telemetry.EventLog
-	if reg := telemetry.Default(); reg.Enabled() {
-		events = reg.EventLog()
-	}
 	for i := 0; i < fpmMaxIterations; i++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("partition: FPM solve abandoned: %w", err)
@@ -101,16 +95,6 @@ func FPMContext(ctx context.Context, devices []Device, n int, _ FPMOptions) (Res
 			lo = mid
 		} else {
 			hi = mid
-		}
-		if events != nil {
-			// Per-iteration share evolution: how each device's tentative
-			// allocation x_i(T) moves as the bisection narrows T*.
-			evo := make([]float64, len(devices))
-			for d := range devices {
-				evo[d] = sizeFor(d, hi)
-			}
-			events.Emit("partition.fpm.iteration",
-				"iteration", iterations, "t_lo", lo, "t_hi", hi, "shares", evo)
 		}
 		if hi-lo <= fpmTolerance*(1+hi) {
 			converged = true
@@ -143,7 +127,7 @@ func FPMContext(ctx context.Context, devices []Device, n int, _ FPMOptions) (Res
 	res.Iterations = iterations
 	res.Converged = converged
 	telemetry.AnnotateTrace(ctx, "solve_iterations", strconv.Itoa(iterations))
-	recordResult("fpm", fpmRunsTotal, res)
+	recordResult(res)
 	return res, nil
 }
 

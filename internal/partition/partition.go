@@ -148,9 +148,7 @@ func Homogeneous(devices []Device, n int) (Result, error) {
 			units[i]++
 		}
 	}
-	res := finish(devices, units)
-	recordResult("homogeneous", homRunsTotal, res)
-	return res, nil
+	return finish(devices, units), nil
 }
 
 // CPM distributes n units in proportion to constant speeds probed from each
@@ -179,9 +177,7 @@ func CPM(devices []Device, n int, refUnits float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := finish(devices, units)
-	recordResult("cpm", cpmRunsTotal, res)
-	return res, nil
+	return finish(devices, units), nil
 }
 
 func caps(devices []Device) []float64 {

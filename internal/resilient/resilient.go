@@ -267,7 +267,6 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				relDev := (t - pred) / pred
 				if relDev > deviationThreshold {
 					st.strikes++
-					recordAnomaly(relDev)
 					tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventAnomaly,
 						Detail: fmt.Sprintf("observed %.3gs vs predicted %.3gs (%.0f%% over)", t, pred, relDev*100)})
 					if st.strikes >= strikeLimit {
@@ -285,7 +284,6 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				state[d].alive = false
 				lostThisIter += units[d]
 				tr.Dropped = append(tr.Dropped, d)
-				recordDrop()
 			}
 			if opts.Policy == NoRecovery {
 				// The failed share of this and every remaining iteration is
@@ -298,7 +296,6 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 					tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventLost,
 						Detail: fmt.Sprintf("%d units/iteration abandoned for %d iterations", lostThisIter, remaining)})
 				}
-				recordLost(lostThisIter * remaining)
 				tr.UnitsProcessed += n - lostThisIter
 			} else {
 				next, err := repartition(state, n, opts)
@@ -318,7 +315,6 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				units = next
 				preds = predict(state, units)
 				tr.Rebalances++
-				recordRebalance(moved, step.MigrationSeconds)
 				tr.Events = append(tr.Events, Event{Iter: it, Device: -1, Kind: EventRepartition,
 					Detail: fmt.Sprintf("%s over %d survivors, %d units moved", opts.Policy, alive(state), moved)})
 				tr.UnitsProcessed += n
@@ -342,7 +338,6 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				}
 				st.strikes = 0
 				tr.Demoted = append(tr.Demoted, d)
-				recordDemote()
 				tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventDemote,
 					Detail: fmt.Sprintf("model rescaled by %.3g after %d strikes", factor, strikeLimit)})
 			}
@@ -357,7 +352,6 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 			units = next
 			preds = predict(state, units)
 			tr.Rebalances++
-			recordRebalance(moved, migration)
 			tr.Events = append(tr.Events, Event{Iter: it, Device: -1, Kind: EventRepartition,
 				Detail: fmt.Sprintf("%s after demotion, %d units moved", opts.Policy, moved)})
 		}
@@ -395,7 +389,6 @@ func attempt(oracle faults.Oracle, d, u, it int, tr *Trace) (t, backoff float64,
 		retries++
 		tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventRetry,
 			Detail: fmt.Sprintf("attempt %d after %v", r+1, err)})
-		recordRetry()
 		t, err = oracle(d, u, it)
 		if err == nil {
 			if err = checkTime(t, d); err != nil {

@@ -100,8 +100,8 @@ func (r *Registry) Handler() http.Handler {
 
 // WithPprof returns a handler that serves the net/http/pprof runtime
 // profiling endpoints under /debug/pprof/ and delegates every other path to
-// next. Profiling is opt-in (a flag on the daemons and tools) because the
-// endpoints expose process internals and a CPU profile costs real time.
+// next. Profiling is opt-in (fpmd's -pprof) because the endpoints expose
+// process internals and a CPU profile costs real time.
 func WithPprof(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -142,12 +142,4 @@ func ServeHTTP(addr string, handler http.Handler) (string, func(context.Context)
 	srv := NewHTTPServer(handler)
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Shutdown, nil
-}
-
-// Serve starts an HTTP server for the registry on addr in a background
-// goroutine and returns the bound address (useful with ":0") and a
-// context-aware graceful-shutdown function. The caller owns the shutdown;
-// in-flight scrapes complete before it returns.
-func (r *Registry) Serve(addr string) (string, func(context.Context) error, error) {
-	return ServeHTTP(addr, r.Handler())
 }

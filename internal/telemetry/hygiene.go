@@ -46,12 +46,9 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 var labelKeyRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // histogramUnitSuffixes is the unit vocabulary histogram names must end
-// with. Time is _seconds, memory is _bytes; the rest are the repo's
-// dimensionless units (worker counts, solver iterations, problem units, ...).
-var histogramUnitSuffixes = []string{
-	"_seconds", "_bytes", "_gflops", "_workers",
-	"_iterations", "_units", "_reps", "_utilization",
-}
+// with. Time is _seconds, memory is _bytes; the rest are the solver's
+// dimensionless units (bisection iterations, problem units).
+var histogramUnitSuffixes = []string{"_seconds", "_bytes", "_iterations", "_units"}
 
 // Hygiene checks every metric registered in r against the naming
 // conventions and returns a description of each violation (empty = clean):

@@ -10,17 +10,12 @@ import (
 
 	"fpmpart/internal/telemetry"
 
-	_ "fpmpart/internal/bench"
-	_ "fpmpart/internal/blas"
-	_ "fpmpart/internal/cluster"
-	_ "fpmpart/internal/comm"
-	_ "fpmpart/internal/dynamic"
-	_ "fpmpart/internal/faults"
-	_ "fpmpart/internal/gpukernel"
+	_ "fpmpart/internal/clusterd"
 	_ "fpmpart/internal/par"
 	_ "fpmpart/internal/partition"
-	_ "fpmpart/internal/resilient"
+	_ "fpmpart/internal/refine"
 	_ "fpmpart/internal/service"
+	_ "fpmpart/internal/workerd"
 )
 
 func TestDefaultRegistryHygiene(t *testing.T) {

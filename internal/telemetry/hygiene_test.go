@@ -19,6 +19,8 @@ func TestHygieneCleanRegistry(t *testing.T) {
 	r.Counter("good_requests_total", "route", "x")
 	r.Gauge("good_inflight_requests")
 	r.Histogram("good_latency_seconds", nil)
+	r.Histogram("good_solver_iterations", nil)
+	r.Histogram("good_problem_units", nil)
 	if vs := Hygiene(r); len(vs) != 0 {
 		t.Fatalf("clean registry flagged: %v", vs)
 	}
@@ -39,9 +41,10 @@ func TestHygieneNaming(t *testing.T) {
 
 func TestHygieneKindSuffixes(t *testing.T) {
 	r := New()
-	r.Counter("requests_count") // counter without _total
-	r.Gauge("occupancy_total")  // gauge pretending to be a counter
-	r.Histogram("latency", nil) // histogram without a unit
+	r.Counter("requests_count")           // counter without _total
+	r.Gauge("occupancy_total")            // gauge pretending to be a counter
+	r.Histogram("latency", nil)           // histogram without a unit
+	r.Histogram("gemm_speed_gflops", nil) // a unit outside the vocabulary
 	vs := Hygiene(r)
 	if !violationsContain(vs, "requests_count: counter missing _total") {
 		t.Fatalf("missing counter violation: %v", vs)
@@ -49,8 +52,10 @@ func TestHygieneKindSuffixes(t *testing.T) {
 	if !violationsContain(vs, "occupancy_total: gauge must not end in _total") {
 		t.Fatalf("missing gauge violation: %v", vs)
 	}
-	if !violationsContain(vs, "latency: histogram missing unit suffix") {
-		t.Fatalf("missing histogram violation: %v", vs)
+	for _, name := range []string{"latency", "gemm_speed_gflops"} {
+		if !violationsContain(vs, name+": histogram missing unit suffix") {
+			t.Fatalf("missing histogram violation for %s: %v", name, vs)
+		}
 	}
 }
 

@@ -1,19 +1,15 @@
 // Package telemetry is the repo's zero-dependency observability layer: a
 // concurrency-safe metrics registry (counters, gauges, histograms) with
-// Prometheus text and expvar-style JSON exposition over an optional
-// net/http endpoint, a structured JSON event log, per-request traces kept
-// in a flight recorder, and a Chrome trace_event writer (loadable in
-// chrome://tracing or Perfetto) for those request traces and for simulated
-// schedules.
+// Prometheus text and expvar-style JSON exposition, served by fpmd on
+// /metrics; per-request traces kept in a flight recorder; and a Chrome
+// trace_event writer (loadable in chrome://tracing or Perfetto) for those
+// request traces and for simulated schedules.
 //
-// The paper's claims are all observability claims (a device-engine timeline,
-// a makespan comparison, timing-noise-sensitive model construction), so the
-// measurement pipeline itself must be instrumentable. At the same time, the
-// hot paths of the partitioner and benchmark loop must not pay for disabled
-// telemetry: every recording call is guarded by one atomic load on the
-// registry's enabled flag, and metric handles are plain pointers created
-// once at package init. BenchmarkDisabledOverhead (and the repo-level
-// BenchmarkTelemetryDisabled) keep the disabled path at ~1 ns and 0 allocs.
+// Only the layers fpmd runs record metrics. Their hot paths must not pay for
+// disabled telemetry: every recording call is guarded by one atomic load on
+// the registry's enabled flag, and metric handles are plain pointers created
+// once at package init. BenchmarkDisabledOverhead keeps the disabled path at
+// ~1 ns and 0 allocs.
 //
 // Typical use:
 //
@@ -33,14 +29,12 @@ import (
 	"sync/atomic"
 )
 
-// Registry holds metrics and fans recorded values out to the sinks. The
-// zero value is not usable; use New or Default.
+// Registry holds metrics. The zero value is not usable; use New or Default.
 type Registry struct {
 	enabled atomic.Bool
 
 	mu      sync.Mutex
 	metrics map[string]metric
-	events  atomic.Pointer[EventLog]
 }
 
 // defaultRegistry is the process-wide registry every instrumented package

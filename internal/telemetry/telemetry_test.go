@@ -2,11 +2,11 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -155,49 +155,14 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestEventLog(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewEventLog(&buf)
-	l.SetClock(func() float64 { return 1.5 })
-	r := New()
-	r.SetEnabled(true)
-	r.SetEventLog(l)
-	r.Event("bench.point", "kernel", "gpu", "size", 100.0, "reps", 5)
-	r.SetEnabled(false)
-	r.Event("dropped")
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1: %q", len(lines), buf.String())
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("event is not valid JSON: %v", err)
-	}
-	if ev["event"] != "bench.point" || ev["kernel"] != "gpu" || ev["size"] != 100.0 || ev["t"] != 1.5 {
-		t.Errorf("event = %v", ev)
-	}
-}
-
-func TestEventLogNilAndDisabledAreSafe(t *testing.T) {
-	r := New()
-	r.Event("no sink, disabled")
-	r.SetEnabled(true)
-	r.Event("no sink, enabled")
-	var l *EventLog
-	l.Emit("nil receiver")
-}
-
 func TestHTTPEndpoint(t *testing.T) {
 	r := New()
 	r.SetEnabled(true)
 	r.Counter("hits_total").Inc()
-	addr, shutdown, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(context.Background())
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
 	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}

@@ -2,13 +2,7 @@ package workerd
 
 import "fpmpart/internal/telemetry"
 
-// Worker-side metrics.
-var (
-	shardsExecuted = telemetry.Default().Counter("workerd_shards_executed_total")
-	shardSeconds   = telemetry.Default().Histogram("workerd_shard_seconds", telemetry.ExpBuckets(1e-4, 2, 24))
-)
-
-// Pool/executor-side metrics.
+// Pool/executor-side metrics, served on the coordinator's /metrics.
 var (
 	workersAlive = telemetry.Default().Gauge("workerd_workers_alive")
 	jobsTotal    = telemetry.Default().Counter("workerd_jobs_total")

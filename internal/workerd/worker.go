@@ -149,8 +149,6 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	if req.ReturnResult {
 		resp.Result = encodeBand(c)
 	}
-	shardsExecuted.Inc()
-	shardSeconds.Observe(seconds)
 	rw.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(rw).Encode(&resp)
 	w.logger.Debug("shard executed",
