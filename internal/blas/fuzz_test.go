@@ -137,14 +137,14 @@ func FuzzGemmDifferential(f *testing.F) {
 		check("gemm-active-config", cActive)
 		sentActive("gemm-active-config")
 
-		// The shape-class configuration (the tile the fleet's workers run;
-		// the AVX-512 8x32 tile on small shapes where the CPU has it) must
-		// agree with the reference too.
-		cClass, sentClass := cloneView()
-		if err := GemmPacked(alpha, a, b, beta, cClass, ActiveFor(m, k, n), workers); err != nil {
+		// The configuration the fleet's workers run (DefaultConfig, the
+		// AVX-512 8x32 tile where the CPU has it), at the fuzzed worker
+		// count, must agree with the reference too.
+		cDefault, sentDefault := cloneView()
+		if err := GemmPacked(alpha, a, b, beta, cDefault, DefaultConfig, workers); err != nil {
 			t.Fatal(err)
 		}
-		check("packed-shape-class", cClass)
-		sentClass("packed-shape-class")
+		check("packed-default-config", cDefault)
+		sentDefault("packed-default-config")
 	})
 }

@@ -8,9 +8,8 @@
 //   - GemmPacked (used by Gemm and GemmParallel): a BLIS-style blocked
 //     algorithm — operands are packed into contiguous panels (pack.go),
 //     driven through a register-blocked mr×nr micro-kernel
-//     (microkernel.go), with cache/register tile sizes fixed per shape
-//     class and CPU feature set (tune.go: DefaultConfig, DefaultSmallConfig,
-//     ActiveFor).
+//     (microkernel.go), with cache/register tile sizes fixed per CPU
+//     feature set (tune.go: DefaultConfig).
 //
 // Scaling semantics follow BLAS: beta == 0 overwrites C without reading it
 // (NaN/Inf already in C do not propagate), and alpha == 0 skips the product
@@ -152,8 +151,10 @@ func applyBetaRange(beta float32, c *matrix.Dense, i0, i1 int) {
 // The loop nest is the standard five-loop BLIS structure: for each kc×nc
 // block of B (packed once, reused across the whole M dimension) and each
 // mc×kc block of A (packed per worker), the macro-kernel sweeps mr×nr
-// register tiles of C. alpha is folded into the packed A panels; beta is
-// applied to C in one pre-pass.
+// register tiles of C. alpha is folded into the packed A panels. When
+// beta == 0 and the tile has a store kernel, the first k-block (pc == 0)
+// overwrites C without reading it and the later blocks accumulate onto it;
+// otherwise beta is applied to C in one pre-pass.
 func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense, cfg Config, workers int) error {
 	if err := checkShapes(a, b, c); err != nil {
 		return err
@@ -173,11 +174,12 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 
 	mr, nr := cfg.MR, cfg.NR
 	kern := kernelFor(mr, nr)
-	// beta == 0 with the whole depth in one k-block means every C tile is
-	// written by exactly one kernel invocation: use the store-writeback
-	// kernel and skip both the zeroing pre-pass and the C readback.
+	// beta == 0: the first k-block overwrites C through the store-writeback
+	// kernel, so the zeroing pre-pass and its readback are skipped. The
+	// bytes equal the accumulate path's on a zeroed C: the kernels sum from
+	// a +0 accumulator, which never yields −0, so 0 + acc == acc exactly.
 	var stKern microKernel
-	if beta == 0 && cfg.KC >= k {
+	if beta == 0 && k > 0 {
 		if st, ok := storeKernelFor(mr, nr); ok {
 			stKern = st
 		}
@@ -204,6 +206,10 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 		ncLen := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kcLen := min(kc, k-pc)
+			st := stKern // the store kernel writes only the first k-block
+			if pc > 0 {
+				st = nil
+			}
 
 			if workers > 1 {
 				packBParallel(bbuf, b, pc, jc, kcLen, ncLen, nr, workers)
@@ -212,7 +218,7 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 			}
 
 			if workers <= 1 {
-				gemmWorker(kern, stKern, alpha, a, bbuf, c, 0, nBlocksM, nil,
+				gemmWorker(kern, st, alpha, a, bbuf, c, 0, nBlocksM, nil,
 					jc, pc, mc, kcLen, ncLen, mr, nr)
 				continue
 			}
@@ -222,7 +228,7 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					gemmWorker(kern, stKern, alpha, a, bbuf, c, 0, nBlocksM, &next,
+					gemmWorker(kern, st, alpha, a, bbuf, c, 0, nBlocksM, &next,
 						jc, pc, mc, kcLen, ncLen, mr, nr)
 				}()
 			}
@@ -293,7 +299,7 @@ func packBParallel(dst []float32, b *matrix.Dense, p0, j0, kcols, ncols, nr, wor
 // update C in place; fringe tiles stage through a zeroed stack buffer and
 // write back only the valid h×w region.
 //
-// A non-nil stKern selects store mode (beta == 0, single k-block): full
+// A non-nil stKern selects store mode (beta == 0, first k-block): full
 // tiles are overwritten via stKern without reading C, fringe tiles are
 // staged and copied rather than added.
 func macroKernel(kern, stKern microKernel, abuf, bbuf []float32, c *matrix.Dense,

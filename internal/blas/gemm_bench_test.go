@@ -10,11 +10,16 @@ import (
 // benchGemm times one GEMM implementation at n×n×n, reporting flops/s in
 // the MB/s column (SetBytes with the flop count).
 func benchGemm(b *testing.B, n int, f func(a, bm, c *matrix.Dense) error) {
-	a := randMat(n, n, 1)
-	bm := randMat(n, n, 2)
-	c := matrix.MustNew(n, n)
+	benchGemmShape(b, n, n, n, f)
+}
+
+// benchGemmShape is benchGemm for an m×k by k×n product.
+func benchGemmShape(b *testing.B, m, k, n int, f func(a, bm, c *matrix.Dense) error) {
+	a := randMat(m, k, 1)
+	bm := randMat(k, n, 2)
+	c := matrix.MustNew(m, n)
 	b.ReportAllocs()
-	b.SetBytes(2 * int64(n) * int64(n) * int64(n))
+	b.SetBytes(2 * int64(m) * int64(k) * int64(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f(a, bm, c); err != nil {
@@ -40,15 +45,23 @@ func BenchmarkGemmPacked1024(b *testing.B) {
 	})
 }
 
-// BenchmarkGemmMicroKernels compares the unrolled register tiles head to
-// head at n=512 under identical cache blocking, isolating the register-tile
-// choice the shape-class defaults make.
+// BenchmarkGemmMicroKernels compares the register tiles head to head at
+// 512×1024×512 (four kc blocks deep) under identical cache blocking,
+// isolating the register-tile choice DefaultConfig makes per ISA: the
+// scalar tiles everywhere, 6x16 with AVX2+FMA and 8x32 with AVX-512.
 func BenchmarkGemmMicroKernels(b *testing.B) {
-	for _, rt := range [][2]int{{4, 4}, {6, 4}, {8, 4}, {4, 8}, {8, 8}} {
+	tiles := [][2]int{{4, 4}, {6, 4}, {8, 4}, {4, 8}, {8, 8}}
+	if hasAVX2FMA {
+		tiles = append(tiles, [2]int{6, 16})
+	}
+	if hasAVX512 {
+		tiles = append(tiles, [2]int{8, 32})
+	}
+	for _, rt := range tiles {
 		mr, nr := rt[0], rt[1]
-		cfg := Config{MC: 128 - 128%mr, KC: 256, NC: 2048, MR: mr, NR: nr}
+		cfg := Config{MC: 256 - 256%mr, KC: 256, NC: 2048, MR: mr, NR: nr}
 		b.Run(fmt.Sprintf("r%dx%d", mr, nr), func(b *testing.B) {
-			benchGemm(b, 512, func(a, bm, c *matrix.Dense) error {
+			benchGemmShape(b, 512, 1024, 512, func(a, bm, c *matrix.Dense) error {
 				return GemmPacked(1, a, bm, 0, c, cfg, 1)
 			})
 		})

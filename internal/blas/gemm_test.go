@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -195,4 +196,67 @@ func TestGemmIdentityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestTilesBitIdentical pins the bytes DefaultConfig's choice must not move,
+// over shapes whose depth spans at least three kc blocks and whose m and n
+// leave fringe tiles:
+//
+//   - the 6x16 and 8x32 tiles (kc256, each where the CPU has it) agree bit
+//     for bit, so a fleet mixing AVX2 and AVX-512 workers gathers one C;
+//   - beta = 0, which stores the first k-block into a NaN-filled C, equals
+//     beta = 1 on a zeroed C, which accumulates every block.
+func TestTilesBitIdentical(t *testing.T) {
+	var configs []Config
+	if hasAVX2FMA {
+		configs = append(configs, Config{MC: 258, KC: 256, NC: 2048, MR: 6, NR: 16})
+	}
+	if hasAVX512 {
+		configs = append(configs, Config{MC: 256, KC: 256, NC: 2048, MR: 8, NR: 32})
+	}
+	if configs == nil {
+		configs = []Config{DefaultConfig} // the scalar tile: beta only
+	}
+	nan := float32(math.NaN())
+	for _, s := range [][3]int{{77, 600, 45}, {250, 1536, 33}, {13, 769, 100}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := randMat(m, k, int64(k)), randMat(k, n, int64(k)+1)
+		var first []float32
+		for _, cfg := range configs {
+			for _, workers := range []int{1, 3} {
+				stored := matrix.MustNew(m, n)
+				stored.FillConstant(nan)
+				if err := GemmPacked(1, a, b, 0, stored, cfg, workers); err != nil {
+					t.Fatal(err)
+				}
+				accumulated := matrix.MustNew(m, n)
+				if err := GemmPacked(1, a, b, 1, accumulated, cfg, workers); err != nil {
+					t.Fatal(err)
+				}
+				if i := firstBitDiff(stored.Data, accumulated.Data); i >= 0 {
+					t.Errorf("%v %v workers=%d: beta=0 element %d = %v, beta=1 on zeroed C %v",
+						s, cfg, workers, i, stored.Data[i], accumulated.Data[i])
+				}
+				if first == nil {
+					first = stored.Data
+					continue
+				}
+				if i := firstBitDiff(stored.Data, first); i >= 0 {
+					t.Errorf("%v %v workers=%d: element %d = %v, %v gives %v",
+						s, cfg, workers, i, stored.Data[i], configs[0], first[i])
+				}
+			}
+		}
+	}
+}
+
+// firstBitDiff returns the first index where x and y differ in their bit
+// patterns, or -1.
+func firstBitDiff(x, y []float32) int {
+	for i := range x {
+		if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
+			return i
+		}
+	}
+	return -1
 }

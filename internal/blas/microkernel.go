@@ -56,9 +56,8 @@ func kernelFor(mr, nr int) microKernel {
 // storeKernelFor returns the store-writeback variant of the (mr, nr)
 // kernel, if one is implemented. Store kernels overwrite the C tile
 // instead of accumulating, so the beta == 0 fast path can skip both the
-// zeroing pre-pass and the C reads in the writeback; they are only valid
-// when each C tile is written by exactly one kernel invocation (a single
-// k-block covers the whole depth).
+// zeroing pre-pass and the C reads in the writeback; GemmPacked runs them
+// on the first k-block only, and the accumulate kernels on the later ones.
 func storeKernelFor(mr, nr int) (microKernel, bool) {
 	switch {
 	case mr == 6 && nr == 16 && hasAVX2FMA:

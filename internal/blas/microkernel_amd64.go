@@ -18,8 +18,8 @@ func microKernel8x32AVX512(kc int, a, b, c []float32, ldc int)
 
 // microKernel6x16AVX2St and microKernel8x32AVX512St are the store variants
 // of the two assembly tiles: the same k-loop, but the writeback overwrites
-// C instead of accumulating. Selected by storeKernelFor on the beta == 0
-// single-k-block fast path, where C may be written without being read.
+// C instead of accumulating. Selected by storeKernelFor for the first
+// k-block when beta == 0, where C may be written without being read.
 func microKernel6x16AVX2St(kc int, a, b, c []float32, ldc int)
 
 func microKernel8x32AVX512St(kc int, a, b, c []float32, ldc int)

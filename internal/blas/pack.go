@@ -54,8 +54,8 @@ func packA(dst []float32, a *matrix.Dense, alpha float32, i0, p0, mrows, kcols, 
 		// Full 8-row panels go through the SIMD 8×8 transpose kernel:
 		// scalar packing is strided stores plus a bounds check per
 		// element and was measured at ~7x the cost of the register
-		// transpose on small shapes. (This is also why the small shape
-		// class prefers mr=8: the 6-row panel has no such kernel.)
+		// transpose on small shapes. (The 6-row panel of the AVX2 tile
+		// has no such kernel.)
 		if h == 8 && mr == 8 && hasAVX2FMA {
 			nb := kcols / 8
 			if nb > 0 {

@@ -132,26 +132,30 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestActiveForShapeClass pins ActiveFor as a pure function of shape: a
-// problem whose every dimension is at most SmallSizeMax gets the small-class
-// defaults, anything larger the large-class ones.
-func TestActiveForShapeClass(t *testing.T) {
-	for _, tc := range []struct {
-		m, k, n int
-		want    Config
-	}{
-		{256, 256, 256, DefaultSmallConfig},
-		{1, 256, 1, DefaultSmallConfig},
-		{257, 8, 8, DefaultConfig},
-		{8, 8, 257, DefaultConfig},
-	} {
-		if got := ActiveFor(tc.m, tc.k, tc.n); got != tc.want {
-			t.Errorf("ActiveFor(%d,%d,%d) = %v, want %v", tc.m, tc.k, tc.n, got, tc.want)
-		}
+// TestDefaultConfigPerISA pins one configuration per ISA: DefaultConfig
+// validates and names the widest tile the host has, and ActiveFor returns it
+// whatever the shape (no shape class, so no speed step at 257 rows).
+func TestDefaultConfigPerISA(t *testing.T) {
+	if err := DefaultConfig.Validate(); err != nil {
+		t.Errorf("DefaultConfig invalid: %v", err)
 	}
-	for name, cfg := range map[string]Config{"DefaultConfig": DefaultConfig, "DefaultSmallConfig": DefaultSmallConfig} {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%s invalid: %v", name, err)
+	tile := [2]int{8, 4}
+	switch {
+	case hasAVX512:
+		tile = [2]int{8, 32}
+	case hasAVX2FMA:
+		tile = [2]int{6, 16}
+	}
+	if got := [2]int{DefaultConfig.MR, DefaultConfig.NR}; got != tile {
+		t.Errorf("DefaultConfig = %v, want tile r%dx%d (avx512=%v avx2fma=%v)",
+			DefaultConfig, tile[0], tile[1], hasAVX512, hasAVX2FMA)
+	}
+	if DefaultConfig.KC != 256 {
+		t.Errorf("DefaultConfig.KC = %d, want 256 (the tiles' bit-identity needs one kc)", DefaultConfig.KC)
+	}
+	for _, s := range [][3]int{{1, 1, 1}, {256, 256, 256}, {257, 8, 8}, {4096, 1536, 1536}} {
+		if got := ActiveFor(s[0], s[1], s[2]); got != DefaultConfig {
+			t.Errorf("ActiveFor(%d,%d,%d) = %v, want DefaultConfig %v", s[0], s[1], s[2], got, DefaultConfig)
 		}
 	}
 }

@@ -10,37 +10,31 @@ type Config struct {
 	MR, NR     int
 }
 
-// DefaultConfig is the large shape class configuration, used by Gemm and
-// GemmParallel. On amd64 with AVX2+FMA it selects the 6×16 assembly register
-// tile (12 YMM accumulators); elsewhere the 8×4 scalar tile, which keeps
-// 32 accumulators plus operand temporaries within what the compiler
-// allocates to registers with modest spilling. In both cases the A block
-// (~120×256 float32 ≈ 120 KiB) fits mid-size L2 caches and the B
-// micro-panel (256×nr float32) stays in L1 across a panel sweep.
+// DefaultConfig is the one blocking configuration per ISA, used by Gemm,
+// GemmParallel and every caller sizing a GEMM call (workerd's shard kernel
+// and its self-calibration):
 //
-// It deliberately does NOT select the AVX-512 tile even when the CPU
-// supports it: on several AVX-512 generations sustained 512-bit FMA drops
-// the core's license frequency, which can slow the rest of a mixed
-// workload. Only the small shape class uses the wider tile (see
-// DefaultSmallConfig).
+//   - AVX-512: the 8×32 assembly tile (16 ZMM accumulators), mc256 kc256.
+//   - AVX2+FMA: the 6×16 assembly tile (12 YMM accumulators), mc258 kc256.
+//   - otherwise: the 8×4 scalar tile, which keeps 32 accumulators plus
+//     operand temporaries within what the compiler allocates to registers
+//     with modest spilling, mc256 kc256.
+//
+// The widest tile the CPU has is the fastest at every shape the fleet runs,
+// measured on a 2-vCPU AVX-512 Xeon: a 3072×1536×1536 GEMM at one thread
+// takes 146–200 ms on 8×32 against 290–395 ms on the 6×16 tile with mc120,
+// and BenchmarkGemmMicroKernels (512×1024×512, four kc blocks) runs 8×32
+// at 87 GFLOP/s against 47 for 6×16. Whatever the 512-bit units cost in
+// core frequency is inside those times. The choice does not depend on the
+// shape, so the speed a worker's FPM measures has no step the device lacks.
+//
+// KC is 256 on every ISA, and the 6×16 and 8×32 tiles run the same in-order
+// FMA chain per C element from a +0 accumulator, so they produce identical
+// bytes (TestTilesBitIdentical): a mixed AVX2/AVX-512 fleet gathers the
+// same C.
 var DefaultConfig = defaultConfig()
 
 func defaultConfig() Config {
-	if hasAVX2FMA {
-		return Config{MC: 120, KC: 256, NC: 2048, MR: 6, NR: 16}
-	}
-	return Config{MC: 128, KC: 256, NC: 2048, MR: 8, NR: 4}
-}
-
-// DefaultSmallConfig is the configuration for the small shape
-// class (every dimension ≤ SmallSizeMax). With AVX-512 it selects the
-// 8×32 assembly tile: small problems are latency-bound bursts where the
-// doubled register-tile width is a pure win and license-frequency effects
-// do not accumulate. MC/KC are sized so a whole SmallSizeMax problem is a
-// single cache block — no mc fragmentation, B packed exactly once.
-var DefaultSmallConfig = defaultSmallConfig()
-
-func defaultSmallConfig() Config {
 	if hasAVX512 {
 		return Config{MC: 256, KC: 256, NC: 2048, MR: 8, NR: 32}
 	}
@@ -72,19 +66,9 @@ func (c Config) String() string {
 	return fmt.Sprintf("mc%d kc%d nc%d r%dx%d", c.MC, c.KC, c.NC, c.MR, c.NR)
 }
 
-// SmallSizeMax is the boundary of the small shape class: problems whose
-// largest dimension is at most SmallSizeMax select DefaultSmallConfig in
-// ActiveFor. 256 is where the whole working set (three operands ≤ 256×256
-// float32 = 768 KiB) still fits mid-size L2 caches, so cache blocking
-// matters less than register tile width and per-call overhead.
-const SmallSizeMax = 256
-
-// ActiveFor selects the configuration by shape class: DefaultSmallConfig
-// when every dimension is at most SmallSizeMax, DefaultConfig otherwise.
-// Callers sizing individual GEMM calls pass its result to GemmPacked.
+// ActiveFor returns DefaultConfig whatever the shape. It is kept only
+// because the benchmark harness (benchmark/exec.go) calls it; new callers
+// use DefaultConfig.
 func ActiveFor(m, k, n int) Config {
-	if m <= SmallSizeMax && k <= SmallSizeMax && n <= SmallSizeMax {
-		return DefaultSmallConfig
-	}
 	return DefaultConfig
 }

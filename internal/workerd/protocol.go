@@ -25,8 +25,9 @@
 // (Rows×K) and B (K×N) are defined by the job seed through the row-seekable
 // matrix.Dense.FillRandomAt. A worker generates only A's [Row0,Row1) band and
 // B, bit-identical to the same rows of the whole operands. The packed kernels
-// are bit-deterministic for a given shard shape (parallel == sequential,
-// config chosen by shape class), so on a homogeneous fleet the gathered C is
+// are bit-deterministic for a given shard shape (parallel == sequential; the
+// AVX2 and AVX-512 tiles agree bit for bit), so on a fleet whose workers all
+// have the FMA tiles, or all lack them, the gathered C is
 // bit-identical to a local GemmPacked reference replaying the same shard
 // boundaries — which is exactly what cmd/fpmworker's TestWorkersEndToEnd
 // asserts after killing a worker mid-run.

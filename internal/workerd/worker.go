@@ -163,8 +163,9 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 // Only A's band and B are generated, A's with FillRandomAt, so a shard's
 // operands cost its band, not the whole job.
 // Bit-determinism: operands are generated from the seed, and the config is
-// selected by the shard's shape class, so any process replaying the same
-// shard on the same ISA produces identical bytes.
+// blas.DefaultConfig, whose AVX2 and AVX-512 tiles agree bit for bit, so
+// any process replaying the same shard on an FMA-capable CPU (or on any
+// CPU without one) produces identical bytes.
 func executeGemm(req *ShardRequest, workers int) (*matrix.Dense, float64, error) {
 	band := req.Row1 - req.Row0
 	a, err := matrix.New(band, req.K)
@@ -181,9 +182,8 @@ func executeGemm(req *ShardRequest, workers int) (*matrix.Dense, float64, error)
 	}
 	a.FillRandomAt(req.Seed, req.Row0)
 	b.FillRandom(req.Seed + 1)
-	cfg := blas.ActiveFor(band, req.K, req.N)
 	start := time.Now()
-	if err := blas.GemmPacked(1, a, b, 0, c, cfg, workers); err != nil {
+	if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
 		return nil, 0, err
 	}
 	return c, time.Since(start).Seconds(), nil
@@ -288,14 +288,13 @@ func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error)
 		if err != nil {
 			return nil, err
 		}
-		cfg := blas.ActiveFor(band, k, n)
 		// One warmup, then the timed run — first-touch page faults otherwise
 		// dominate small bands.
-		if err := blas.GemmPacked(1, av, b, 0, c, cfg, workers); err != nil {
+		if err := blas.GemmPacked(1, av, b, 0, c, blas.DefaultConfig, workers); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		if err := blas.GemmPacked(1, av, b, 0, c, cfg, workers); err != nil {
+		if err := blas.GemmPacked(1, av, b, 0, c, blas.DefaultConfig, workers); err != nil {
 			return nil, err
 		}
 		sec := time.Since(start).Seconds()

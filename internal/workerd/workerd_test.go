@@ -164,7 +164,7 @@ func TestGemmShardDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := matrix.MustNew(req.Row1-req.Row0, req.N)
-	if err := blas.GemmPacked(1, av, fullB, 0, want, blas.ActiveFor(want.Rows, req.K, req.N), 1); err != nil {
+	if err := blas.GemmPacked(1, av, fullB, 0, want, blas.DefaultConfig, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeBand(a), encodeBand(want)) {
