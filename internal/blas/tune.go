@@ -20,8 +20,8 @@ type Config struct {
 //     operand temporaries within what the compiler allocates to registers
 //     with modest spilling, mc256 kc256.
 //
-// The widest tile the CPU has is the fastest at every shape the fleet runs,
-// measured on a 2-vCPU AVX-512 Xeon: a 3072×1536×1536 GEMM at one thread
+// The widest tile the CPU has is the fastest where measured, on a 2-vCPU
+// AVX-512 Xeon: a 3072×1536×1536 GEMM (exec-large's fast shard) at one thread
 // takes 146–200 ms on 8×32 against 290–395 ms on the 6×16 tile with mc120,
 // and BenchmarkGemmMicroKernels (512×1024×512, four kc blocks) runs 8×32
 // at 87 GFLOP/s against 47 for 6×16. Whatever the 512-bit units cost in
