@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"testing"
 
 	"fpmpart/internal/matrix"
@@ -15,7 +16,9 @@ import (
 //
 // It also pins the determinism guarantee: the packed kernel's result is
 // bit-identical at any worker count (each register tile is computed by
-// exactly one worker in a fixed accumulation order).
+// exactly one worker in a fixed accumulation order), and the seeded-operand
+// guarantee: seeded windows at seed-derived offsets give the bytes of the
+// same windows materialised.
 func FuzzGemmDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(7), uint8(5), uint8(9), uint8(3), uint8(1), uint8(2), uint8(3), uint8(1))
@@ -146,5 +149,31 @@ func FuzzGemmDifferential(f *testing.F) {
 		}
 		check("packed-default-config", cDefault)
 		sentDefault("packed-default-config")
+
+		// Seeded A and B, windows at offsets the seed picks, against the
+		// same windows materialised, through the fuzzed configuration.
+		wr, wc := int(uint64(seed)%37), int(uint64(seed)/37%41)
+		sa := matrix.Seeded{Seed: seed, Width: k + wc + oj, Row0: wr, Col0: wc, Rows: m, Cols: k}
+		sb := matrix.Seeded{Seed: seed + 1, Width: n + wc, Row0: wr + oi, Col0: wc, Rows: k, Cols: n}
+		da, db := matrix.MustNew(m, k), matrix.MustNew(k, n)
+		sa.Fill(da)
+		sb.Fill(db)
+		cMat, _ := cloneView()
+		if err := GemmPacked(alpha, da, db, beta, cMat, cfg, workers); err != nil {
+			t.Fatal(err)
+		}
+		cSeeded, sentSeeded := cloneView()
+		if err := GemmPacked(alpha, sa, sb, beta, cSeeded, cfg, workers); err != nil {
+			t.Fatal(err)
+		}
+		sentSeeded("packed-seeded")
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if g, w := cSeeded.At(i, j), cMat.At(i, j); math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("seeded operands differ from materialised at (%d,%d): %v vs %v (m=%d k=%d n=%d at (%d,%d) cfg=%v workers=%d)",
+						i, j, g, w, m, k, n, wr, wc, cfg, workers)
+				}
+			}
+		}
 	})
 }

@@ -45,11 +45,16 @@ func checkShapes(a, b, c *matrix.Dense) error {
 	if a == nil || b == nil || c == nil {
 		return fmt.Errorf("blas: nil operand")
 	}
-	if a.Cols != b.Rows {
-		return fmt.Errorf("blas: inner dimensions %d and %d differ", a.Cols, b.Rows)
+	return checkDims(a.Rows, a.Cols, b.Rows, b.Cols, c)
+}
+
+// checkDims checks an ar×ac by br×bc product into c.
+func checkDims(ar, ac, br, bc int, c *matrix.Dense) error {
+	if ac != br {
+		return fmt.Errorf("blas: inner dimensions %d and %d differ", ac, br)
 	}
-	if c.Rows != a.Rows || c.Cols != b.Cols {
-		return fmt.Errorf("blas: C is %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols)
+	if c.Rows != ar || c.Cols != bc {
+		return fmt.Errorf("blas: C is %dx%d, want %dx%d", c.Rows, c.Cols, ar, bc)
 	}
 	return nil
 }
@@ -155,8 +160,24 @@ func applyBetaRange(beta float32, c *matrix.Dense, i0, i1 int) {
 // beta == 0 and the tile has a store kernel, the first k-block (pc == 0)
 // overwrites C without reading it and the later blocks accumulate onto it;
 // otherwise beta is applied to C in one pre-pass.
-func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense, cfg Config, workers int) error {
-	if err := checkShapes(a, b, c); err != nil {
+//
+// A and B are each a *matrix.Dense, packed in place, or a matrix.Seeded
+// window, whose blocks are generated as they are packed: a seeded operand
+// is never materialised, and its bytes in the panels, and so C, equal those
+// of the same window filled into a Dense.
+func GemmPacked(alpha float32, a, b matrix.Operand, beta float32, c *matrix.Dense, cfg Config, workers int) error {
+	aop, ar, ac, err := operandOf(a)
+	if err != nil {
+		return err
+	}
+	bop, br, bc, err := operandOf(b)
+	if err != nil {
+		return err
+	}
+	if c == nil {
+		return fmt.Errorf("blas: nil operand")
+	}
+	if err := checkDims(ar, ac, br, bc, c); err != nil {
 		return err
 	}
 	if err := cfg.Validate(); err != nil {
@@ -165,7 +186,7 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	m, n, k := c.Rows, c.Cols, a.Cols
+	m, n, k := c.Rows, c.Cols, ac
 
 	if alpha == 0 {
 		applyBetaRange(beta, c, 0, m)
@@ -212,13 +233,13 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 			}
 
 			if workers > 1 {
-				packBParallel(bbuf, b, pc, jc, kcLen, ncLen, nr, workers)
+				packBParallel(bbuf, bop, pc, jc, kcLen, ncLen, nr, workers)
 			} else {
-				packB(bbuf, b, pc, jc, kcLen, ncLen, nr)
+				packB(bbuf, bop, pc, jc, kcLen, ncLen, nr)
 			}
 
 			if workers <= 1 {
-				gemmWorker(kern, st, alpha, a, bbuf, c, 0, nBlocksM, nil,
+				gemmWorker(kern, st, alpha, aop, bbuf, c, 0, nBlocksM, nil,
 					jc, pc, mc, kcLen, ncLen, mr, nr)
 				continue
 			}
@@ -226,11 +247,14 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func() {
+				// jc, pc and st are passed, not captured: the loop reassigns
+				// them, so a capture would move them to the heap on every
+				// call, single-worker ones included.
+				go func(jc, pc int, st microKernel) {
 					defer wg.Done()
-					gemmWorker(kern, st, alpha, a, bbuf, c, 0, nBlocksM, &next,
+					gemmWorker(kern, st, alpha, aop, bbuf, c, 0, nBlocksM, &next,
 						jc, pc, mc, kcLen, ncLen, mr, nr)
-				}()
+				}(jc, pc, st)
 			}
 			wg.Wait()
 		}
@@ -241,15 +265,22 @@ func GemmPacked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense
 // gemmWorker processes mc-row blocks of C for one (jc, pc) step. With a
 // non-nil queue it pulls block indices from the shared atomic counter
 // (tile-aligned work stealing); otherwise it sweeps [blk0, blkN)
-// sequentially. Each worker packs its own A block into a pooled buffer.
-func gemmWorker(kern, stKern microKernel, alpha float32, a *matrix.Dense, bbuf []float32, c *matrix.Dense,
+// sequentially. Each worker packs its own A block into a pooled buffer,
+// which for a seeded A also holds the mr×kc strip each panel is generated
+// into.
+func gemmWorker(kern, stKern microKernel, alpha float32, a operand, bbuf []float32, c *matrix.Dense,
 	blk0, blkN int, queue *atomic.Int64,
 	jc, pc, mc, kcLen, ncLen, mr, nr int) {
 
 	m := c.Rows
-	abufP := getPanelBuf(ceilDiv(mc, mr) * mr * kcLen)
+	panels := ceilDiv(mc, mr) * mr * kcLen
+	strip := 0
+	if a.seeded {
+		strip = mr * kcLen
+	}
+	abufP := getPanelBuf(panels + strip)
 	defer putPanelBuf(abufP)
-	abuf := *abufP
+	abuf, sbuf := (*abufP)[:panels], (*abufP)[panels:]
 
 	for {
 		var blk int
@@ -265,13 +296,13 @@ func gemmWorker(kern, stKern microKernel, alpha float32, a *matrix.Dense, bbuf [
 		ic := blk * mc
 		mcLen := min(mc, m-ic)
 
-		packA(abuf, a, alpha, ic, pc, mcLen, kcLen, mr)
+		packABlock(abuf, sbuf, a, alpha, ic, pc, mcLen, kcLen, mr)
 		macroKernel(kern, stKern, abuf, bbuf, c, ic, jc, mcLen, ncLen, kcLen, mr, nr)
 	}
 }
 
 // packBParallel splits one B-block pack across workers by nr-panel ranges.
-func packBParallel(dst []float32, b *matrix.Dense, p0, j0, kcols, ncols, nr, workers int) {
+func packBParallel(dst []float32, b operand, p0, j0, kcols, ncols, nr, workers int) {
 	panels := ceilDiv(ncols, nr)
 	if workers > panels {
 		workers = panels

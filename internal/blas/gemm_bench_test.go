@@ -78,6 +78,6 @@ func BenchmarkGemmPack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		packA(dst, a, 1, 0, 0, 128, 256, 8)
+		packA(dst, a.Data, a.Stride, 1, 0, 0, 128, 256, 8)
 	}
 }

@@ -260,3 +260,62 @@ func firstBitDiff(x, y []float32) int {
 	}
 	return -1
 }
+
+// TestSeededOperandsBitIdentical pins that a seeded operand, generated block
+// by block as it is packed, gives the bytes of the same window materialised
+// into a Dense: windows that start off the 16-wide fill step, m and n that
+// leave fringe tiles, depths of at least three kc blocks, alpha != 1, beta 0
+// (into a NaN-filled C) and 2, 1 and 3 workers, on every tile the CPU has.
+func TestSeededOperandsBitIdentical(t *testing.T) {
+	configs := []Config{{MC: 256, KC: 256, NC: 2048, MR: 8, NR: 4}}
+	if hasAVX2FMA {
+		configs = append(configs, Config{MC: 258, KC: 256, NC: 2048, MR: 6, NR: 16})
+	}
+	if hasAVX512 {
+		configs = append(configs, Config{MC: 256, KC: 256, NC: 2048, MR: 8, NR: 32})
+	}
+	materialise := func(s matrix.Seeded) *matrix.Dense {
+		d := matrix.MustNew(s.Rows, s.Cols)
+		s.Fill(d)
+		return d
+	}
+	nan := float32(math.NaN())
+	for _, s := range []struct{ m, k, n, row0, col0 int }{
+		{77, 600, 45, 5, 3}, {250, 769, 33, 13, 17}, {13, 1536, 100, 0, 9},
+	} {
+		a := matrix.Seeded{Seed: int64(s.k), Width: s.k + s.col0 + 2, Row0: s.row0, Col0: s.col0, Rows: s.m, Cols: s.k}
+		b := matrix.Seeded{Seed: int64(s.k) + 1, Width: s.n + s.col0, Row0: s.row0 + 1, Col0: s.col0, Rows: s.k, Cols: s.n}
+		ad, bd := materialise(a), materialise(b)
+		for _, cfg := range configs {
+			for _, workers := range []int{1, 3} {
+				for _, beta := range []float32{0, 2} {
+					want, got := matrix.MustNew(s.m, s.n), matrix.MustNew(s.m, s.n)
+					if beta == 0 {
+						want.FillConstant(nan)
+						got.FillConstant(nan)
+					} else {
+						want.FillRandom(3)
+						got.FillRandom(3)
+					}
+					if err := GemmPacked(-0.75, ad, bd, beta, want, cfg, workers); err != nil {
+						t.Fatal(err)
+					}
+					if err := GemmPacked(-0.75, a, b, beta, got, cfg, workers); err != nil {
+						t.Fatal(err)
+					}
+					if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+						t.Errorf("%+v %v workers=%d beta=%v: seeded element %d = %v, materialised %v",
+							s, cfg, workers, beta, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+
+	// A window that reaches past its matrix's columns is refused.
+	c := matrix.MustNew(4, 4)
+	bad := matrix.Seeded{Seed: 1, Width: 6, Col0: 3, Rows: 4, Cols: 4}
+	if err := GemmPacked(1, bad, bad, 0, c, DefaultConfig, 1); err == nil {
+		t.Error("window past its matrix's last column accepted")
+	}
+}

@@ -18,7 +18,7 @@ func TestPackARoundTrip(t *testing.T) {
 	}
 	const mr, alpha = 4, 2.0
 	dst := make([]float32, ceilDiv(5, mr)*mr*7)
-	packA(dst, a, alpha, 0, 0, 5, 7, mr)
+	packA(dst, a.Data, a.Stride, alpha, 0, 0, 5, 7, mr)
 	for r := 0; r < 2; r++ {
 		for p := 0; p < 7; p++ {
 			for i := 0; i < mr; i++ {
@@ -45,10 +45,10 @@ func TestPackBRoundTrip(t *testing.T) {
 	}
 	const nr = 4
 	dst := make([]float32, ceilDiv(10, nr)*nr*6)
-	packB(dst, b, 0, 0, 6, 10, nr)
+	packB(dst, operand{data: b.Data, stride: b.Stride}, 0, 0, 6, 10, nr)
 	// packBPanels over the same range must produce the identical buffer.
 	dst2 := make([]float32, len(dst))
-	packBPanels(dst2, b, 0, 0, 6, 10, nr, 0, ceilDiv(10, nr))
+	packBPanels(dst2, operand{data: b.Data, stride: b.Stride}, 0, 0, 6, 10, nr, 0, ceilDiv(10, nr))
 	for s := 0; s < 3; s++ {
 		for p := 0; p < 6; p++ {
 			for j := 0; j < nr; j++ {

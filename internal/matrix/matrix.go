@@ -86,16 +86,44 @@ func (m *Dense) FillRandom(seed int64) { m.FillRandomAt(seed, 0) }
 const splitMixGamma = 0x9e3779b97f4a7c15
 
 // FillRandomAt fills m with rows [row0, row0+m.Rows) of the m.Cols-wide
-// matrix that FillRandom(seed) generates. Element (r, c) of that matrix is
-// output r·Cols+c of the SplitMix64 stream seeded with seed, its top 24 bits
-// mapped exactly to a float32 in [-1, 1) — so any band of rows can be
-// generated on its own, bit-identical to the same rows of the whole matrix.
-// On CPUs with AVX-512 an assembly kernel fills each row's first len&^15
-// elements; it produces the same bits as the Go loop.
+// matrix that FillRandom(seed) generates: the full-row window of that
+// matrix, filled by Seeded.Fill.
 func (m *Dense) FillRandomAt(seed int64, row0 int) {
+	Seeded{Seed: seed, Width: m.Cols, Row0: row0, Rows: m.Rows, Cols: m.Cols}.Fill(m)
+}
+
+// Operand is a matrix the GEMM kernels read: a *Dense, read in place, or a
+// Seeded window, generated as it is read. No other type implements it.
+type Operand interface{ operand() }
+
+func (*Dense) operand() {}
+
+func (Seeded) operand() {}
+
+// Seeded is the Rows×Cols window at (Row0, Col0) of the Width-column matrix
+// that FillRandom(Seed) generates. Element (r, c) of that matrix is output
+// r·Width+c of the SplitMix64 stream seeded with Seed, its top 24 bits mapped
+// exactly to a float32 in [-1, 1) — so any block of it can be generated on
+// its own, bit-identical to the same block of the whole matrix, and a
+// Seeded operand needs no storage until a kernel generates it.
+type Seeded struct {
+	Seed       int64
+	Width      int
+	Row0, Col0 int
+	Rows, Cols int
+}
+
+// FillRow writes elements (i, j) to (i, j+len(row)-1) of the window into
+// row. On CPUs with AVX-512 an assembly kernel writes the first len&^15 of
+// them; it produces the same bits as the Go loop.
+func (s Seeded) FillRow(row []float32, i, j int) {
+	fillRow(row, uint64(s.Seed)+(uint64(s.Row0+i)*uint64(s.Width)+uint64(s.Col0+j))*splitMixGamma)
+}
+
+// Fill writes the window's top-left m.Rows×m.Cols block into m.
+func (s Seeded) Fill(m *Dense) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		fillRow(row, uint64(seed)+uint64(row0+i)*uint64(m.Cols)*splitMixGamma)
+		s.FillRow(m.Data[i*m.Stride:i*m.Stride+m.Cols], i, 0)
 	}
 }
 

@@ -200,6 +200,25 @@ func TestFillRandomAtSeeksRows(t *testing.T) {
 		}
 	}
 
+	// Column windows: any block, at any column, is the same block of the
+	// full fill. Offsets off the 16-wide vector step put the kernel's
+	// boundary mid-window.
+	full := MustNew(6, 80)
+	full.FillRandom(-5)
+	for _, col0 := range []int{1, 7, 17, 33} {
+		for w := 1; w <= 40; w++ {
+			got := MustNew(3, w)
+			Seeded{Seed: -5, Width: full.Cols, Row0: 2, Col0: col0, Rows: 3, Cols: w}.Fill(got)
+			for i := 0; i < got.Rows; i++ {
+				for j := 0; j < w; j++ {
+					if g, want := got.At(i, j), full.At(2+i, col0+j); math.Float32bits(g) != math.Float32bits(want) {
+						t.Fatalf("window at (2,%d) width %d: (%d,%d) = %v, full fill %v", col0, w, i, j, g, want)
+					}
+				}
+			}
+		}
+	}
+
 	a, b := MustNew(16, 16), MustNew(16, 16)
 	a.FillRandom(1)
 	b.FillRandom(2)
@@ -272,9 +291,10 @@ func TestFillRandomGolden(t *testing.T) {
 }
 
 // checkFillMatchesGeneric fills a rows×cols view, pad columns narrower than
-// its parent, with the dispatched FillRandomAt and compares it with
-// fillRowGeneric row by row. The parent's stride gap must stay untouched.
-func checkFillMatchesGeneric(t *testing.T, seed int64, row0, rows, cols, pad int) {
+// its parent, with the window at (row0, col0) of a col0+cols wide matrix —
+// FillRandomAt when col0 is 0 — and compares it with fillRowGeneric row by
+// row. The parent's stride gap must stay untouched.
+func checkFillMatchesGeneric(t *testing.T, seed int64, row0, col0, rows, cols, pad int) {
 	t.Helper()
 	const sentinel = 7
 	parent := MustNew(rows, cols+pad)
@@ -283,44 +303,52 @@ func checkFillMatchesGeneric(t *testing.T, seed int64, row0, rows, cols, pad int
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.FillRandomAt(seed, row0)
+	width := col0 + cols
+	if col0 == 0 {
+		v.FillRandomAt(seed, row0)
+	} else {
+		Seeded{Seed: seed, Width: width, Row0: row0, Col0: col0, Rows: rows, Cols: cols}.Fill(v)
+	}
 	want := make([]float32, cols)
 	for i := 0; i < rows; i++ {
-		fillRowGeneric(want, uint64(seed)+uint64(row0+i)*uint64(cols)*splitMixGamma)
+		fillRowGeneric(want, uint64(seed)+(uint64(row0+i)*uint64(width)+uint64(col0))*splitMixGamma)
 		for j, w := range want {
 			if got := v.At(i, j); math.Float32bits(got) != math.Float32bits(w) {
-				t.Fatalf("seed %d row0 %d %dx%d pad %d: (%d,%d) = %v, generic %v",
-					seed, row0, rows, cols, pad, i, j, got, w)
+				t.Fatalf("seed %d at (%d,%d) %dx%d pad %d: (%d,%d) = %v, generic %v",
+					seed, row0, col0, rows, cols, pad, i, j, got, w)
 			}
 		}
 		for j := cols; j < cols+pad; j++ {
 			if parent.At(i, j) != sentinel {
-				t.Fatalf("seed %d row0 %d %dx%d pad %d: fill wrote the stride gap at (%d,%d)",
-					seed, row0, rows, cols, pad, i, j)
+				t.Fatalf("seed %d at (%d,%d) %dx%d pad %d: fill wrote the stride gap at (%d,%d)",
+					seed, row0, col0, rows, cols, pad, i, j)
 			}
 		}
 	}
 }
 
 // The dispatched fill (the AVX-512 kernel where the CPU has it) equals the
-// pure-Go row function on compact and strided views.
+// pure-Go row function on compact and strided views, for full rows and for
+// column windows.
 func TestFillRandomAtMatchesGeneric(t *testing.T) {
 	for _, seed := range []int64{0, 1, -1, math.MinInt64, 0x5eed} {
 		for _, cols := range []int{1, 15, 16, 17, 31, 32, 33, 48, 100, 256} {
 			for _, pad := range []int{0, 3, 16} {
-				checkFillMatchesGeneric(t, seed, 9, 3, cols, pad)
+				for _, col0 := range []int{0, 5} {
+					checkFillMatchesGeneric(t, seed, 9, col0, 3, cols, pad)
+				}
 			}
 		}
 	}
 }
 
 func FuzzFillRandomAt(f *testing.F) {
-	f.Add(int64(0), 0, uint8(1), uint16(1), uint8(0))
-	f.Add(int64(-1), 5, uint8(3), uint16(16), uint8(4))
-	f.Add(int64(math.MinInt64), 1<<20, uint8(2), uint16(299), uint8(17))
-	f.Fuzz(func(t *testing.T, seed int64, row0 int, rows uint8, cols uint16, pad uint8) {
+	f.Add(int64(0), 0, uint8(0), uint8(1), uint16(1), uint8(0))
+	f.Add(int64(-1), 5, uint8(3), uint8(3), uint16(16), uint8(4))
+	f.Add(int64(math.MinInt64), 1<<20, uint8(250), uint8(2), uint16(299), uint8(17))
+	f.Fuzz(func(t *testing.T, seed int64, row0 int, col0, rows uint8, cols uint16, pad uint8) {
 		r, c := int(rows%8)+1, int(cols%300)+1
-		checkFillMatchesGeneric(t, seed, row0, r, c, int(pad%32))
+		checkFillMatchesGeneric(t, seed, row0, int(col0), r, c, int(pad%32))
 	})
 }
 

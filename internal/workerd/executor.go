@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"fpmpart/internal/fpm"
+	"fpmpart/internal/matrix"
 	"fpmpart/internal/partition"
 	"fpmpart/internal/refine"
 )
@@ -557,15 +558,17 @@ func maxShardResponse(sr *ShardRequest) int64 {
 }
 
 // verifyOutcomes replays the final round's exact shard boundaries on the
-// local kernel and compares byte-for-byte. On a single-ISA fleet the packed
-// kernels are bit-deterministic per shard shape, so any mismatch is a real
-// corruption, not float noise.
+// local kernel and compares byte-for-byte, row by row, against the gathered
+// bands. On a single-ISA fleet the packed kernels are bit-deterministic per
+// shard shape, so any mismatch is a real corruption, not float noise.
 func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool, maxDiff float64, checksum uint32, err error) {
 	sorted := append([]shardOutcome(nil), outcomes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].report.Row0 < sorted[j].report.Row0 })
 	cur := 0
 	bitExact = true
 	workers := runtime.GOMAXPROCS(0)
+	rowBytes := bandBytes(1, req.N)
+	var scratch []byte
 	for _, o := range sorted {
 		if o.report.Row0 != cur {
 			return false, 0, 0, fmt.Errorf("gathered bands not contiguous: have %d, next starts at %d", cur, o.report.Row0)
@@ -578,10 +581,12 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 		if lerr != nil {
 			return false, 0, 0, fmt.Errorf("local replay of band [%d,%d): %w", o.report.Row0, o.report.Row1, lerr)
 		}
-		if !bytes.Equal(local, o.data) {
-			bitExact = false
-			if d := bandDiff(o.data, local); d > maxDiff {
-				maxDiff = d
+		for i := 0; i < local.Rows; i++ {
+			got := o.data[i*rowBytes : (i+1)*rowBytes]
+			want := wireRow(local.Data[i*local.Stride:i*local.Stride+local.Cols], &scratch)
+			if !bytes.Equal(got, want) {
+				bitExact = false
+				maxDiff = max(maxDiff, bandDiff(got, want))
 			}
 		}
 		checksum = crc32.Update(checksum, castagnoli, o.data)
@@ -593,20 +598,18 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 }
 
 // localShard replays one shard on the coordinator's own kernel and returns
-// its encoded band.
-func localShard(req *ExecuteRequest, row0, row1, workers int) ([]byte, error) {
+// its band of C.
+func localShard(req *ExecuteRequest, row0, row1, workers int) (*matrix.Dense, error) {
 	c, _, err := executeGemm(&ShardRequest{
 		Job: "verify", Seed: req.Seed,
 		Rows: req.Rows, K: req.K, N: req.N,
 		Row0: row0, Row1: row1,
 	}, workers)
-	if err != nil {
-		return nil, err
-	}
-	return encodeBand(c), nil
+	return c, err
 }
 
-// bandDiff reports the max absolute element difference between two bands.
+// bandDiff reports the max absolute element difference between two
+// equal-length runs of wire bytes (one row each, as verifyOutcomes calls it).
 func bandDiff(a, b []byte) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)

@@ -22,12 +22,13 @@
 //     time, as the paper folds PCIe transfer into a GPU's speed.
 //
 // Determinism contract: a GEMM shard is rows [Row0,Row1) of C = A·B where A
-// (Rows×K) and B (K×N) are defined by the job seed through the row-seekable
-// matrix.Dense.FillRandomAt. A worker generates only A's [Row0,Row1) band and
-// B, bit-identical to the same rows of the whole operands. The packed kernels
-// are bit-deterministic for a given shard shape (parallel == sequential; the
-// AVX2 and AVX-512 tiles agree bit for bit), so on a fleet whose workers all
-// have the FMA tiles, or all lack them, the gathered C is
+// (Rows×K) and B (K×N) are defined by the job seed through the seekable
+// generator behind matrix.Seeded. A worker's kernel generates only A's
+// [Row0,Row1) band and B, block by block as it packs them, bit-identical to
+// the same blocks of the whole operands; it holds only C's band. The packed
+// kernels are bit-deterministic for a given shard shape (parallel ==
+// sequential; the AVX2 and AVX-512 tiles agree bit for bit), so on a fleet
+// whose workers all have the FMA tiles, or all lack them, the gathered C is
 // bit-identical to a local GemmPacked reference replaying the same shard
 // boundaries — which is exactly what cmd/fpmworker's TestWorkersEndToEnd
 // asserts after killing a worker mid-run.
@@ -54,7 +55,8 @@ type ShardRequest struct {
 	// Job identifies the execute call (for logs and tracing).
 	Job string `json:"job"`
 	// Seed defines the operands: A = FillRandom(Seed), B = FillRandom(Seed+1).
-	// The worker generates only A's band, with FillRandomAt(Seed, Row0).
+	// The worker materialises neither: its kernel generates A's band and B
+	// as seeded windows, block by block into the packing panels.
 	Seed int64 `json:"seed"`
 	// Rows, K, N are the full problem dimensions: C is Rows×N, A is Rows×K,
 	// B is K×N.
@@ -108,8 +110,9 @@ func checkOperands(rows, k, n int) error {
 	return nil
 }
 
-// ShardResponse is the worker's answer: the measured kernel time and a
-// checksum of the result band (plus the band itself when requested).
+// ShardResponse is the worker's answer: the measured seconds (operand
+// generation plus kernel) and a checksum of the result band (plus the band
+// itself when requested).
 type ShardResponse struct {
 	Job     string  `json:"job"`
 	Worker  string  `json:"worker"`

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -189,6 +190,43 @@ func FuzzShardRequest(f *testing.F) {
 			t.Fatalf("handler allocated %d bytes for %q", grew, body)
 		}
 	})
+}
+
+// A shard allocates its band of C and nothing else of size: its operands are
+// generated into the kernel's pooled panels. This is exec-small's fast
+// shard at one thread; at the parent of this test it allocated A's band and
+// all of B beside C, about 675 KB a call.
+func TestShardAllocatesOnlyC(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector drops sync.Pool entries at random, so panels are reallocated")
+			}
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	req := &ShardRequest{Job: "a", Seed: 1, Rows: 256, K: 256, N: 256, Row0: 64, Row1: 256}
+	run := func() {
+		if _, _, err := executeGemm(req, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fills the panel pool
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / calls
+	allocsPer := float64(after.Mallocs-before.Mallocs) / calls
+	if limit := uint64(4*192*256 + 32<<10); bytesPer > limit {
+		t.Errorf("shard allocates %d bytes a call, want at most %d (its C band plus 32 KiB)", bytesPer, limit)
+	}
+	if allocsPer > 4 {
+		t.Errorf("shard makes %.1f allocations a call, want at most 4", allocsPer)
+	}
 }
 
 // BenchmarkExecuteGemmShard times one shard of the exec-small job as its

@@ -157,36 +157,34 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 }
 
 // executeGemm computes rows [Row0,Row1) of C = A·B with the packed kernel
-// and returns that band of C and the measured kernel seconds (operand
-// generation excluded: the FPM models compute speed, and generation cost is
-// constant per round, not per unit).
-// Only A's band and B are generated, A's with FillRandomAt, so a shard's
-// operands cost its band, not the whole job.
+// and returns that band of C and the measured seconds. A and B are seeded
+// operands (jobOperands): the kernel generates each block as it packs it, so
+// a shard allocates only its band of C, and the seconds cover generation
+// plus kernel — the paper's g_i, which includes moving a device's operands.
 // Bit-determinism: operands are generated from the seed, and the config is
 // blas.DefaultConfig, whose AVX2 and AVX-512 tiles agree bit for bit, so
 // any process replaying the same shard on an FMA-capable CPU (or on any
 // CPU without one) produces identical bytes.
 func executeGemm(req *ShardRequest, workers int) (*matrix.Dense, float64, error) {
-	band := req.Row1 - req.Row0
-	a, err := matrix.New(band, req.K)
+	c, err := matrix.New(req.Row1-req.Row0, req.N)
 	if err != nil {
 		return nil, 0, err
 	}
-	b, err := matrix.New(req.K, req.N)
-	if err != nil {
-		return nil, 0, err
-	}
-	c, err := matrix.New(band, req.N)
-	if err != nil {
-		return nil, 0, err
-	}
-	a.FillRandomAt(req.Seed, req.Row0)
-	b.FillRandom(req.Seed + 1)
+	a, b := jobOperands(req.Seed, req.K, req.N, req.Row0, req.Row1)
 	start := time.Now()
 	if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
 		return nil, 0, err
 	}
 	return c, time.Since(start).Seconds(), nil
+}
+
+// jobOperands returns rows [row0, row1) of a job's A = FillRandom(seed),
+// which is k wide, and its whole k×n B = FillRandom(seed+1), as seeded
+// windows.
+func jobOperands(seed int64, k, n, row0, row1 int) (a, b matrix.Seeded) {
+	a = matrix.Seeded{Seed: seed, Width: k, Row0: row0, Rows: row1 - row0, Cols: k}
+	b = matrix.Seeded{Seed: seed + 1, Width: n, Rows: k, Cols: n}
+	return a, b
 }
 
 // littleEndian reports whether float32 memory is already in wire order.
@@ -237,24 +235,11 @@ func bandChecksum(c *matrix.Dense) uint32 {
 	return sum
 }
 
-// decodeBand is encodeBand's inverse into rows×cols.
-func decodeBand(p []byte, rows, cols int) (*matrix.Dense, error) {
-	if len(p) != 4*rows*cols {
-		return nil, fmt.Errorf("workerd: band payload %d bytes, want %d (%dx%d float32)", len(p), 4*rows*cols, rows, cols)
-	}
-	m, err := matrix.New(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	for i := range m.Data {
-		m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return m, nil
-}
-
 // SelfCalibrate times the local packed kernel on a ladder of row-band sizes
-// of a reference Rows×K×N job and returns the measured FPM (speed in
-// rows/second). This seeds the worker's served model at registration; the
+// of a reference job (seed 1, depth k, n columns) and returns the measured
+// FPM (speed in rows/second). Each band runs as a shard does: on seeded
+// operands, so the time covers generation plus kernel and only the band's C
+// is allocated. This seeds the worker's served model at registration; the
 // /v1/observe loop refines it from real shard timings afterwards.
 func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error) {
 	if len(bands) == 0 {
@@ -267,34 +252,20 @@ func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error)
 			return nil, fmt.Errorf("workerd: invalid calibration band %d", b)
 		}
 	}
-	maxBand := bands[len(bands)-1]
-	a, err := matrix.New(maxBand, k)
-	if err != nil {
-		return nil, err
-	}
-	b, err := matrix.New(k, n)
-	if err != nil {
-		return nil, err
-	}
-	a.FillRandom(1)
-	b.FillRandom(2)
 	samples := make([]fpm.TimeSample, 0, len(bands))
 	for _, band := range bands {
-		av, err := a.View(0, 0, band, k)
-		if err != nil {
-			return nil, err
-		}
+		a, b := jobOperands(1, k, n, 0, band)
 		c, err := matrix.New(band, n)
 		if err != nil {
 			return nil, err
 		}
 		// One warmup, then the timed run — first-touch page faults otherwise
 		// dominate small bands.
-		if err := blas.GemmPacked(1, av, b, 0, c, blas.DefaultConfig, workers); err != nil {
+		if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		if err := blas.GemmPacked(1, av, b, 0, c, blas.DefaultConfig, workers); err != nil {
+		if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
 			return nil, err
 		}
 		sec := time.Since(start).Seconds()
