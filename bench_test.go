@@ -107,7 +107,7 @@ func benchDevices(n int) []partition.Device {
 	return devs
 }
 
-// BenchmarkPartitionFPM measures the FPM bisection partitioner itself.
+// BenchmarkPartitionFPM measures the FPM equal-time partitioner itself.
 func BenchmarkPartitionFPM(b *testing.B) {
 	for _, p := range []int{6, 24, 96} {
 		devs := benchDevices(p)

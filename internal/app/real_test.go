@@ -195,9 +195,12 @@ func TestRealResultImbalance(t *testing.T) {
 }
 
 // TestClosedLoopRealFPM exercises the paper's whole methodology on real
-// computation: two "device classes" (normal and 4x-slowed workers) are
-// benchmarked with the wall clock, their FPMs drive the partitioner, and
-// the resulting layout executes for real and computes the whole product.
+// computation: the packed kernel is benchmarked with the wall clock, its FPM
+// and the same FPM slowed 4x describe two "device classes" (normal and
+// slowed workers), which drive the partitioner, and the resulting layout
+// executes for real and computes the whole product. Both classes come from
+// one measured model: two benchmark runs would be two samples of the host's
+// load, and their ratio would measure the host rather than the partitioner.
 func TestClosedLoopRealFPM(t *testing.T) {
 	const (
 		b    = 32 // model-building block size: keeps the burst benchmarks cheap
@@ -207,37 +210,32 @@ func TestClosedLoopRealFPM(t *testing.T) {
 		n        = 10
 		slowdown = 4.0
 	)
-	// Benchmark both device classes with real timings. Individual GEMM
-	// calls at these sizes take microseconds — too jittery to time — so
-	// each observation averages a burst of calls.
-	mkKernel := func(name string, slow float64) *bench.FuncKernel {
-		real := &bench.RealGEMMKernel{BlockSize: b, Workers: 1}
-		return &bench.FuncKernel{KernelName: name, F: func(x float64) (float64, error) {
-			const burst = 20
-			var total float64
-			for i := 0; i < burst; i++ {
-				dt, err := real.Run(x)
-				if err != nil {
-					return 0, err
-				}
-				total += dt
+	// Benchmark the kernel with real timings. Individual GEMM calls at
+	// these sizes take microseconds — too jittery to time — so each
+	// observation averages a burst of calls.
+	real := &bench.RealGEMMKernel{BlockSize: b, Workers: 1}
+	kernel := &bench.FuncKernel{KernelName: "fast", F: func(x float64) (float64, error) {
+		const burst = 20
+		var total float64
+		for i := 0; i < burst; i++ {
+			dt, err := real.Run(x)
+			if err != nil {
+				return 0, err
 			}
-			return total / burst * slow, nil
-		}}
-	}
+			total += dt
+		}
+		return total / burst, nil
+	}}
 	sizes, err := fpm.Grid(4, 144, 5, "geometric")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := bench.Options{RelErr: 0.1, MinReps: 3, MaxReps: 30, Robust: true}
-	fast, _, err := bench.BuildModel(mkKernel("fast", 1), sizes, opts)
+	fast, _, err := bench.BuildModel(kernel, sizes, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, _, err := bench.BuildModel(mkKernel("slow", slowdown), sizes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := fpm.Scaled{Base: fast, Factor: 1 / slowdown}
 
 	// Partition the n×n problem between one fast and one slow process.
 	devs := []partition.Device{

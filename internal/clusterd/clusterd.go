@@ -290,7 +290,7 @@ func (c *Cluster) putModelTo(ctx context.Context, peer, id string, gen uint64, r
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		if !retryableStatus(resp.StatusCode) {
@@ -299,7 +299,6 @@ func (c *Cluster) putModelTo(ctx context.Context, peer, id string, gen uint64, r
 		}
 		return fmt.Errorf("replicate %s to %s: status %d: %s", id, peer, resp.StatusCode, data)
 	}
-	io.Copy(io.Discard, resp.Body)
 	return nil
 }
 
@@ -323,8 +322,7 @@ func (c *Cluster) ReplicateDelete(id string) {
 				replicateTotal(peer, "error").Inc()
 				return
 			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			drainClose(resp.Body)
 			replicateTotal(peer, "ok").Inc()
 		}(peer)
 	}
@@ -424,6 +422,18 @@ func (c *Cluster) handleReplicateDelete(w http.ResponseWriter, r *http.Request) 
 	fmt.Fprintf(w, `{"deleted":%q}`+"\n", id)
 }
 
+// maxDrain bounds what drainClose reads of a body nobody wants.
+const maxDrain = 64 << 10
+
+// drainClose reads what is left of a response body, up to maxDrain bytes,
+// then closes it. Go's transport keeps a keep-alive connection only when its
+// body was read to EOF before Close; a longer body costs its connection
+// rather than an unbounded read.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
+	body.Close()
+}
+
 // FetchState retrieves a peer's cluster state.
 func (c *Cluster) FetchState(ctx context.Context, peer string) (*stateResponse, error) {
 	return fetchState(ctx, c.client, peer)
@@ -438,7 +448,7 @@ func fetchState(ctx context.Context, client *http.Client, peer string) (*stateRe
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("state from %s: status %d", peer, resp.StatusCode)
 	}

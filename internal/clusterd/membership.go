@@ -146,7 +146,7 @@ func (m *membership) probe(ctx context.Context, peer string) bool {
 	if err != nil {
 		return false
 	}
-	resp.Body.Close()
+	drainClose(resp.Body)
 	return resp.StatusCode == http.StatusOK
 }
 

@@ -127,8 +127,17 @@ func (m *PiecewiseLinear) Speed(x float64) float64 {
 	if x >= last.Size {
 		return last.Speed
 	}
-	// Binary search for the segment containing x.
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].Size >= x })
+	// Binary search for the first knot at or beyond x; ps[0].Size < x <=
+	// ps[len-1].Size, so it lies in [1, len-1].
+	i, end := 1, len(ps)-1
+	for i < end {
+		h := int(uint(i+end) >> 1)
+		if ps[h].Size >= x {
+			end = h
+		} else {
+			i = h + 1
+		}
+	}
 	lo, hi := ps[i-1], ps[i]
 	f := (x - lo.Size) / (hi.Size - lo.Size)
 	return lo.Speed + f*(hi.Speed-lo.Speed)

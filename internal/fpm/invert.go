@@ -1,9 +1,6 @@
 package fpm
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The FPM-based data partitioning algorithm needs, for each device, the
 // inverse of the execution-time function t(x) = x/s(x): given a deadline T,
@@ -54,7 +51,7 @@ func SizeFor(s SpeedFunction, T, sizeCap float64) float64 {
 	if !(x > 0) {
 		return 0
 	}
-	return math.Min(x, sizeCap)
+	return min(x, sizeCap)
 }
 
 // sizeFor inverts the envelope of a piecewise-linear model without a cap.
@@ -71,8 +68,17 @@ func SizeFor(s SpeedFunction, T, sizeCap float64) float64 {
 //     gives x = aT/(1−bT), evaluated as an offset from knot c-1.
 func (m *PiecewiseLinear) sizeFor(T float64) float64 {
 	ps := m.points
-	// c = number of knots whose envelope time is within T (env is sorted).
-	c := sort.Search(len(m.env), func(i int) bool { return m.env[i] > T })
+	// c = number of knots whose envelope time is within T: env is sorted,
+	// so c is the first index with env[c] > T.
+	c, end := 0, len(m.env)
+	for c < end {
+		h := int(uint(c+end) >> 1)
+		if m.env[h] > T {
+			end = h
+		} else {
+			c = h + 1
+		}
+	}
 	switch c {
 	case 0:
 		return T * ps[0].Speed
@@ -87,7 +93,7 @@ func (m *PiecewiseLinear) sizeFor(T float64) float64 {
 	if !(x >= lo.Size) {
 		return lo.Size
 	}
-	return math.Min(x, hi.Size)
+	return min(x, hi.Size)
 }
 
 // bisectSizeFor is the numeric inversion for models without a closed form

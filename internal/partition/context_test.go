@@ -32,6 +32,47 @@ func TestFPMContextCancelled(t *testing.T) {
 	}
 }
 
+// cancelAfter is a speed function that cancels a context once it has been
+// evaluated after times: a request deadline passing in the middle of a
+// solve. It is not piecewise-linear, so fpm.SizeFor inverts it numerically,
+// with many evaluations per evaluation of total(T).
+type cancelAfter struct {
+	fpm.SpeedFunction
+	calls  *int
+	after  int
+	cancel context.CancelFunc
+}
+
+func (c cancelAfter) Speed(x float64) float64 {
+	if *c.calls++; *c.calls == c.after {
+		c.cancel()
+	}
+	return c.SpeedFunction.Speed(x)
+}
+
+func TestFPMContextCancelledMidSolve(t *testing.T) {
+	solve := func(ctx context.Context, cancel context.CancelFunc, after int) (int, error) {
+		calls := 0
+		devs := contextTestDevices()
+		devs[0].Model = cancelAfter{devs[0].Model, &calls, after, cancel}
+		_, err := FPMContext(ctx, devs, 5000, FPMOptions{})
+		return calls, err
+	}
+	full, err := solve(context.Background(), func() {}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls, err := solve(ctx, cancel, full/3)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("solve cancelled after %d of %d speed calls = %v, want context.Canceled", full/3, full, err)
+	}
+	if calls >= full {
+		t.Fatalf("cancelled solve made all %d speed calls of a full solve", full)
+	}
+}
+
 func TestFPMContextBackgroundMatchesFPM(t *testing.T) {
 	devs := contextTestDevices()
 	a, err := FPM(devs, 5000, FPMOptions{})
@@ -78,7 +119,7 @@ func TestFPMConcurrentSolves(t *testing.T) {
 						return
 					}
 				}
-				// Vary n too, exercising distinct bracket/bisection paths.
+				// Vary n too, exercising distinct bracketing and closing paths.
 				if _, err := FPMContext(context.Background(), devs, 100+g*37+i, FPMOptions{}); err != nil {
 					errs <- err
 					return

@@ -1,10 +1,12 @@
-package partition
+package partition_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"fpmpart/internal/fpm"
+	"fpmpart/internal/partition"
 )
 
 // FuzzRoundShares checks the integer rounding never panics, and that every
@@ -17,7 +19,7 @@ func FuzzRoundShares(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n int, s1, s2, s3, c1, c2, c3 float64) {
 		shares := []float64{s1, s2, s3}
 		caps := []float64{c1, c2, c3}
-		units, err := RoundShares(shares, n, caps)
+		units, err := partition.RoundShares(shares, n, caps)
 		if err != nil {
 			return
 		}
@@ -38,24 +40,30 @@ func FuzzRoundShares(f *testing.F) {
 }
 
 // FuzzFPMPartition checks the full FPM solver on arbitrary two-segment
-// models: accepted partitions sum to n and respect caps.
+// models: accepted partitions sum to n and respect caps. A second leg draws
+// a random fleet from seed (randomFleet: piecewise-linear models with rising,
+// falling and jumping times, some capped, some Scaled) and checks the units
+// against the reference solver.
 func FuzzFPMPartition(f *testing.F) {
-	f.Add(100, 50.0, 100.0, 20.0, 80.0, 0.0, 0.0)
-	f.Add(1000, 900.0, 450.0, 100.0, 100.0, 500.0, 0.0)
-	f.Add(1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-	f.Fuzz(func(t *testing.T, n int, a1, a2, b1, b2, cap1, cap2 float64) {
+	f.Add(100, 50.0, 100.0, 20.0, 80.0, 0.0, 0.0, int64(1))
+	f.Add(1000, 900.0, 450.0, 100.0, 100.0, 500.0, 0.0, int64(2))
+	f.Add(1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, int64(3))
+	f.Fuzz(func(t *testing.T, n int, a1, a2, b1, b2, cap1, cap2 float64, seed int64) {
+		devices, fleetN := randomFleet(rand.New(rand.NewSource(seed)))
+		assertSameAsReference(t, "random fleet", devices, fleetN)
+
 		if n < 0 || n > 1_000_000 {
 			return
 		}
-		mk := func(s1, s2 float64) Device {
+		mk := func(s1, s2 float64) partition.Device {
 			if !(s1 > 0) || !(s2 > 0) || math.IsInf(s1, 0) || math.IsInf(s2, 0) || s1 > 1e12 || s2 > 1e12 {
-				return Device{}
+				return partition.Device{}
 			}
 			m, err := newTwoPoint(s1, s2)
 			if err != nil {
-				return Device{}
+				return partition.Device{}
 			}
-			return Device{Name: "d", Model: m}
+			return partition.Device{Name: "d", Model: m}
 		}
 		d1, d2 := mk(a1, a2), mk(b1, b2)
 		if d1.Model == nil || d2.Model == nil {
@@ -67,7 +75,7 @@ func FuzzFPMPartition(f *testing.F) {
 		if cap2 > 0 && !math.IsInf(cap2, 0) && cap2 < 1e9 {
 			d2.MaxUnits = math.Floor(cap2)
 		}
-		res, err := FPM([]Device{d1, d2}, n, FPMOptions{})
+		res, err := partition.FPM([]partition.Device{d1, d2}, n, partition.FPMOptions{})
 		if err != nil {
 			return
 		}

@@ -51,13 +51,11 @@ type Result struct {
 	// MaxTime and MinTime are the extreme predicted per-device times over
 	// devices that received work; their ratio measures predicted imbalance.
 	MaxTime, MinTime float64
-	// Iterations is the number of bisection steps FPM performed;
-	// closed-form partitioners report 0.
+	// Iterations is the number of times FPM evaluated total(T), the sum of
+	// the devices' x_i(T); closed-form partitioners report 0.
 	Iterations int
-	// Converged reports whether the solver met its tolerance before
-	// exhausting its iteration bound. A false value means the bisection was
-	// truncated and callers should treat the result with suspicion;
-	// closed-form partitioners are always converged.
+	// Converged is always true: the equal-time solve always meets its
+	// tolerance. It remains because benchmark/ reads it.
 	Converged bool
 }
 

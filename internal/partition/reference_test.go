@@ -16,10 +16,12 @@ import (
 )
 
 // The reference solver: the nested bisection FPM used before fpm.SizeFor
-// had a closed form — the same outer bisection on T, with x_i(T) found by a
-// numeric bisection on the envelope time evaluated from its definition. The
-// production solver must hand RoundShares shares close enough to these that
-// the integer partition is the same.
+// had a closed form and before the equal-time solve closed its bracket by
+// false position — an outer bisection on T from a bracket grown by doubling
+// from 1e-6, with x_i(T) found by a numeric bisection on the envelope time
+// evaluated from its definition. The production solver must hand
+// RoundShares shares close enough to these that the integer partition is
+// the same.
 
 func refEnvelopeTime(pl *fpm.PiecewiseLinear, knots []fpm.Point, x float64) float64 {
 	t := fpm.Time(pl, x)
@@ -54,17 +56,36 @@ func refSizeFor(pl *fpm.PiecewiseLinear, knots []fpm.Point, T, sizeCap float64) 
 	return lo
 }
 
+// refModel unwraps a piecewise-linear model, or a Scaled one over it, into
+// the base model and the factor its time budget is multiplied by: a device
+// Factor times faster finishes in T what the base finishes in T·Factor.
+func refModel(t *testing.T, m fpm.SpeedFunction) (*fpm.PiecewiseLinear, float64) {
+	t.Helper()
+	switch m := m.(type) {
+	case *fpm.PiecewiseLinear:
+		return m, 1
+	case fpm.Scaled:
+		pl, f := refModel(t, m.Base)
+		return pl, f * m.Factor
+	}
+	t.Fatalf("reference solver: unsupported model %T", m)
+	return nil, 0
+}
+
 func refFPM(t *testing.T, devices []partition.Device, n int) []int {
 	t.Helper()
+	models := make([]*fpm.PiecewiseLinear, len(devices))
+	factors := make([]float64, len(devices))
 	knots := make([][]fpm.Point, len(devices))
 	for i, d := range devices {
-		knots[i] = d.Model.(*fpm.PiecewiseLinear).Points()
+		models[i], factors[i] = refModel(t, d.Model)
+		knots[i] = models[i].Points()
 	}
 	shares := make([]float64, len(devices))
 	total := func(T float64) float64 {
 		var s float64
 		for i, d := range devices {
-			shares[i] = refSizeFor(d.Model.(*fpm.PiecewiseLinear), knots[i], T, d.MaxUnits)
+			shares[i] = refSizeFor(models[i], knots[i], T*factors[i], d.MaxUnits)
 			s += shares[i]
 		}
 		return s
@@ -96,7 +117,9 @@ func refFPM(t *testing.T, devices []partition.Device, n int) []int {
 	return units
 }
 
-func assertSameAsReference(t *testing.T, name string, devices []partition.Device, n int) {
+// assertSameAsReference checks FPM's units against the reference solver's
+// and returns how many evaluations of total(T) the solve took.
+func assertSameAsReference(t *testing.T, name string, devices []partition.Device, n int) int {
 	t.Helper()
 	res, err := partition.FPM(devices, n, partition.FPMOptions{})
 	if err != nil {
@@ -105,6 +128,7 @@ func assertSameAsReference(t *testing.T, name string, devices []partition.Device
 	if got, want := res.Units(), refFPM(t, devices, n); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s n=%d: units %v, reference solver %v", name, n, got, want)
 	}
+	return res.Iterations
 }
 
 func TestFPMMatchesReferenceSolver(t *testing.T) {
@@ -123,7 +147,11 @@ func TestFPMMatchesReferenceSolver(t *testing.T) {
 			}
 		}
 		for rep := 0; rep < 6; rep++ {
-			assertSameAsReference(t, fmt.Sprintf("synthetic×%d", p), devices, p*(20+rng.Intn(230)))
+			// These fleets' times are smooth enough for false position: a
+			// bisection from the same bracket would take about 30.
+			if evals := assertSameAsReference(t, fmt.Sprintf("synthetic×%d", p), devices, p*(20+rng.Intn(230))); evals > 16 {
+				t.Errorf("synthetic×%d: %d evaluations of total(T), want at most 16", p, evals)
+			}
 		}
 	}
 	// Hand-built fleets: three monotone-time models; a device whose speed
@@ -161,6 +189,52 @@ func TestFPMMatchesReferenceSolver(t *testing.T) {
 		}
 		for _, side := range []int{10, 20, 40, 60, 80} {
 			assertSameAsReference(t, fmt.Sprintf("ig-node/v%d", v), m.Devices(), side*side)
+		}
+	}
+}
+
+// randomFleet draws a fleet the solver must handle like the reference: one
+// to eight devices of one to twelve knots at random sizes and speeds, so
+// their time functions rise, fall and jump; about a quarter capped and a
+// quarter Scaled. n is drawn up to 5000 and kept within the caps.
+func randomFleet(rng *rand.Rand) ([]partition.Device, int) {
+	devices := make([]partition.Device, 1+rng.Intn(8))
+	capSum, capped := 0.0, true
+	for i := range devices {
+		pts := make([]fpm.Point, 1+rng.Intn(12))
+		size := 1 + 20*rng.Float64()
+		for j := range pts {
+			pts[j] = fpm.Point{Size: size, Speed: 10 + 990*rng.Float64()}
+			size += 1 + 200*rng.Float64()
+		}
+		var m fpm.SpeedFunction = fpm.MustPiecewiseLinear(pts)
+		if rng.Intn(4) == 0 {
+			m = fpm.Scaled{Base: m, Factor: 0.25 + 1.75*rng.Float64()}
+		}
+		devices[i] = partition.Device{Name: fmt.Sprintf("d%d", i), Model: m}
+		if rng.Intn(4) == 0 {
+			devices[i].MaxUnits = math.Floor(20 + 500*rng.Float64())
+			capSum += devices[i].MaxUnits
+		} else {
+			capped = false
+		}
+	}
+	n := 1 + rng.Intn(5000)
+	if capped && float64(n) > capSum {
+		n = int(capSum)
+	}
+	return devices, n
+}
+
+// Random fleets jump wherever a model's time dips, and false position
+// alone closes on a jump only linearly, in up to 105 evaluations on these
+// fleets; the safeguarded solve stays within a bisection's count.
+func TestFPMMatchesReferenceOnRandomFleets(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 1200; i++ {
+		devices, n := randomFleet(rng)
+		if evals := assertSameAsReference(t, fmt.Sprintf("random fleet %d", i), devices, n); evals > 40 {
+			t.Errorf("random fleet %d: %d evaluations of total(T), want at most 40", i, evals)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // RoundShares converts continuous shares into non-negative integers that sum
@@ -83,7 +84,7 @@ func RoundShares(shares []float64, n int, caps []float64) ([]int, error) {
 	if remaining < 0 {
 		// Over-assignment can only come from the 1e-9 dust tolerance; take
 		// units back from the smallest fractional parts.
-		sort.Slice(fracs, func(a, b int) bool { return fracs[a].f < fracs[b].f })
+		slices.SortFunc(fracs, func(a, b frac) int { return cmp.Compare(a.f, b.f) })
 		for _, fr := range fracs {
 			if remaining == 0 {
 				break
@@ -94,11 +95,11 @@ func RoundShares(shares []float64, n int, caps []float64) ([]int, error) {
 			}
 		}
 	}
-	sort.Slice(fracs, func(a, b int) bool {
-		if fracs[a].f != fracs[b].f {
-			return fracs[a].f > fracs[b].f
+	slices.SortFunc(fracs, func(a, b frac) int {
+		if c := cmp.Compare(b.f, a.f); c != 0 {
+			return c
 		}
-		return fracs[a].i < fracs[b].i // deterministic tie-break
+		return cmp.Compare(a.i, b.i) // deterministic tie-break
 	})
 	// Largest-remainder top-up. After a successful clamp a single pass
 	// suffices (a device blocked by its cap necessarily has a zero

@@ -6,12 +6,11 @@ import (
 	"fpmpart/internal/telemetry"
 )
 
-// Solver metrics: how often fpmd's FPM solve runs, how hard the bisection
-// works, and how balanced the produced distributions are. All recording is
-// free while the process-wide registry is disabled.
+// Solver metrics: how often fpmd's FPM solve runs, how many evaluations of
+// total(T) it takes, and how balanced the produced distributions are. All
+// recording is free while the process-wide registry is disabled.
 var (
 	fpmRunsTotal       = telemetry.Default().Counter("partition_runs_total", "algorithm", "fpm")
-	truncatedTotal     = telemetry.Default().Counter("partition_truncated_total")
 	solverIterations   = telemetry.Default().Histogram("partition_solver_iterations", telemetry.ExpBuckets(1, 2, 10))
 	residualImbalance  = telemetry.Default().Gauge("partition_residual_imbalance")
 	partitionedUnitsTo = telemetry.Default().Histogram("partition_problem_units", telemetry.ExpBuckets(10, 10, 7))
@@ -27,8 +26,5 @@ func recordResult(res Result) {
 	partitionedUnitsTo.Observe(float64(res.Total))
 	if im := res.Imbalance(); !math.IsNaN(im) {
 		residualImbalance.Set(im)
-	}
-	if !res.Converged {
-		truncatedTotal.Inc()
 	}
 }

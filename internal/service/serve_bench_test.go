@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -38,6 +39,7 @@ func benchmarkServe(b *testing.B, cfg Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("PUT model: %d", resp.StatusCode)
@@ -54,6 +56,9 @@ func benchmarkServe(b *testing.B, cfg Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// Read to EOF, so the keep-alive connection is reused: a body
+		// closed unread costs every iteration a TCP connect.
+		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("partition: %d", resp.StatusCode)

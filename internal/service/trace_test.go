@@ -66,7 +66,7 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	}
 	names := map[string]bool{}
 	spanNames(snap.Spans, names)
-	for _, want := range []string{"resolve", "cache", "solve", "gate.wait", "bisection", "serialize"} {
+	for _, want := range []string{"resolve", "cache", "solve", "gate.wait", "equal-time", "serialize"} {
 		if !names[want] {
 			t.Fatalf("span %q missing from cold trace: %v", want, names)
 		}

@@ -47,7 +47,7 @@ var labelKeyRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // histogramUnitSuffixes is the unit vocabulary histogram names must end
 // with. Time is _seconds, memory is _bytes; the rest are the solver's
-// dimensionless units (bisection iterations, problem units).
+// dimensionless units (solver evaluations, problem units).
 var histogramUnitSuffixes = []string{"_seconds", "_bytes", "_iterations", "_units"}
 
 // Hygiene checks every metric registered in r against the naming

@@ -12,7 +12,7 @@ import (
 // solution cache, and the partition solver. Unlike the process-wide Tracer
 // (one global timeline), a ReqTrace belongs to exactly one request, so a
 // slow or shed request can be reconstructed after the fact — which stage ate
-// the time: admission wait, cache miss, bisection, serialization.
+// the time: admission wait, cache miss, equal-time solve, serialization.
 //
 // Everything is nil-safe: when no trace rides the context (background tools,
 // tracing disabled), TraceFrom returns nil, Stage returns a no-op func, and

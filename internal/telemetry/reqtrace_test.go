@@ -39,8 +39,8 @@ func TestStageNesting(t *testing.T) {
 	sctx, endSolve := StartStage(ctx, "solve")
 	endGate := Stage(sctx, "gate.wait")
 	endGate()
-	endBisect := Stage(sctx, "bisection")
-	endBisect()
+	endEqualTime := Stage(sctx, "equal-time")
+	endEqualTime()
 	endSolve()
 	endSer := Stage(ctx, "serialize")
 	endSer()
@@ -54,7 +54,7 @@ func TestStageNesting(t *testing.T) {
 	if solve.Name != "solve" || len(solve.Children) != 2 {
 		t.Fatalf("solve span wrong: %+v", solve)
 	}
-	if solve.Children[0].Name != "gate.wait" || solve.Children[1].Name != "bisection" {
+	if solve.Children[0].Name != "gate.wait" || solve.Children[1].Name != "equal-time" {
 		t.Fatalf("solve children wrong: %+v", solve.Children)
 	}
 	if snap.Spans[1].Name != "serialize" || len(snap.Spans[1].Children) != 0 {

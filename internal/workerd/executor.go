@@ -518,8 +518,18 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("worker %s: status %d: %s", w.Name, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	// Read the body to EOF, so the connection is kept, into one buffer of
+	// the bound's size: a response that fills it is over the bound.
+	buf := make([]byte, maxShardResponse(sr))
+	n, err := io.ReadFull(resp.Body, buf)
+	switch {
+	case err == nil:
+		return nil, fmt.Errorf("worker %s: shard response exceeds %d bytes", w.Name, len(buf))
+	case err != io.ErrUnexpectedEOF && err != io.EOF:
+		return nil, fmt.Errorf("worker %s: reading shard response: %w", w.Name, err)
+	}
 	var out ShardResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardResponse(sr))).Decode(&out); err != nil {
+	if err := json.Unmarshal(buf[:n], &out); err != nil {
 		return nil, fmt.Errorf("worker %s: decoding shard response: %w", w.Name, err)
 	}
 	if out.Row0 != sr.Row0 || out.Row1 != sr.Row1 {
@@ -547,8 +557,8 @@ func bandBytes(rows, n int) int { return 4 * rows * n }
 const shardResponseSlack = 4 << 10
 
 // maxShardResponse is the most of a worker's answer to sr the executor
-// reads: the base64 band when sr asks for it, plus the slack. A longer body
-// fails to decode instead of being read on.
+// reads: the base64 band when sr asks for it, plus the slack. A body that
+// long is rejected instead of being read on.
 func maxShardResponse(sr *ShardRequest) int64 {
 	n := int64(shardResponseSlack)
 	if sr.ReturnResult {

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"fpmpart/internal/matrix"
 )
 
 // postShard drives the worker's handler in-process.
@@ -108,8 +110,12 @@ func TestSendShardBoundsResponse(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	// Its own transport, closed on return: a connection to the hostile
+	// server must not idle in a pool other tests share.
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
 	var read atomic.Int64
-	client := &http.Client{Transport: countingTransport{base: http.DefaultTransport, n: &read}}
+	client := &http.Client{Transport: countingTransport{base: tr, n: &read}}
 	e := &Executor{opts: ExecutorOptions{client: client}.withDefaults()}
 	for _, ship := range []bool{false, true} {
 		read.Store(0)
@@ -192,11 +198,10 @@ func FuzzShardRequest(f *testing.F) {
 	})
 }
 
-// A shard allocates its band of C and nothing else of size: its operands are
-// generated into the kernel's pooled panels. This is exec-small's fast
-// shard at one thread; at the parent of this test it allocated A's band and
-// all of B beside C, about 675 KB a call.
-func TestShardAllocatesOnlyC(t *testing.T) {
+// skipUnderRace skips allocation tests under the race detector, which drops
+// sync.Pool entries at random, so the kernel's panels are reallocated.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -204,7 +209,35 @@ func TestShardAllocatesOnlyC(t *testing.T) {
 			}
 		}
 	}
+}
+
+// minAllocs runs f in several windows of calls, with the collector off, and
+// returns the fewest bytes and allocations a call made in any window.
+// MemStats counts the whole process, and goroutines an earlier test left
+// running only add to it, so the minimum is the closest reading of f's own.
+func minAllocs(f func()) (bytesPer uint64, allocsPer float64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const windows, calls = 5, 8
+	bytesPer, allocsPer = math.MaxUint64, math.Inf(1)
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		bytesPer = min(bytesPer, (after.TotalAlloc-before.TotalAlloc)/calls)
+		allocsPer = min(allocsPer, float64(after.Mallocs-before.Mallocs)/calls)
+	}
+	return bytesPer, allocsPer
+}
+
+// A shard allocates its band of C and nothing else of size: its operands are
+// generated into the kernel's pooled panels. This is exec-small's fast
+// shard at one thread; at the parent of this test it allocated A's band and
+// all of B beside C, about 675 KB a call.
+func TestShardAllocatesOnlyC(t *testing.T) {
+	skipUnderRace(t)
 	req := &ShardRequest{Job: "a", Seed: 1, Rows: 256, K: 256, N: 256, Row0: 64, Row1: 256}
 	run := func() {
 		if _, _, err := executeGemm(req, 1); err != nil {
@@ -212,20 +245,79 @@ func TestShardAllocatesOnlyC(t *testing.T) {
 		}
 	}
 	run() // fills the panel pool
-	const calls = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	bytesPer := (after.TotalAlloc - before.TotalAlloc) / calls
-	allocsPer := float64(after.Mallocs-before.Mallocs) / calls
+	bytesPer, allocsPer := minAllocs(run)
 	if limit := uint64(4*192*256 + 32<<10); bytesPer > limit {
 		t.Errorf("shard allocates %d bytes a call, want at most %d (its C band plus 32 KiB)", bytesPer, limit)
 	}
 	if allocsPer > 4 {
 		t.Errorf("shard makes %.1f allocations a call, want at most 4", allocsPer)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the body.
+type discardWriter struct{ header http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// A shard that ships its band allocates the band once, as C, and streams it
+// out: encoding the band whole, as the worker once did, costs a second copy
+// of it plus a base64 buffer of 4/3 of it.
+func TestShippingShardAllocatesUnderTwoBands(t *testing.T) {
+	skipUnderRace(t)
+	w, err := NewWorker(WorkerOptions{Name: "s", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Handler()
+	req := ShardRequest{Job: "s", Seed: 1, Rows: 256, K: 256, N: 256, Row0: 64, Row1: 256, ReturnResult: true}
+	body, _ := json.Marshal(&req)
+	run := func() {
+		rw := &discardWriter{header: http.Header{}}
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, ShardPath, bytes.NewReader(body)))
+		if got := rw.header.Get("Content-Length"); got == "" {
+			t.Fatal("shipping shard failed: no Content-Length")
+		}
+	}
+	run() // fills the panel pool
+	band := uint64(bandBytes(req.Row1-req.Row0, req.N))
+	bytesPer, _ := minAllocs(run)
+	t.Logf("shipping shard: %d bytes a call for a %d-byte band", bytesPer, band)
+	if bytesPer >= 2*band {
+		t.Errorf("shipping shard allocates %d bytes a call, want under %d (twice its %d-byte band)", bytesPer, 2*band, band)
+	}
+}
+
+// The streamed answer of a shipping shard is byte for byte what
+// json.Encoder writes for the same response with the band in Result, and
+// its Content-Length is its length; also for a strided band.
+func TestShippedResponseMatchesEncoder(t *testing.T) {
+	c, _, err := executeGemm(&ShardRequest{Job: "e", Seed: 9, Rows: 40, K: 16, N: 33, Row0: 3, Row1: 40}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := c.View(2, 5, 20, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, band := range map[string]*matrix.Dense{"compact": c, "strided": view} {
+		resp := ShardResponse{Job: "e<&>", Worker: "w", Row0: 3, Row1: 40, Seconds: 0.125, Checksum: bandChecksum(band)}
+		rec := httptest.NewRecorder()
+		if err := writeShipped(rec, &resp, band); err != nil {
+			t.Fatal(err)
+		}
+		resp.Result = encodeBand(band)
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s: streamed %q, json.Encoder %q", name, rec.Body, want.Bytes())
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) {
+			t.Errorf("%s: Content-Length %s, body %d bytes", name, got, want.Len())
+		}
 	}
 }
 

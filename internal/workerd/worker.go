@@ -1,7 +1,9 @@
 package workerd
 
 import (
+	"bufio"
 	"context"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -13,6 +15,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 	"unsafe"
 
@@ -146,11 +149,13 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		Seconds:  seconds,
 		Checksum: bandChecksum(c),
 	}
-	if req.ReturnResult {
-		resp.Result = encodeBand(c)
-	}
 	rw.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(rw).Encode(&resp)
+	// A failed write leaves the coordinator a short body, which it rejects.
+	if req.ReturnResult {
+		_ = writeShipped(rw, &resp, c)
+	} else {
+		_ = json.NewEncoder(rw).Encode(&resp)
+	}
 	w.logger.Debug("shard executed",
 		slog.String("job", req.Job), slog.Int("row0", req.Row0), slog.Int("row1", req.Row1),
 		slog.Float64("seconds", seconds))
@@ -212,20 +217,37 @@ func encodeRow(dst []byte, row []float32) {
 	}
 }
 
-// encodeBand serializes a compact (stride == cols) or strided band to
-// row-major float32 little-endian bytes.
-func encodeBand(c *matrix.Dense) []byte {
-	w := 4 * c.Cols
-	buf := make([]byte, w*c.Rows)
+// writeShipped writes resp with c's band as its result: the bytes
+// json.Encoder writes for resp with Result set to the band's wire bytes,
+// streamed row by row through a base64 encoder so the band is never held
+// encoded. encoding/json pools its encode buffers with no size cap, so
+// encoding a band through it would leave a buffer of the band's base64 size
+// alive for every later JSON encode in the process.
+func writeShipped(rw http.ResponseWriter, resp *ShardResponse, c *matrix.Dense) error {
+	head, err := json.Marshal(resp) // Result is nil, so omitted
+	if err != nil {
+		return err
+	}
+	head = append(head[:len(head)-1], `,"result":"`...)
+	const tail = "\"}\n"
+	size := len(head) + base64.StdEncoding.EncodedLen(bandBytes(c.Rows, c.Cols)) + len(tail)
+	rw.Header().Set("Content-Length", strconv.Itoa(size))
+	// A bufio.Writer keeps its first write error and the base64 encoder
+	// passes it on, so the writes below go unchecked and Flush reports it.
+	bw := bufio.NewWriterSize(rw, 64<<10)
+	_, _ = bw.Write(head)
+	enc := base64.NewEncoder(base64.StdEncoding, bw)
 	var scratch []byte
 	for i := 0; i < c.Rows; i++ {
-		copy(buf[i*w:], wireRow(c.Data[i*c.Stride:i*c.Stride+c.Cols], &scratch))
+		_, _ = enc.Write(wireRow(c.Data[i*c.Stride:i*c.Stride+c.Cols], &scratch))
 	}
-	return buf
+	_ = enc.Close()
+	_, _ = bw.WriteString(tail)
+	return bw.Flush()
 }
 
-// bandChecksum is checksumBytes(encodeBand(c)), computed row by row over the
-// rows' wire bytes so a band that is not shipped is never encoded whole.
+// bandChecksum is the CRC-32C of c's wire bytes, computed row by row so a
+// band that is not shipped is never encoded whole.
 func bandChecksum(c *matrix.Dense) uint32 {
 	var scratch []byte
 	var sum uint32

@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,6 +175,19 @@ func TestGemmShardDeterminism(t *testing.T) {
 	if !bytes.Equal(encodeBand(a), encodeBand(want)) {
 		t.Fatal("band-only shard differs from the same rows of the whole product")
 	}
+}
+
+// encodeBand serializes a compact (stride == cols) or strided band to
+// row-major float32 little-endian bytes: the wire bytes of a shipped band,
+// held whole.
+func encodeBand(c *matrix.Dense) []byte {
+	w := 4 * c.Cols
+	buf := make([]byte, w*c.Rows)
+	var scratch []byte
+	for i := 0; i < c.Rows; i++ {
+		copy(buf[i*w:], wireRow(c.Data[i*c.Stride:i*c.Stride+c.Cols], &scratch))
+	}
+	return buf
 }
 
 func TestBandEncodeDecodeRoundtrip(t *testing.T) {
@@ -363,6 +378,64 @@ func TestExecuteVerifiedBitExact(t *testing.T) {
 	}
 	if fastU+slowU != 256 {
 		t.Fatalf("shares cover %d of 256 rows", fastU+slowU)
+	}
+}
+
+// countNewConns makes srv count the connections it accepts.
+func countNewConns(srv *httptest.Server, n *atomic.Int64) {
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			n.Add(1)
+		}
+	}
+}
+
+// Verify jobs ship every band back; reading each answer to EOF keeps the
+// shard connections, so after one warm-up job no worker accepts another.
+func TestVerifyJobsReuseShardConnections(t *testing.T) {
+	models := newMapModels()
+	pool := NewPool(models, PoolOptions{TTL: time.Minute})
+	var accepted atomic.Int64
+	for _, wk := range []struct {
+		name  string
+		speed float64
+	}{{"fast", 400}, {"slow", 100}} {
+		w, err := NewWorker(WorkerOptions{Name: wk.name, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewUnstartedServer(w.Handler())
+		countNewConns(srv, &accepted)
+		srv.Start()
+		t.Cleanup(srv.Close)
+		raw, err := constModel(t, wk.speed).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.Register(context.Background(), Registration{Name: wk.name, URL: srv.URL, Cores: 1, Model: raw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	exec := NewExecutor(pool, models, nil, ExecutorOptions{client: &http.Client{Transport: tr}})
+	job := ExecuteRequest{Rows: 256, K: 48, N: 256, Seed: 11, Verify: true}
+	var warm int64
+	for i := 0; i < 6; i++ {
+		if i == 1 {
+			warm = accepted.Load()
+		}
+		job.Seed++
+		rep, err := exec.Execute(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Verified || !rep.BitExact {
+			t.Fatalf("job %d: verified=%t bitExact=%t", i, rep.Verified, rep.BitExact)
+		}
+	}
+	if got := accepted.Load() - warm; got != 0 {
+		t.Errorf("workers accepted %d new connections over 5 verify jobs after warm-up, want 0", got)
 	}
 }
 
