@@ -45,7 +45,7 @@ benchsmoke:
 
 # Short fuzzing pass over every fuzz target.
 fuzz:
-	$(GO) test -fuzz=FuzzReadText -fuzztime=15s ./internal/fpm/
+	$(GO) test -fuzz=FuzzModelJSON -fuzztime=15s ./internal/fpm/
 	$(GO) test -fuzz=FuzzPiecewiseLinear -fuzztime=15s ./internal/fpm/
 	$(GO) test -fuzz=FuzzSizeFor -fuzztime=15s ./internal/fpm/
 	$(GO) test -fuzz=FuzzRoundShares -fuzztime=15s ./internal/partition/

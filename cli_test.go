@@ -33,7 +33,7 @@ func buildCmds(t *testing.T) string {
 			return
 		}
 		binDir = dir
-		for _, c := range []string{"experiments", "fpmbench", "stencil"} {
+		for _, c := range []string{"experiments", "fpmbench"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(dir, c), "./cmd/"+c)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				buildErr = err
@@ -123,7 +123,7 @@ func TestCLIFpmbenchAndPartitionRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "GTX680") || !strings.Contains(out, "Gflops") {
 		t.Errorf("fpmbench output malformed:\n%s", out)
 	}
-	for _, f := range []string{"socket5.fpm", "socket6.fpm", "GTX680.fpm", "TeslaC870.fpm"} {
+	for _, f := range []string{"socket5.json", "socket6.json", "GTX680.json", "TeslaC870.json"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("model file %s missing: %v", f, err)
 		}
@@ -158,19 +158,6 @@ func TestCLIFpmbenchAndPartitionRoundTrip(t *testing.T) {
 	out = runCmd(t, "fpmbench", "-adaptive", "-device", "TeslaC870", "-points", "10")
 	if !strings.Contains(out, "TeslaC870") || !strings.Contains(out, "kernel runs") {
 		t.Errorf("adaptive fpmbench malformed:\n%s", out)
-	}
-}
-
-func TestCLIStencil(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	out := runCmd(t, "stencil", "-rows", "480", "-cols", "256", "-iters", "6", "-workers", "1,3")
-	if !strings.Contains(out, "verification OK") {
-		t.Errorf("stencil did not verify:\n%s", out)
-	}
-	if !strings.Contains(out, "FPM row bands") {
-		t.Errorf("no partitioning report:\n%s", out)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Command fpmbench builds functional performance models of the modelled
 // hybrid node's processing elements — the paper's Section V measurement
-// procedure — and prints them (or writes fupermod-style model files).
+// procedure — and prints them (or writes them as model files fpmd loads).
 //
 // Usage:
 //
 //	fpmbench                         # print every device's model
 //	fpmbench -device GTX680 -kernel 3
-//	fpmbench -out models/            # write models/<device>.fpm files
+//	fpmbench -out models/            # write models/<device>.json files
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 		sigma    = flag.Float64("noise", 0.01, "relative measurement noise")
 		points   = flag.Int("points", 18, "model points")
 		maxSize  = flag.Float64("max", 4000, "largest problem size (blocks)")
-		outDir   = flag.String("out", "", "write <device>.fpm model files into this directory")
+		outDir   = flag.String("out", "", "write <device>.json model files into this directory")
 		adaptive = flag.Bool("adaptive", false, "place points adaptively where interpolation mispredicts instead of on a fixed grid")
 		parallel = cliutil.Parallel()
 		tele     cliutil.TelemetryFlags
@@ -142,16 +142,17 @@ func writeEngineTrace(tele *cliutil.TelemetryFlags, node *hw.Node) error {
 	})
 }
 
+// writeModel writes m as <dir>/<name>.json in the fpm JSON wire form, the
+// file fpmd's -models directory loads.
 func writeModel(dir, name string, m *fpm.PiecewiseLinear) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name+".fpm"))
+	data, err := m.MarshalJSON()
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return m.WriteText(f)
+	return os.WriteFile(filepath.Join(dir, name+".json"), data, 0o644)
 }
 
 func fatal(err error) {

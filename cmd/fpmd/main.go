@@ -1,10 +1,9 @@
 // Command fpmd serves FPM-based data partitioning as a daemon: a model
-// registry (upload/fetch functional performance models in JSON or
-// fupermod-style text), a partition endpoint that turns registered models
-// plus a problem size into integer device shares (optionally with a
-// column-based 2D block layout), and a predict endpoint for point queries
-// against one model. Solutions are cached and admission-controlled; SIGTERM
-// drains in-flight requests before exit.
+// registry (upload/fetch functional performance models as JSON) and a
+// partition endpoint that turns registered models plus a problem size into
+// integer device shares (optionally with a column-based 2D block layout).
+// Solutions are cached and admission-controlled; SIGTERM drains in-flight
+// requests before exit.
 //
 // Usage:
 //

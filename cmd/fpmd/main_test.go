@@ -136,9 +136,8 @@ func TestRunSmoke(t *testing.T) {
 	}
 	base := "http://" + bound
 
-	// Upload in the fupermod-style text format the bench tools write.
-	model := "# smoke model\n1000 250\n2000 400\n4000 380\n8000 220\n"
-	if resp, body := do(t, http.MethodPut, base+"/v1/models/smoke", "text/plain", "", []byte(model)); resp.StatusCode != http.StatusOK {
+	model := `{"points":[{"size":1000,"speed":250},{"size":2000,"speed":400},{"size":4000,"speed":380},{"size":8000,"speed":220}]}`
+	if resp, body := do(t, http.MethodPut, base+"/v1/models/smoke", "application/json", "", []byte(model)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload model: %d %s", resp.StatusCode, body)
 	}
 	if resp, body := do(t, http.MethodGet, base+"/v1/models/smoke", "", "", nil); resp.StatusCode != http.StatusOK {

@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -252,5 +256,52 @@ func TestWorkersEndToEnd(t *testing.T) {
 		if wi.Name == "fast" {
 			t.Errorf("GET /v1/workers still lists fast after its SIGTERM exit: %+v", wi)
 		}
+	}
+}
+
+// Registration and heartbeats keep one connection to the coordinator: after
+// a warm-up registration, repeated registrations and heartbeats — accepted
+// or answered 404 by a coordinator that forgot the worker — open no new
+// connection.
+func TestRegisterAndHeartbeatReuseConnection(t *testing.T) {
+	var accepted atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"name":"w1","alive":true}`)
+	})
+	mux.HandleFunc("POST /v1/workers/w1/heartbeat", func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"ok":true}`)
+	})
+	mux.HandleFunc("POST /v1/workers/gone/heartbeat", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, `{"error":"unknown worker"}`, http.StatusNotFound)
+	})
+	srv := httptest.NewUnstartedServer(mux)
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	reg := workerd.Registration{Name: "w1", URL: "http://w1.invalid", Cores: 1, Model: []byte(`{}`)}
+	for i := 0; i < 6; i++ {
+		if i == 1 {
+			accepted.Store(0) // the first round was the warm-up
+		}
+		if err := register(client, srv.URL, reg, time.Second, logger); err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		for name, want := range map[string]int{"w1": http.StatusOK, "gone": http.StatusNotFound} {
+			if status, err := post(client, srv.URL+"/v1/workers/"+name+"/heartbeat", nil); err != nil || status != want {
+				t.Fatalf("heartbeat %s: status %d, error %v; want %d", name, status, err, want)
+			}
+		}
+	}
+	if got := accepted.Load(); got != 0 {
+		t.Errorf("coordinator accepted %d new connections over 5 rounds after warm-up, want 0", got)
 	}
 }

@@ -85,11 +85,11 @@ func ExampleNewLayout() {
 	if err != nil {
 		panic(err)
 	}
-	total := 0
-	for _, a := range bl.Areas() {
-		total += a
+	total := 0.0
+	for _, r := range bl.Rects {
+		total += r.Area()
 	}
-	fmt.Printf("%d rectangles covering %d blocks\n", len(bl.Rects), total)
+	fmt.Printf("%d rectangles covering %.0f blocks\n", len(bl.Rects), total)
 	// Output:
 	// 4 rectangles covering 64 blocks
 }

@@ -21,7 +21,9 @@ type RealResult struct {
 }
 
 // RunReal executes the heterogeneous column-based blocked matrix
-// multiplication for real: C += A·B, where the three N×N matrices
+// multiplication for real. Only its tests call it; whether it stays is for
+// the change that folds the simulated application stack. It computes
+// C += A·B, where the three N×N matrices
 // (N = bl.N × b elements) are partitioned according to bl, one goroutine
 // per rectangle standing in for an MPI process. At each iteration k the
 // pivot column A(:,k) and pivot row B(k,:) are "broadcast" (shared via

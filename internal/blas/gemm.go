@@ -27,7 +27,8 @@ import (
 )
 
 // Gemm computes C = alpha·A·B + beta·C using the packed kernel with
-// DefaultConfig and all available cores.
+// DefaultConfig and all available cores. Only tests call it, as the
+// default-configuration product they compare other paths against.
 func Gemm(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense) error {
 	return GemmPacked(alpha, a, b, beta, c, DefaultConfig, 0)
 }
@@ -59,8 +60,8 @@ func checkDims(ar, ac, br, bc int, c *matrix.Dense) error {
 	return nil
 }
 
-// GemmNaive is the reference triple loop, used to validate the optimised
-// implementations.
+// GemmNaive is the reference triple loop; only tests call it, to validate
+// the optimised implementations.
 func GemmNaive(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense) error {
 	if err := checkShapes(a, b, c); err != nil {
 		return err
@@ -86,8 +87,8 @@ const DefaultTile = 64
 
 // GemmBlocked computes C = alpha·A·B + beta·C with i-k-j loop order and
 // square tiling for cache locality. tile <= 0 selects DefaultTile. This is
-// the seed kernel, kept as the baseline the packed kernel is measured
-// against.
+// the seed kernel; only tests and benchmarks call it, as the baseline the
+// packed kernel is checked and measured against.
 func GemmBlocked(alpha float32, a, b *matrix.Dense, beta float32, c *matrix.Dense, tile int) error {
 	if err := checkShapes(a, b, c); err != nil {
 		return err

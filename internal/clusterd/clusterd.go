@@ -510,7 +510,7 @@ func (c *Cluster) pullModel(ctx context.Context, peer, id string) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("pull %s from %s: status %d", id, peer, resp.StatusCode)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"fpmpart/internal/app"
@@ -283,15 +282,4 @@ func (m *Models) HybridLayout(procs []app.Process, units []int, n int) (*layout.
 		return nil, err
 	}
 	return l.Discretize(n)
-}
-
-// GFlops converts an FPM speed (blocks/second) into Gflop/s for display.
-func (m *Models) GFlops(blocksPerSec float64) float64 {
-	return blocksPerSec * m.Node.BlockFlops() / 1e9
-}
-
-// MemLimitBlocks returns GPU g's device memory expressed in blocks — the
-// vertical "memory limit" line of Figure 3.
-func (m *Models) MemLimitBlocks(g int) float64 {
-	return math.Floor(m.Node.GPUMemBlocks(g))
 }

@@ -31,19 +31,11 @@ func runWithUnits(m *Models, procs []app.Process, units []int, n int) (app.SimRe
 	return app.Simulate(m.Node, procs, bl, m.simOptions())
 }
 
-// RunHybrid simulates the hybrid application with the given per-device unit
-// distribution (in Devices() order) on an n×n-block problem.
-func (m *Models) RunHybrid(units []int, n int) (app.SimResult, error) {
-	procs, err := app.Processes(m.Node, app.Hybrid)
-	if err != nil {
-		return app.SimResult{}, err
-	}
-	return runWithUnits(m, procs, units, n)
-}
-
-// RunHybridTraced is RunHybrid additionally reconstructing the run as a
-// per-process timeline for Chrome-trace export (see app.SimulateTraced);
-// maxIters bounds the traced iterations (0 = all n).
+// RunHybridTraced simulates the hybrid application with the given
+// per-device unit distribution (in Devices() order) on an n×n-block
+// problem, reconstructing the run as a per-process timeline for
+// Chrome-trace export (see app.SimulateTraced); maxIters bounds the traced
+// iterations (0 = all n).
 func (m *Models) RunHybridTraced(units []int, n, maxIters int) (app.SimResult, *trace.Timeline, error) {
 	procs, err := app.Processes(m.Node, app.Hybrid)
 	if err != nil {

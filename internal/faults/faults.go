@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"fpmpart/internal/dynamic"
+	"fpmpart/internal/stats"
 )
 
 // Sentinel failures returned by an injected oracle. Callers distinguish the
@@ -279,18 +280,14 @@ func NewInjector(spec Spec, seed int64) (*Injector, error) {
 	return in, nil
 }
 
-// mixSeed spreads (seed, i) into an uncorrelated child seed with the
-// SplitMix64 finalizer (same construction as stats.Noise.ForPoint).
+// mixSeed spreads (seed, i) into an uncorrelated child seed.
 func mixSeed(seed int64, i int) int64 {
-	z := uint64(seed) ^ (uint64(i) * 0x9e3779b97f4a7c15)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(stats.Mix64(uint64(seed) ^ (uint64(i) * 0x9e3779b97f4a7c15)))
 }
 
 // Plan returns the resolved faults (seed-drawn lengths and factors filled
-// in), sorted by first affected iteration.
+// in), sorted by first affected iteration. Only tests call it, to check
+// what a seed resolves to.
 func (in *Injector) Plan() []Fault {
 	out := append([]Fault(nil), in.plan...)
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Iter < out[b].Iter })

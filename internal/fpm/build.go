@@ -85,28 +85,18 @@ func Accuracy(s SpeedFunction, ref []TimeSample) (meanRelErr, maxRelErr float64,
 	return sum / float64(len(ref)), maxRelErr, nil
 }
 
-// DefaultMergeEps is the relative size tolerance Merge applies when deduping
-// abscissae. Points whose sizes differ by less than one part in a million are
-// re-measurements of the same knot, not distinct observations: keeping both
-// accumulates knots without bound under repeated refine→merge cycles, and a
-// noise-sized speed difference across a noise-sized size gap manufactures a
-// violent local time inversion.
-const DefaultMergeEps = 1e-6
-
-// Merge combines several models of the same device (e.g. built in separate
-// sessions, or an online-refined partial model over its base) into one by
-// pooling their points; at duplicate or near-duplicate sizes (within
-// DefaultMergeEps, relative) the later-listed model wins.
-func Merge(models ...*PiecewiseLinear) (*PiecewiseLinear, error) {
-	return MergeEps(DefaultMergeEps, models...)
-}
-
-// MergeEps is Merge with an explicit relative size tolerance: points whose
-// sizes lie within eps (relative to the smallest size of their cluster)
-// collapse to one knot, the later-listed model's point winning. Clusters are
-// anchored at their smallest member, so the merged knot count is bounded by
-// the geometric eps-net over the size range no matter how many times models
-// are re-merged. eps must be in [0, 1); 0 dedupes exact duplicates only.
+// MergeEps combines several models of the same device (an online-refined
+// partial model over its base, say) into one by pooling their points:
+// points whose sizes lie within eps (relative to the smallest size of their
+// cluster) collapse to one knot, the later-listed model's point winning.
+// Near-equal sizes are re-measurements of the same knot, not distinct
+// observations: keeping both accumulates knots without bound under repeated
+// refine→merge cycles, and a noise-sized speed difference across a
+// noise-sized size gap manufactures a violent local time inversion. Clusters
+// are anchored at their smallest member, so the merged knot count is bounded
+// by the geometric eps-net over the size range no matter how many times
+// models are re-merged. eps must be in [0, 1); 0 dedupes exact duplicates
+// only.
 func MergeEps(eps float64, models ...*PiecewiseLinear) (*PiecewiseLinear, error) {
 	if math.IsNaN(eps) || eps < 0 || eps >= 1 {
 		return nil, fmt.Errorf("fpm: merge epsilon %v out of [0,1)", eps)

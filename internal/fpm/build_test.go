@@ -1,7 +1,6 @@
 package fpm
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -108,7 +107,7 @@ func TestAccuracy(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := MustPiecewiseLinear([]Point{{Size: 10, Speed: 100}, {Size: 20, Speed: 110}})
 	b := MustPiecewiseLinear([]Point{{Size: 20, Speed: 120}, {Size: 30, Speed: 130}})
-	m, err := Merge(a, b)
+	m, err := MergeEps(1e-6, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +116,10 @@ func TestMerge(t *testing.T) {
 		t.Fatalf("merged points = %d, want 3", len(pts))
 	}
 	approx(t, m.Speed(20), 120, 1e-9, "later model wins at duplicate size")
-	if _, err := Merge(); err == nil {
+	if _, err := MergeEps(1e-6); err == nil {
 		t.Error("expected error merging nothing")
 	}
-	if _, err := Merge(a, nil); err == nil {
+	if _, err := MergeEps(1e-6, a, nil); err == nil {
 		t.Error("expected error merging nil model")
 	}
 }
@@ -147,41 +146,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if err := new(PiecewiseLinear).UnmarshalJSON([]byte(`{`)); err == nil {
 		t.Error("bad json should fail")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	m := MustPiecewiseLinear([]Point{{Size: 10, Speed: 100}, {Size: 40, Speed: 225}})
-	var buf bytes.Buffer
-	if err := m.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{10, 25, 40} {
-		approx(t, back.Speed(x), m.Speed(x), 1e-9, "text round trip")
-	}
-}
-
-func TestReadTextHandlesCommentsAndErrors(t *testing.T) {
-	good := "# comment\n\n10 100\n20 200\n"
-	m, err := ReadText(strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, m.Speed(15), 150, 1e-9, "parsed model")
-	for _, bad := range []string{
-		"10\n",
-		"10 20 30\n",
-		"x 100\n",
-		"10 y\n",
-		"", // no points at all
-	} {
-		if _, err := ReadText(strings.NewReader(bad)); err == nil {
-			t.Errorf("expected parse error for %q", bad)
-		}
 	}
 }
 

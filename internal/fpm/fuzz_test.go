@@ -1,47 +1,52 @@
 package fpm
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
-// FuzzReadText checks that the model-file parser never panics and that
-// anything it accepts is a valid model that round-trips through WriteText.
-func FuzzReadText(f *testing.F) {
-	f.Add("10 100\n20 200\n")
-	f.Add("# comment\n\n1 2\n")
-	f.Add("a b\n")
-	f.Add("10\n")
-	f.Add("1e300 1e300\n2e300 1\n")
-	f.Add("10 -5\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		m, err := ReadText(strings.NewReader(input))
-		if err != nil {
+// FuzzModelJSON checks the model decoder that reads every uploaded model,
+// every model file and every replicated model: it never panics, anything it
+// accepts is a valid model, and the model survives MarshalJSON →
+// UnmarshalJSON with the same points, bit for bit.
+func FuzzModelJSON(f *testing.F) {
+	f.Add([]byte(`{"kind":"piecewise-linear","points":[{"size":10,"speed":100},{"size":20,"speed":200}]}`))
+	f.Add([]byte(`{"points":[{"size":1,"speed":2}]}`))
+	f.Add([]byte(`{"points":[{"size":"a","speed":"b"}]}`))
+	f.Add([]byte(`{"points":[{"size":10}]}`))
+	f.Add([]byte(`{"points":[{"size":1e300,"speed":1e300},{"size":2e300,"speed":1}]}`))
+	f.Add([]byte(`{"points":[{"size":10,"speed":-5}]}`))
+	f.Add([]byte(`{"kind":"cpm"}`))
+	f.Add([]byte(`{"points":null}`))
+	f.Add([]byte(`{"points":[{"size":1e999,"speed":1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m PiecewiseLinear
+		if err := m.UnmarshalJSON(data); err != nil {
 			return
 		}
-		// Accepted models must be internally valid...
 		lo, hi := m.Domain()
 		if !(lo > 0) || !(hi >= lo) {
-			t.Fatalf("accepted model with bad domain (%v, %v) from %q", lo, hi, input)
+			t.Fatalf("accepted model with bad domain (%v, %v) from %q", lo, hi, data)
 		}
 		if s := m.Speed((lo + hi) / 2); !(s > 0) || math.IsInf(s, 0) {
-			t.Fatalf("accepted model with bad speed %v from %q", s, input)
+			t.Fatalf("accepted model with bad speed %v from %q", s, data)
 		}
-		// ...and round-trip through the writer.
-		var buf bytes.Buffer
-		if err := m.WriteText(&buf); err != nil {
-			t.Fatalf("write-back failed: %v", err)
-		}
-		back, err := ReadText(&buf)
+		enc, err := m.MarshalJSON()
 		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
+			t.Fatalf("marshal accepted model: %v", err)
 		}
-		for _, x := range []float64{lo, (lo + hi) / 2, hi} {
-			a, b := m.Speed(x), back.Speed(x)
-			if math.Abs(a-b) > 1e-6*(1+math.Abs(a)) {
-				t.Fatalf("round trip changed speed(%v): %v vs %v", x, a, b)
+		var back PiecewiseLinear
+		if err := back.UnmarshalJSON(enc); err != nil {
+			t.Fatalf("round trip of %s failed: %v", enc, err)
+		}
+		a, b := m.Points(), back.Points()
+		if len(a) != len(b) {
+			t.Fatalf("round trip changed the point count: %d -> %d", len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i].Size) != math.Float64bits(b[i].Size) ||
+				math.Float64bits(a[i].Speed) != math.Float64bits(b[i].Speed) {
+				t.Fatalf("round trip changed point %d: %+v -> %+v", i, a[i], b[i])
 			}
 		}
 	})

@@ -9,7 +9,7 @@ import (
 func TestMergeEpsNearDuplicates(t *testing.T) {
 	a := MustPiecewiseLinear([]Point{{Size: 1000, Speed: 100}, {Size: 2000, Speed: 90}})
 	b := MustPiecewiseLinear([]Point{{Size: 1000.0005, Speed: 130}})
-	m, err := Merge(a, b) // DefaultMergeEps covers a 5e-7 relative gap
+	m, err := MergeEps(1e-6, a, b) // covers a 5e-7 relative gap
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestMergeEpsNearDuplicates(t *testing.T) {
 
 	// Outside the tolerance both knots survive.
 	c := MustPiecewiseLinear([]Point{{Size: 1010, Speed: 130}})
-	m, err = Merge(a, c)
+	m, err = MergeEps(1e-6, a, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,15 +72,6 @@ func NewMonotoneCubic(points []Point) (*MonotoneCubic, error) {
 	return m, nil
 }
 
-// MustMonotoneCubic is NewMonotoneCubic that panics on error.
-func MustMonotoneCubic(points []Point) *MonotoneCubic {
-	m, err := NewMonotoneCubic(points)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Speed evaluates the interpolant; outside the measured range the nearest
 // end speed is used (matching PiecewiseLinear's clamping).
 func (m *MonotoneCubic) Speed(x float64) float64 {

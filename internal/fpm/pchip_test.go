@@ -27,7 +27,7 @@ func TestMonotoneCubicInterpolatesKnots(t *testing.T) {
 }
 
 func TestMonotoneCubicClamping(t *testing.T) {
-	m := MustMonotoneCubic(cubicTestPoints())
+	m := mustCubic(t, cubicTestPoints())
 	if m.Speed(1) != 50 || m.Speed(1e9) != 200 {
 		t.Error("end clamping broken")
 	}
@@ -55,19 +55,13 @@ func TestMonotoneCubicValidation(t *testing.T) {
 			t.Errorf("expected error for %v", bad)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustMonotoneCubic should panic")
-		}
-	}()
-	MustMonotoneCubic(nil)
 }
 
 // Property: the interpolant never leaves the bounding box of its segment —
 // no overshoot (the defining property vs natural cubic splines).
 func TestMonotoneCubicNoOvershootProperty(t *testing.T) {
 	pts := cubicTestPoints()
-	m := MustMonotoneCubic(pts)
+	m := mustCubic(t, pts)
 	f := func(raw uint32) bool {
 		x := 10 + (2000-10)*float64(raw)/float64(math.MaxUint32)
 		// Locate the segment.
@@ -90,7 +84,7 @@ func TestMonotoneCubicNoOvershootProperty(t *testing.T) {
 
 // Property: on monotone data the interpolant is monotone.
 func TestMonotoneCubicMonotoneProperty(t *testing.T) {
-	m := MustMonotoneCubic([]Point{
+	m := mustCubic(t, []Point{
 		{Size: 10, Speed: 50}, {Size: 100, Speed: 90}, {Size: 400, Speed: 200}, {Size: 900, Speed: 210},
 	})
 	f := func(a, b uint16) bool {
@@ -110,7 +104,7 @@ func TestMonotoneCubicMonotoneProperty(t *testing.T) {
 // beyond the segment's value range from each other.
 func TestMonotoneCubicVsLinear(t *testing.T) {
 	pts := cubicTestPoints()
-	cub := MustMonotoneCubic(pts)
+	cub := mustCubic(t, pts)
 	lin := MustPiecewiseLinear(pts)
 	for i := 1; i < len(pts); i++ {
 		span := math.Abs(pts[i].Speed - pts[i-1].Speed)
@@ -125,11 +119,21 @@ func TestMonotoneCubicVsLinear(t *testing.T) {
 
 // The cubic model works end to end with the partitioner's time inversion.
 func TestMonotoneCubicWithInverter(t *testing.T) {
-	m := MustMonotoneCubic([]Point{
+	m := mustCubic(t, []Point{
 		{Size: 10, Speed: 100}, {Size: 1000, Speed: 100},
 	})
 	got := SizeFor(m, 2, 0)
 	if math.Abs(got-200) > 1e-3 {
 		t.Errorf("SizeFor(2) = %v, want 200", got)
 	}
+}
+
+// mustCubic builds a monotone cubic interpolant, failing the test on error.
+func mustCubic(t *testing.T, points []Point) *MonotoneCubic {
+	t.Helper()
+	m, err := NewMonotoneCubic(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -1,22 +1,12 @@
 package fpm
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 )
 
-// Serialisation of models. Two formats are provided:
-//
-//   - JSON, for programmatic exchange;
-//   - a plain-text two-column format ("size speed" per line, '#' comments),
-//     compatible in spirit with the fupermod performance-model files the
-//     paper's research software used.
-
-// modelJSON is the wire form of a piecewise-linear model.
+// modelJSON is the one serialised form of a piecewise-linear model: model
+// uploads, model files and replication all carry it.
 type modelJSON struct {
 	Kind   string  `json:"kind"`
 	Points []Point `json:"points"`
@@ -42,57 +32,4 @@ func (m *PiecewiseLinear) UnmarshalJSON(data []byte) error {
 	}
 	*m = *built
 	return nil
-}
-
-// WriteText writes the model in the two-column text format.
-func (m *PiecewiseLinear) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# size speed  (functional performance model)"); err != nil {
-		return err
-	}
-	for _, p := range m.points {
-		if _, err := fmt.Fprintf(bw, "%g %g\n", p.Size, p.Speed); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// maxTextLine bounds one line of a model file. The bufio.Scanner default of
-// 64KiB rejected legitimate files with long comment lines or wide
-// whitespace-padded tables ("token too long"), which became a remote-facing
-// failure once fpmd accepted text uploads; 16MiB is far beyond any sane
-// model line while still bounding a hostile unterminated payload.
-const maxTextLine = 16 << 20
-
-// ReadText parses the two-column text format written by WriteText.
-func ReadText(r io.Reader) (*PiecewiseLinear, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxTextLine)
-	var pts []Point
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("fpm: line %d: want 2 fields, got %d", line, len(fields))
-		}
-		size, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("fpm: line %d: bad size: %w", line, err)
-		}
-		speed, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("fpm: line %d: bad speed: %w", line, err)
-		}
-		pts = append(pts, Point{Size: size, Speed: speed})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return NewPiecewiseLinear(pts)
 }

@@ -135,7 +135,8 @@ func (s *Socket) KernelTime(x float64, active, b int) float64 {
 }
 
 // SocketRate returns the aggregate socket speed (flops/s) for the same
-// configuration — the quantity plotted in the paper's Figure 2.
+// configuration — the quantity plotted in the paper's Figure 2. Only tests
+// call it: the hw and bench calibration tests check it against the paper.
 func (s *Socket) SocketRate(x float64, active, b int) float64 {
 	t := s.KernelTime(x, active, b)
 	if t <= 0 {

@@ -243,25 +243,6 @@ func TestSocketTimePositiveProperty(t *testing.T) {
 	}
 }
 
-func TestKeplerNodePreset(t *testing.T) {
-	n := NewKeplerNode()
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if n.TotalCores() != 16 || len(n.GPUs) != 2 {
-		t.Errorf("shape: %d cores, %d gpus", n.TotalCores(), len(n.GPUs))
-	}
-	// The K20 dwarfs the C870 and holds far more blocks.
-	if n.GPUMemBlocks(0) < 3000 {
-		t.Errorf("K20 memory = %v blocks", n.GPUMemBlocks(0))
-	}
-	// Socket plateau is plausible for an 8-core AVX Xeon (~250 Gflop/s).
-	s := n.Sockets[0].SocketRate(2000, 8, 640)
-	if s < 180e9 || s > 300e9 {
-		t.Errorf("Xeon socket rate = %v Gflops", s/1e9)
-	}
-}
-
 func TestGPUHostFactor(t *testing.T) {
 	n := NewIGNode()
 	if f := n.GPUHostFactor(1 * GiB); f != 1 {
@@ -367,7 +348,7 @@ func TestDoublePrecisionConfiguration(t *testing.T) {
 }
 
 func TestConfigRoundTrip(t *testing.T) {
-	for _, n := range []*Node{NewIGNode(), NewKeplerNode(), NewTestNode()} {
+	for _, n := range []*Node{NewIGNode(), NewTestNode()} {
 		var buf bytes.Buffer
 		if err := WriteConfig(&buf, n); err != nil {
 			t.Fatalf("%s: %v", n.Name, err)

@@ -97,7 +97,8 @@ func NewIGNode() *Node {
 }
 
 // NewTestNode returns a small, fast, deterministic platform for unit tests:
-// one 2-core socket and one tiny GPU, blocking factor 64.
+// one 2-core socket and one tiny GPU, blocking factor 64. Only tests call it;
+// it stays exported because the tests of several packages share it.
 func NewTestNode() *Node {
 	return &Node{
 		Name: "testnode",
@@ -128,56 +129,5 @@ func NewTestNode() *Node {
 		CPUContention: 0.98,
 		BlockSize:     64,
 		ElemBytes:     4,
-	}
-}
-
-// NewXeonE5 returns a 2012-era 8-core Xeon E5-2670 socket model (2.6 GHz,
-// AVX: 16 SP flops/cycle/core) for the alternative platform preset.
-func NewXeonE5() *Socket {
-	return &Socket{
-		Name:            "XeonE5-2670",
-		Cores:           8,
-		PeakCoreRate:    41.6e9,
-		MinEff:          0.40,
-		MaxEff:          0.82,
-		RampElems:       22 * 640 * 640,
-		ContentionAlpha: 0.022,
-	}
-}
-
-// NewK20 returns a Tesla K20-like accelerator: 5 GiB device memory, two DMA
-// engines, faster PCIe (gen3) and a ~2 Tflop/s single-precision GEMM rate.
-func NewK20() *GPU {
-	return &GPU{
-		Name:               "K20",
-		MemBytes:           5120 * MiB,
-		PeakRate:           2.1e12,
-		RampElems:          32 * 640 * 640,
-		MisalignPenalty:    0.85,
-		H2DBandwidth:       9.0e9,
-		D2HBandwidth:       9.0e9,
-		TransferLatency:    20e-6,
-		DMAEngines:         2,
-		CopyComputeOverlap: 0.7,
-		KernelLaunch:       8e-6,
-	}
-}
-
-// NewKeplerNode returns an alternative hybrid platform — two 8-core Xeon
-// sockets, each hosting a Tesla K20 — to exercise the library beyond the
-// paper's exact testbed (different core counts, identical GPUs, larger
-// device memory).
-func NewKeplerNode() *Node {
-	return &Node{
-		Name:           "kepler-node",
-		Sockets:        []*Socket{NewXeonE5(), NewXeonE5()},
-		GPUs:           []*GPU{NewK20(), NewK20()},
-		GPUSocket:      []int{0, 1},
-		GPUContention:  0.92,
-		CPUContention:  0.98,
-		BlockSize:      640,
-		ElemBytes:      4,
-		SocketMemBytes: 32 * GiB,
-		MemPressure:    0.6,
 	}
 }

@@ -141,15 +141,6 @@ type BlockLayout struct {
 	Columns [][]int
 }
 
-// Areas returns the integer block area of each rectangle.
-func (b *BlockLayout) Areas() []int {
-	out := make([]int, len(b.Rects))
-	for i, r := range b.Rects {
-		out[i] = int(math.Round(r.Area()))
-	}
-	return out
-}
-
 // CommVolume returns Σ(w_i + h_i) in blocks — proportional to the volume of
 // pivot-row and pivot-column data each iteration broadcasts.
 func (b *BlockLayout) CommVolume() float64 {

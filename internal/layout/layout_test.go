@@ -131,8 +131,8 @@ func TestDiscretizeTilesExactly(t *testing.T) {
 			t.Errorf("n=%d: %v", n, err)
 		}
 		total := 0
-		for _, a := range bl.Areas() {
-			total += a
+		for _, r := range bl.Rects {
+			total += int(math.Round(r.Area()))
 		}
 		if total != n*n {
 			t.Errorf("n=%d: total area %d, want %d", n, total, n*n)
@@ -289,24 +289,18 @@ func TestOneDCommVolumeWorseThanColumnBased(t *testing.T) {
 	}
 }
 
+// TestDiscretize1D: a one-dimensional layout discretises into valid
+// full-width block slabs.
 func TestDiscretize1D(t *testing.T) {
 	l, err := OneD([]float64{2, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := l.Discretize1D(16)
+	bl, err := l.Discretize(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := bl.Validate(); err != nil {
 		t.Error(err)
-	}
-	// A column-based layout is rejected by Discretize1D.
-	multi, err := Continuous([]float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multi.Discretize1D(8); err == nil {
-		t.Error("multi-column layout accepted by Discretize1D")
 	}
 }

@@ -38,12 +38,3 @@ func OneD(areas []float64) (*Layout, error) {
 	}
 	return l, nil
 }
-
-// Discretize1D converts a OneD layout to integer block rows summing to n;
-// it is a convenience equivalent to Discretize for single-column layouts.
-func (l *Layout) Discretize1D(n int) (*BlockLayout, error) {
-	if len(l.Columns) != 1 {
-		return nil, fmt.Errorf("layout: Discretize1D requires a single-column layout, have %d columns", len(l.Columns))
-	}
-	return l.Discretize(n)
-}

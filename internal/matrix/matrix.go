@@ -35,20 +35,11 @@ func MustNew(rows, cols int) *Dense {
 	return m
 }
 
-// At returns element (i, j). Bounds are the caller's responsibility in the
-// hot path; use CheckedAt for safe access.
+// At returns element (i, j). Bounds are the caller's responsibility.
 func (m *Dense) At(i, j int) float32 { return m.Data[i*m.Stride+j] }
 
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float32) { m.Data[i*m.Stride+j] = v }
-
-// CheckedAt returns element (i, j) with bounds checking.
-func (m *Dense) CheckedAt(i, j int) (float32, error) {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		return 0, fmt.Errorf("matrix: index (%d,%d) out of %dx%d", i, j, m.Rows, m.Cols)
-	}
-	return m.At(i, j), nil
-}
 
 // View returns a sub-matrix sharing storage with m: rows [i, i+rows) and
 // columns [j, j+cols). The view's Data is capped (three-index slice) at one
@@ -68,7 +59,8 @@ func (m *Dense) View(i, j, rows, cols int) (*Dense, error) {
 	}, nil
 }
 
-// Clone returns a compact deep copy of m.
+// Clone returns a compact deep copy of m. Only tests call it, to keep a
+// reference operand beside one a kernel overwrites.
 func (m *Dense) Clone() *Dense {
 	out := MustNew(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
@@ -140,7 +132,8 @@ func fillRowGeneric(row []float32, state uint64) {
 	}
 }
 
-// FillConstant sets every element to v.
+// FillConstant sets every element to v. Only tests call it, to build
+// operands with a known product.
 func (m *Dense) FillConstant(v float32) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
@@ -148,25 +141,6 @@ func (m *Dense) FillConstant(v float32) {
 			row[j] = v
 		}
 	}
-}
-
-// Zero sets every element to 0.
-func (m *Dense) Zero() { m.FillConstant(0) }
-
-// EqualWithin reports whether a and b have the same shape and all elements
-// differ by at most tol.
-func EqualWithin(a, b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			if math.Abs(float64(a.At(i, j))-float64(b.At(i, j))) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // MaxAbsDiff returns the largest absolute element-wise difference, or +Inf
@@ -184,16 +158,4 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return d
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			v := float64(m.At(i, j))
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
 }

@@ -49,10 +49,12 @@ func NewGate(width, depth int) *Gate {
 // Width returns the number of execution slots.
 func (g *Gate) Width() int { return cap(g.slots) }
 
-// Depth returns the waiting-room capacity.
+// Depth returns the waiting-room capacity. Only tests call it, to check the
+// configured queue beside Width.
 func (g *Gate) Depth() int { return cap(g.queue) - cap(g.slots) }
 
 // Occupancy returns the number of admitted acquisitions (running + waiting).
+// Only tests call it, to wait until requests are queued at the gate.
 func (g *Gate) Occupancy() int { return len(g.queue) }
 
 // Acquire admits the caller: it returns nil once an execution slot is held,

@@ -19,13 +19,13 @@ func TestTelemetryRecordsOnlyWhenEnabled(t *testing.T) {
 		{Name: "gpu", Model: fpm.MustPiecewiseLinear([]fpm.Point{{Size: 100, Speed: 900}, {Size: 4000, Speed: 800}})},
 		{Name: "cpu", Model: fpm.MustPiecewiseLinear([]fpm.Point{{Size: 100, Speed: 80}, {Size: 4000, Speed: 105}})},
 	}
-	const key = `partition_runs_total{algorithm="fpm"}`
-	before := reg.Snapshot()[key]
+	runs := reg.Counter("partition_runs_total", "algorithm", "fpm")
+	before := runs.Value()
 	if _, err := FPM(devs, 2000, FPMOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Snapshot()[key]; got != before {
-		t.Errorf("disabled run moved %s (%v -> %v)", key, before, got)
+	if got := runs.Value(); got != before {
+		t.Errorf("disabled run moved the run counter (%v -> %v)", before, got)
 	}
 
 	reg.SetEnabled(true)
@@ -37,8 +37,8 @@ func TestTelemetryRecordsOnlyWhenEnabled(t *testing.T) {
 	if res.Iterations <= 0 || !res.Converged {
 		t.Errorf("diagnostics: iterations=%d converged=%v", res.Iterations, res.Converged)
 	}
-	if got := reg.Snapshot()[key]; got == before {
-		t.Errorf("enabled run did not move %s (%v -> %v)", key, before, got)
+	if got := runs.Value(); got == before {
+		t.Errorf("enabled run did not move the run counter (%v -> %v)", before, got)
 	}
 }
 

@@ -13,14 +13,14 @@ import (
 // n, so none coalesce), calls startDrain once all of them have reached the
 // handler, and counts the outcomes: 200s, clean non-200 HTTP answers, and
 // transport failures (reset, refused, EOF). A request that never reached the
-// server is not "in flight", so the PartitionSeen barrier is what makes a
+// server is not "in flight", so the partitionSeen barrier is what makes a
 // zero-drop assertion meaningful rather than racy.
 func fireAcrossDrain(t *testing.T, s *Server, base string, inflight int, startDrain func()) (completed, rejected, dropped int) {
 	t.Helper()
 	client := &http.Client{Timeout: 2 * time.Minute, Transport: &http.Transport{
 		MaxIdleConns: inflight, MaxIdleConnsPerHost: inflight,
 	}}
-	seen := s.PartitionSeen()
+	seen := s.partitionSeen.Load()
 	results := make(chan int, inflight) // HTTP status, 0 for a transport failure
 	for i := 0; i < inflight; i++ {
 		go func(i int) {
@@ -39,7 +39,7 @@ func fireAcrossDrain(t *testing.T, s *Server, base string, inflight int, startDr
 			results <- resp.StatusCode
 		}(i)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.PartitionSeen()-seen < int64(inflight) && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); s.partitionSeen.Load()-seen < int64(inflight) && time.Now().Before(deadline); {
 		time.Sleep(2 * time.Millisecond)
 	}
 	startDrain()

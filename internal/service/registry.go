@@ -239,9 +239,9 @@ func (r *Registry) Resolve(ids []string) ([]*Model, error) {
 }
 
 // Load populates the registry from the persistence directory: every
-// *.json file (fpm JSON wire form) and *.fpm file (fupermod-style text, as
-// written by fpmbench -out) becomes a model named after the file. Returns
-// the number of models loaded.
+// *.json file (the fpm JSON wire form, as Put persists and fpmbench -out
+// writes) becomes a model named after the file. Returns the number of
+// models loaded.
 func (r *Registry) Load() (int, error) {
 	if r.dir == "" {
 		return 0, nil
@@ -255,43 +255,18 @@ func (r *Registry) Load() (int, error) {
 	}
 	loaded := 0
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
 		name := e.Name()
-		ext := filepath.Ext(name)
-		id := strings.TrimSuffix(name, ext)
-		if !ValidID(id) {
+		id, ok := strings.CutSuffix(name, ".json")
+		if e.IsDir() || !ok || !ValidID(id) {
 			continue
 		}
-		var pl *fpm.PiecewiseLinear
-		var raw []byte
-		switch ext {
-		case ".json":
-			data, err := os.ReadFile(filepath.Join(r.dir, name))
-			if err != nil {
-				return loaded, err
-			}
-			pl = new(fpm.PiecewiseLinear)
-			if err := pl.UnmarshalJSON(data); err != nil {
-				return loaded, fmt.Errorf("service: load %s: %w", name, err)
-			}
-			raw = data
-		case ".fpm":
-			f, err := os.Open(filepath.Join(r.dir, name))
-			if err != nil {
-				return loaded, err
-			}
-			pl, err = fpm.ReadText(f)
-			f.Close()
-			if err != nil {
-				return loaded, fmt.Errorf("service: load %s: %w", name, err)
-			}
-			if raw, err = pl.MarshalJSON(); err != nil {
-				return loaded, err
-			}
-		default:
-			continue
+		raw, err := os.ReadFile(filepath.Join(r.dir, name))
+		if err != nil {
+			return loaded, err
+		}
+		pl := new(fpm.PiecewiseLinear)
+		if err := pl.UnmarshalJSON(raw); err != nil {
+			return loaded, fmt.Errorf("service: load %s: %w", name, err)
 		}
 		// A persisted generation sidecar (written by Put/PutAt) restores the
 		// model's cluster-wide generation across a restart; without it the

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"mime"
 	"net/http"
 	"regexp"
 	"runtime/debug"
@@ -212,28 +211,20 @@ func New(cfg Config) (*Server, error) {
 // routing new traffic while in-flight requests finish.
 func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
 
-// CacheLen returns the number of cached solutions (for tests).
+// CacheLen returns the number of cached solutions. Only tests call it; it
+// stays exported because the cluster tests read it from another package.
 func (s *Server) CacheLen() int { return s.cache.len() }
-
-// PartitionSeen returns the number of partition requests that have reached
-// the handler since the server started.
-func (s *Server) PartitionSeen() int64 { return s.partitionSeen.Load() }
-
-// Recorder exposes the flight recorder (nil when request tracing is
-// disabled) for tests and embedding tools.
-func (s *Server) Recorder() *telemetry.FlightRecorder { return s.recorder }
 
 // Handler returns the service's HTTP API:
 //
 //	GET    /healthz          liveness (503 while draining)
 //	GET    /v1/models        list model ids
-//	PUT    /v1/models/{id}   upload a model (JSON or fupermod-style text)
-//	GET    /v1/models/{id}   fetch a model (Accept: text/plain for text)
+//	PUT    /v1/models/{id}   upload a model (fpm JSON wire form)
+//	GET    /v1/models/{id}   fetch a model
 //	DELETE /v1/models/{id}   remove a model
 //	POST   /v1/partition     FPM partition over registered models
-//	POST   /v1/predict       time/speed/deadline lookups against one model
 //	POST   /v1/observe       online model refinement (Config.EnableObserve)
-//	GET    /metrics[.json]   telemetry registry exposition
+//	GET    /metrics          telemetry registry exposition (Prometheus text)
 //	GET    /debug/requests   flight recorder (recent/slowest/errored traces)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -243,7 +234,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/models/{id}", s.instrument("models.get", s.handleGetModel))
 	mux.HandleFunc("DELETE /v1/models/{id}", s.instrument("models.delete", s.handleDeleteModel))
 	mux.HandleFunc("POST /v1/partition", s.instrument("partition", s.handlePartition))
-	mux.HandleFunc("POST /v1/predict", s.instrument("predict", s.handlePredict))
 	if s.refiner != nil {
 		mux.HandleFunc("POST /v1/observe", s.instrument("observe", s.handleObserve))
 	}
@@ -258,9 +248,7 @@ func (s *Server) Handler() http.Handler {
 	// when the serving path is saturated, and recording reads of the recorder
 	// in the recorder itself would be noise.
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	th := telemetry.Default().Handler()
-	mux.Handle("GET /metrics", th)
-	mux.Handle("GET /metrics.json", th)
+	mux.Handle("GET /metrics", telemetry.Default().Handler())
 	if s.cfg.EnablePprof {
 		return telemetry.WithPprof(mux)
 	}
@@ -470,23 +458,10 @@ func (s *Server) handlePutModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid model id %q", id)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxModelBody)
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
-	}
-	var pl *fpm.PiecewiseLinear
-	var err error
-	switch {
-	case strings.HasPrefix(ct, "text/"):
-		pl, err = fpm.ReadText(body)
-	default: // application/json and unspecified
-		var data []byte
-		data, err = io.ReadAll(body)
-		if err == nil {
-			pl = new(fpm.PiecewiseLinear)
-			err = pl.UnmarshalJSON(data)
-		}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxModelBody))
+	pl := new(fpm.PiecewiseLinear)
+	if err == nil {
+		err = pl.UnmarshalJSON(data)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse model: %v", err)
@@ -514,11 +489,6 @@ func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(GenerationHeader, strconv.FormatUint(m.Gen, 10))
-	if strings.Contains(r.Header.Get("Accept"), "text/plain") {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = m.PL.WriteText(w)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(m.Raw)
 }
@@ -899,73 +869,6 @@ func buildLayout(res partition.Result, matrix int) (*layoutResponse, error) {
 		out.Columns = append(out.Columns, mapped)
 	}
 	return out, nil
-}
-
-// predictRequest is the body of POST /v1/predict: point lookups against one
-// registered model. Sizes yield speeds and times; Deadlines yield the
-// largest size completable within each deadline (the partitioner's inverse
-// query).
-type predictRequest struct {
-	Model     string    `json:"model"`
-	Sizes     []float64 `json:"sizes,omitempty"`
-	Deadlines []float64 `json:"deadlines,omitempty"`
-}
-
-type predictResponse struct {
-	Model      string    `json:"model"`
-	Domain     []float64 `json:"domain"`
-	Speeds     []float64 `json:"speeds,omitempty"`
-	Times      []float64 `json:"times,omitempty"`
-	SizesFor   []float64 `json:"sizes_for,omitempty"`
-	Generation uint64    `json:"generation"`
-}
-
-const maxPredictPoints = 10000
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	if len(req.Sizes)+len(req.Deadlines) == 0 {
-		writeError(w, http.StatusBadRequest, "at least one of sizes or deadlines required")
-		return
-	}
-	if len(req.Sizes)+len(req.Deadlines) > maxPredictPoints {
-		writeError(w, http.StatusBadRequest, "too many query points (> %d)", maxPredictPoints)
-		return
-	}
-	m, err := s.Models.Get(req.Model)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	dmin, dmax := m.PL.Domain()
-	out := predictResponse{Model: m.ID, Domain: []float64{dmin, dmax}, Generation: m.Gen}
-	if len(req.Sizes) > 0 {
-		out.Speeds = make([]float64, len(req.Sizes))
-		out.Times = make([]float64, len(req.Sizes))
-		for i, x := range req.Sizes {
-			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
-				writeError(w, http.StatusBadRequest, "invalid size %v", x)
-				return
-			}
-			out.Speeds[i] = m.PL.Speed(x)
-			out.Times[i] = fpm.Time(m.PL, x)
-		}
-	}
-	if len(req.Deadlines) > 0 {
-		out.SizesFor = make([]float64, len(req.Deadlines))
-		for i, T := range req.Deadlines {
-			if math.IsNaN(T) || T < 0 {
-				writeError(w, http.StatusBadRequest, "invalid deadline %v", T)
-				return
-			}
-			out.SizesFor[i] = fpm.SizeFor(m.PL, T, 0)
-		}
-	}
-	writeJSON(w, http.StatusOK, &out)
 }
 
 // Serve binds the hardened HTTP server on addr and returns the bound address

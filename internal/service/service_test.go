@@ -77,14 +77,13 @@ func TestModelCRUD(t *testing.T) {
 	m := testModel(t)
 	putJSONModel(t, ts.URL, "gpu0", m)
 
-	// Text upload too.
-	var text bytes.Buffer
-	if err := m.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/models/cpu0", "text/plain", text.Bytes())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT text model: %d %s", resp.StatusCode, body)
+	putJSONModel(t, ts.URL, "cpu0", m)
+
+	// The two-column text format is not a model format: its body fails to
+	// decode as JSON.
+	resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/models/text0", "text/plain", []byte("10 100\n20 200\n"))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "parse model") {
+		t.Fatalf("PUT text model: %d %s, want 400 parse model", resp.StatusCode, body)
 	}
 
 	resp, body = doReq(t, http.MethodGet, ts.URL+"/v1/models", "", nil)
@@ -116,68 +115,32 @@ func TestModelCRUD(t *testing.T) {
 	}
 }
 
-// TestModelRoundTripAtKnots is the serialization regression net: a model
-// uploaded as JSON and as text must come back (in both formats) with Speed
-// and Domain agreeing with the original at every knot — catching silent
-// precision loss or kind-dispatch regressions in serialize.go.
+// TestModelRoundTripAtKnots is the serialization regression net: an
+// uploaded model must come back with Speed and Domain agreeing with the
+// original at every knot — catching silent precision loss or kind-dispatch
+// regressions in serialize.go.
 func TestModelRoundTripAtKnots(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	orig := fpm.MustPiecewiseLinear([]fpm.Point{
 		{Size: 1.5, Speed: 123.456789012345}, {Size: 97.25, Speed: 400.125},
 		{Size: 1024, Speed: 901.0009765625}, {Size: 65536.5, Speed: 650.75},
 	})
-
-	// Upload once as JSON, once as text.
 	putJSONModel(t, ts.URL, "asjson", orig)
-	var text bytes.Buffer
-	if err := orig.WriteText(&text); err != nil {
-		t.Fatal(err)
+	resp, data := doReq(t, http.MethodGet, ts.URL+"/v1/models/asjson", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET asjson: %d", resp.StatusCode)
 	}
-	if resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/models/astext", "text/plain; charset=utf-8", text.Bytes()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT text: %d %s", resp.StatusCode, body)
+	got := new(fpm.PiecewiseLinear)
+	if err := got.UnmarshalJSON(data); err != nil {
+		t.Fatalf("parse JSON model: %v", err)
 	}
-
-	fetch := func(id, accept string) *fpm.PiecewiseLinear {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/models/"+id, nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", id, resp.StatusCode)
-		}
-		if accept == "text/plain" {
-			m, err := fpm.ReadText(resp.Body)
-			if err != nil {
-				t.Fatalf("parse text model %s: %v", id, err)
-			}
-			return m
-		}
-		data, _ := io.ReadAll(resp.Body)
-		m := new(fpm.PiecewiseLinear)
-		if err := m.UnmarshalJSON(data); err != nil {
-			t.Fatalf("parse JSON model %s: %v", id, err)
-		}
-		return m
-	}
-
 	origMin, origMax := orig.Domain()
-	for _, id := range []string{"asjson", "astext"} {
-		for _, accept := range []string{"", "text/plain"} {
-			got := fetch(id, accept)
-			gmin, gmax := got.Domain()
-			if gmin != origMin || gmax != origMax {
-				t.Errorf("%s (accept=%q): Domain = (%v,%v), want (%v,%v)", id, accept, gmin, gmax, origMin, origMax)
-			}
-			for _, p := range orig.Points() {
-				if gs := got.Speed(p.Size); gs != p.Speed {
-					t.Errorf("%s (accept=%q): Speed(%v) = %v, want %v", id, accept, p.Size, gs, p.Speed)
-				}
-			}
+	if gmin, gmax := got.Domain(); gmin != origMin || gmax != origMax {
+		t.Errorf("Domain = (%v,%v), want (%v,%v)", gmin, gmax, origMin, origMax)
+	}
+	for _, p := range orig.Points() {
+		if gs := got.Speed(p.Size); gs != p.Speed {
+			t.Errorf("Speed(%v) = %v, want %v", p.Size, gs, p.Speed)
 		}
 	}
 }
@@ -404,41 +367,18 @@ func TestPartitionLayout(t *testing.T) {
 	}
 }
 
-func TestPredictEndpoint(t *testing.T) {
+// TestUnservedEndpoints: the partition service serves no model lookups and
+// no JSON metrics; both paths are unknown.
+func TestUnservedEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	m := testModel(t)
-	putJSONModel(t, ts.URL, "gpu0", m)
-
-	resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/predict", "application/json",
-		[]byte(`{"model":"gpu0","sizes":[10,100,2000],"deadlines":[0.5,2]}`))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict: %d %s", resp.StatusCode, body)
-	}
-	var pr predictResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.Speeds) != 3 || len(pr.Times) != 3 || len(pr.SizesFor) != 2 {
-		t.Fatalf("predict response: %+v", pr)
-	}
-	if pr.Speeds[0] != m.Speed(10) || pr.Speeds[1] != m.Speed(100) {
-		t.Fatalf("speeds = %v", pr.Speeds)
-	}
-	if pr.Times[1] != 100/m.Speed(100) {
-		t.Fatalf("times = %v", pr.Times)
-	}
-	if want := fpm.SizeFor(m, 0.5, 0); pr.SizesFor[0] != want {
-		t.Fatalf("sizes_for = %v, want %v", pr.SizesFor[0], want)
-	}
-
-	for body, want := range map[string]int{
-		`{"model":"nope","sizes":[1]}`:        http.StatusNotFound,
-		`{"model":"gpu0"}`:                    http.StatusBadRequest,
-		`{"model":"gpu0","sizes":[-1]}`:       http.StatusBadRequest,
-		`{"model":"gpu0","deadlines":[-0.1]}`: http.StatusBadRequest,
+	putJSONModel(t, ts.URL, "gpu0", testModel(t))
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/predict"},
+		{http.MethodGet, "/metrics.json"},
 	} {
-		if resp, b := doReq(t, http.MethodPost, ts.URL+"/v1/predict", "application/json", []byte(body)); resp.StatusCode != want {
-			t.Errorf("predict %s = %d (%s), want %d", body, resp.StatusCode, b, want)
+		resp, body := doReq(t, c.method, ts.URL+c.path, "application/json", []byte(`{"model":"gpu0","sizes":[10]}`))
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d (%s), want 404 or 405", c.method, c.path, resp.StatusCode, body)
 		}
 	}
 }
@@ -468,15 +408,18 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "gpu0.json")); err != nil {
 		t.Fatalf("model not persisted: %v", err)
 	}
-	// A text-format model dropped into the directory is picked up too.
-	f, err := os.Create(filepath.Join(dir, "legacy.fpm"))
+	// A JSON model dropped into the directory is picked up too; a file in
+	// the two-column text format is not a model file and is skipped.
+	raw, err := m.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteText(f); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "legacy.json"), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := os.WriteFile(filepath.Join(dir, "text.fpm"), []byte("10 100\n20 200\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, ts2 := newTestServer(t, Config{ModelDir: dir})
 	if got := s2.Models.List(); len(got) != 2 || got[0] != "gpu0" || got[1] != "legacy" {

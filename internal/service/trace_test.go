@@ -56,7 +56,7 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 		t.Fatalf("X-Request-Id echoed as %q, want trace-e2e-1", got)
 	}
 
-	rt := s.Recorder().Get("trace-e2e-1")
+	rt := s.recorder.Get("trace-e2e-1")
 	if rt == nil {
 		t.Fatal("trace not retained in flight recorder")
 	}
@@ -87,7 +87,7 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	warm := s.Recorder().Get("trace-e2e-2")
+	warm := s.recorder.Get("trace-e2e-2")
 	if warm == nil {
 		t.Fatal("warm trace not retained")
 	}
@@ -231,14 +231,14 @@ func TestPanicRecovery(t *testing.T) {
 	}
 
 	// The trace is retained as errored, annotated with the panic value.
-	rt := s.Recorder().Get("panic-req-1")
+	rt := s.recorder.Get("panic-req-1")
 	if rt == nil || rt.Status() != http.StatusInternalServerError {
 		t.Fatalf("panic trace not retained as 500: %v", rt)
 	}
 	if snap := rt.Snapshot(); snap.Attrs["panic"] != "kaboom" {
 		t.Fatalf("panic attr = %q", snap.Attrs["panic"])
 	}
-	if len(s.Recorder().Errored()) == 0 {
+	if len(s.recorder.Errored()) == 0 {
 		t.Fatal("errored reservoir empty after panic")
 	}
 
@@ -400,7 +400,7 @@ func TestSlowestReservoirOrdering(t *testing.T) {
 			t.Fatalf("partition %d: %d", i, resp.StatusCode)
 		}
 	}
-	slow := s.Recorder().Slowest()
+	slow := s.recorder.Slowest()
 	if len(slow) == 0 {
 		t.Fatal("slowest reservoir empty")
 	}

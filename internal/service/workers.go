@@ -22,8 +22,7 @@ import (
 
 // workerModelSink publishes a registering worker's self-calibrated model
 // into the model registry (replicating in cluster mode), so the worker's
-// name doubles as its model id for /v1/partition, /v1/predict and
-// /v1/observe.
+// name doubles as its model id for /v1/partition and /v1/observe.
 type workerModelSink struct{ s *Server }
 
 func (a workerModelSink) PutWorkerModel(name string, pl *fpm.PiecewiseLinear) (uint64, error) {
@@ -71,8 +70,9 @@ func (a workerObserver) ObserveWorker(name string, samples []refine.Sample) {
 	}
 }
 
-// WorkerPool exposes the worker pool (nil unless Config.EnableWorkers) for
-// tests and embedding tools.
+// WorkerPool exposes the worker pool (nil unless Config.EnableWorkers). Only
+// tests call it; it stays exported because the worker tests read it from
+// another package.
 func (s *Server) WorkerPool() *workerd.Pool { return s.pool }
 
 // Executor exposes the job executor (nil unless Config.EnableWorkers).

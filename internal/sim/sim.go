@@ -1,94 +1,14 @@
-// Package sim provides a small discrete-event simulation core used to model
-// the hybrid platform's hardware: a virtual clock with an event queue, and
-// sequential resources (PCIe DMA engines, GPU compute engines) on which
-// timed tasks with dependencies are scheduled.
-//
-// Two levels of abstraction are offered:
-//
-//   - Engine: a classic event-driven simulator (heap of timestamped events)
-//     for open-ended models;
-//   - Resource/task scheduling helpers: for the structured pipelines of the
-//     GPU kernels (copy/compute overlap) it is simpler and equally exact to
-//     compute task start/finish times directly on per-resource timelines.
+// Package sim models the hybrid platform's sequential hardware resources
+// (PCIe DMA engines, GPU compute engines) as timelines on which timed tasks
+// are scheduled. For the structured pipelines of the GPU kernels
+// (copy/compute overlap) computing each task's start and finish directly on
+// per-resource timelines is exact and needs no event queue.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
-
-// Event is a scheduled callback.
-type event struct {
-	at  float64
-	seq int64 // FIFO tie-break for simultaneous events
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// Engine is a single-threaded discrete-event simulator.
-type Engine struct {
-	now    float64
-	seq    int64
-	events eventHeap
-}
-
-// NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current virtual time in seconds.
-func (e *Engine) Now() float64 { return e.now }
-
-// Schedule runs fn after delay seconds of virtual time. A negative delay is
-// an error (the past is immutable).
-func (e *Engine) Schedule(delay float64, fn func()) error {
-	if delay < 0 || math.IsNaN(delay) {
-		return fmt.Errorf("sim: invalid delay %v", delay)
-	}
-	e.seq++
-	heap.Push(&e.events, &event{at: e.now + delay, seq: e.seq, fn: fn})
-	return nil
-}
-
-// Run processes events until the queue is empty or the clock passes until
-// (use +Inf to drain). It returns the final clock value.
-func (e *Engine) Run(until float64) float64 {
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.events)
-		e.now = next.at
-		next.fn()
-	}
-	if !math.IsInf(until, 1) && e.now < until && len(e.events) == 0 {
-		e.now = until
-	}
-	return e.now
-}
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // Resource is a sequential device timeline: work items execute one at a
 // time in submission order. It answers "if a task becomes ready at time t
@@ -144,12 +64,3 @@ func (r *Resource) ExecLabeled(label string, ready, dur float64) (start, finish 
 
 // Reset makes the resource idle at time 0 again.
 func (r *Resource) Reset() { r.freeAt = 0; r.busy = 0 }
-
-// Utilisation returns busy time divided by the makespan (caller-provided
-// total elapsed time), or 0 when makespan is 0.
-func (r *Resource) Utilisation(makespan float64) float64 {
-	if makespan <= 0 {
-		return 0
-	}
-	return r.busy / makespan
-}

@@ -1,102 +1,9 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
-
-func TestEngineOrdersEventsByTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(e.Schedule(3, func() { order = append(order, 3) }))
-	must(e.Schedule(1, func() { order = append(order, 1) }))
-	must(e.Schedule(2, func() { order = append(order, 2) }))
-	end := e.Run(math.Inf(1))
-	if end != 3 {
-		t.Errorf("final time = %v, want 3", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
-	}
-}
-
-func TestEngineFIFOTieBreak(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := e.Schedule(1, func() { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run(math.Inf(1))
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var times []float64
-	if err := e.Schedule(1, func() {
-		times = append(times, e.Now())
-		if err := e.Schedule(2, func() { times = append(times, e.Now()) }); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(math.Inf(1))
-	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
-		t.Errorf("times = %v, want [1 3]", times)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	for _, d := range []float64{1, 5, 10} {
-		if err := e.Schedule(d, func() { ran++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run(5)
-	if ran != 2 {
-		t.Errorf("events run by t=5: %d, want 2", ran)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-	e.Run(math.Inf(1))
-	if ran != 3 || e.Pending() != 0 {
-		t.Errorf("after drain: ran=%d pending=%d", ran, e.Pending())
-	}
-}
-
-func TestEngineRunAdvancesToUntilWhenEmpty(t *testing.T) {
-	e := NewEngine()
-	if got := e.Run(7); got != 7 {
-		t.Errorf("empty Run(7) = %v", got)
-	}
-}
-
-func TestEngineRejectsBadDelays(t *testing.T) {
-	e := NewEngine()
-	if err := e.Schedule(-1, func() {}); err == nil {
-		t.Error("negative delay accepted")
-	}
-	if err := e.Schedule(math.NaN(), func() {}); err == nil {
-		t.Error("NaN delay accepted")
-	}
-}
 
 func TestResourceSequentialExecution(t *testing.T) {
 	r := NewResource("pcie")
@@ -116,12 +23,6 @@ func TestResourceSequentialExecution(t *testing.T) {
 	}
 	if r.BusyTime() != 14 {
 		t.Errorf("busy = %v, want 14", r.BusyTime())
-	}
-	if got := r.Utilisation(28); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("utilisation = %v, want 0.5", got)
-	}
-	if r.Utilisation(0) != 0 {
-		t.Error("zero-makespan utilisation should be 0")
 	}
 }
 

@@ -56,15 +56,6 @@ func (e *Estimator) effective() *Sample {
 // Sample exposes the underlying sample (read-only use intended).
 func (e *Estimator) Sample() *Sample { return &e.sample }
 
-// Rejected reports how many observations the robust outlier filter
-// discarded (always 0 when Robust is off).
-func (e *Estimator) Rejected() int {
-	if !e.Robust {
-		return 0
-	}
-	return e.sample.N() - e.effective().N()
-}
-
 // Reliable reports whether measurement can stop: either the confidence
 // interval is tight enough, or the repetition budget is exhausted.
 func (e *Estimator) Reliable() bool {

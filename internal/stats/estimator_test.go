@@ -127,16 +127,6 @@ func TestNoiseProperties(t *testing.T) {
 	}
 }
 
-func TestNoiseUniform(t *testing.T) {
-	n := NewNoise(3, 0)
-	for i := 0; i < 100; i++ {
-		v := n.Uniform(2, 5)
-		if v < 2 || v >= 5 {
-			t.Fatalf("Uniform out of range: %v", v)
-		}
-	}
-}
-
 func TestEstimatorRobustIgnoresOutliers(t *testing.T) {
 	// Clean repetitions plus one wild outlier: a robust estimator converges
 	// to the clean mean; a plain one is dragged.

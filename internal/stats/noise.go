@@ -40,14 +40,21 @@ func (n *Noise) ForPoint(x float64) *Noise {
 }
 
 // mixSeed combines a base seed with a problem size into a well-spread child
-// seed using the SplitMix64 finalizer, so neighbouring sizes (and
-// neighbouring base seeds) get uncorrelated streams.
+// seed, so neighbouring sizes (and neighbouring base seeds) get uncorrelated
+// streams.
 func mixSeed(seed int64, x float64) int64 {
-	z := uint64(seed) ^ math.Float64bits(x)
+	return int64(Mix64(uint64(seed) ^ math.Float64bits(x)))
+}
+
+// Mix64 returns one SplitMix64 output for the state z: z advanced by the
+// golden-ratio increment, then passed through the SplitMix64 finaliser. It
+// spreads nearby inputs into uncorrelated 64-bit values, for deriving
+// independent child seeds.
+func Mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return z ^ (z >> 31)
 }
 
 // Perturb returns t*(1+e) with e ~ truncated N(0, Sigma^2).
@@ -62,10 +69,4 @@ func (n *Noise) Perturb(t float64) float64 {
 	e := n.rng.NormFloat64() * n.Sigma
 	e = math.Max(-clip, math.Min(clip, e))
 	return t * (1 + e)
-}
-
-// Uniform returns a uniformly distributed value in [lo, hi), for workloads
-// that need reproducible randomised inputs.
-func (n *Noise) Uniform(lo, hi float64) float64 {
-	return lo + n.rng.Float64()*(hi-lo)
 }

@@ -81,8 +81,3 @@ func (s *Sample) FilterOutliers(k float64) *Sample {
 	}
 	return out
 }
-
-// RobustMean returns the mean after 3-MAD outlier filtering.
-func (s *Sample) RobustMean() float64 {
-	return s.FilterOutliers(3).Mean()
-}

@@ -37,7 +37,7 @@ func TestFilterOutliers(t *testing.T) {
 		t.Error("filtering mutated the source")
 	}
 	// Robust mean ignores the outlier, plain mean does not.
-	if rm := s.RobustMean(); math.Abs(rm-10) > 0.1 {
+	if rm := s.FilterOutliers(3).Mean(); math.Abs(rm-10) > 0.1 {
 		t.Errorf("robust mean = %v", rm)
 	}
 	if pm := s.Mean(); pm < 15 {
@@ -96,7 +96,7 @@ func TestFilterOutliersQuantizedClock(t *testing.T) {
 		t.Errorf("quantized-clock sample filtered from %d to %d; one-tick neighbours must survive", s.N(), f.N())
 	}
 	// The robust mean reflects the whole batch, not just the modal tick.
-	if rm := s.RobustMean(); math.Abs(rm-s.Mean()) > 1e-12 {
+	if rm := s.FilterOutliers(3).Mean(); math.Abs(rm-s.Mean()) > 1e-12 {
 		t.Errorf("robust mean %v != mean %v for quantized batch", rm, s.Mean())
 	}
 

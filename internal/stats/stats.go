@@ -150,12 +150,6 @@ type CI struct {
 	N          int     // observations the interval is based on
 }
 
-// Lo returns the lower bound of the interval.
-func (ci CI) Lo() float64 { return ci.Mean - ci.HalfWidth }
-
-// Hi returns the upper bound of the interval.
-func (ci CI) Hi() float64 { return ci.Mean + ci.HalfWidth }
-
 // RelativeError reports the half-width as a fraction of the mean. It is the
 // quantity the adaptive estimator drives below a target threshold.
 func (ci CI) RelativeError() float64 {

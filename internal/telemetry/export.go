@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -63,39 +62,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// Snapshot returns an expvar-style view of every metric: series identity →
-// value (counters and gauges) or {count, sum, buckets} (histograms).
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	for _, m := range r.sortedMetrics() {
-		out[m.meta().id()] = m.snapshotValue()
-	}
-	return out
-}
-
-// WriteJSON writes the Snapshot as indented JSON (keys sorted by
-// encoding/json, so the output is deterministic).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// Handler serves the registry over HTTP:
-//
-//	/metrics       Prometheus text exposition
-//	/metrics.json  expvar-style JSON snapshot
+// Handler serves the registry in the Prometheus text exposition format.
 func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = r.WritePrometheus(w)
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	})
-	return mux
 }
 
 // WithPprof returns a handler that serves the net/http/pprof runtime

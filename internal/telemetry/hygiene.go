@@ -59,6 +59,9 @@ var histogramUnitSuffixes = []string{"_seconds", "_bytes", "_iterations", "_unit
 //   - histograms must end in a known unit suffix (_seconds, _bytes, ...)
 //   - label keys must be snake_case
 //   - a metric name must map to exactly one kind and one label-key set
+//
+// Only tests call it: the tests of each instrumented package run it over
+// the registry their code fills.
 func Hygiene(r *Registry) []string {
 	var violations []string
 	kindByName := map[string]string{}

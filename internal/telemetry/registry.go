@@ -62,8 +62,6 @@ type metric interface {
 	meta() metricMeta
 	// promKind is the Prometheus # TYPE keyword.
 	promKind() string
-	// snapshotValue is the expvar-style JSON value.
-	snapshotValue() any
 }
 
 // metricMeta identifies one instrument: a name plus ordered label pairs.
@@ -222,9 +220,8 @@ func (c *Counter) Add(v float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
-func (c *Counter) meta() metricMeta   { return c.m }
-func (c *Counter) promKind() string   { return "counter" }
-func (c *Counter) snapshotValue() any { return c.Value() }
+func (c *Counter) meta() metricMeta { return c.m }
+func (c *Counter) promKind() string { return "counter" }
 
 // Gauge is a metric that can go up and down.
 type Gauge struct {
@@ -252,9 +249,8 @@ func (g *Gauge) Add(v float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-func (g *Gauge) meta() metricMeta   { return g.m }
-func (g *Gauge) promKind() string   { return "gauge" }
-func (g *Gauge) snapshotValue() any { return g.Value() }
+func (g *Gauge) meta() metricMeta { return g.m }
+func (g *Gauge) promKind() string { return "gauge" }
 
 // DefBuckets are general-purpose histogram bounds spanning microseconds to
 // minutes — suitable for the simulated kernel times this repo measures.
@@ -319,15 +315,3 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 func (h *Histogram) meta() metricMeta { return h.m }
 func (h *Histogram) promKind() string { return "histogram" }
-
-func (h *Histogram) snapshotValue() any {
-	buckets := map[string]uint64{}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		buckets[fmt.Sprintf("%g", b)] = cum
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	buckets["+Inf"] = cum
-	return map[string]any{"count": h.Count(), "sum": h.Sum(), "buckets": buckets}
-}

@@ -99,14 +99,6 @@ func (t *ReqTrace) Route() string {
 	return t.route
 }
 
-// StartTime returns when the request began.
-func (t *ReqTrace) StartTime() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.begin
-}
-
 // Annotate attaches a key/value annotation ("cache" = "hit"). Later values
 // for the same key win in the snapshot.
 func (t *ReqTrace) Annotate(key, value string) {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -108,28 +107,6 @@ func TestWritePrometheusDeterministicAndLabelled(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSON(t *testing.T) {
-	r := New()
-	r.SetEnabled(true)
-	r.Counter("runs_total").Add(2)
-	r.Histogram("reps", []float64{5, 10}).Observe(7)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if snap["runs_total"] != 2.0 {
-		t.Errorf("runs_total = %v, want 2", snap["runs_total"])
-	}
-	hist, ok := snap["reps"].(map[string]any)
-	if !ok || hist["count"] != 1.0 {
-		t.Errorf("reps snapshot = %v", snap["reps"])
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := New()
 	r.SetEnabled(true)
@@ -175,10 +152,6 @@ func TestHTTPEndpoint(t *testing.T) {
 	}
 	if out := get("/metrics"); !strings.Contains(out, "hits_total 1") {
 		t.Errorf("/metrics missing counter:\n%s", out)
-	}
-	var snap map[string]any
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
-		t.Errorf("/metrics.json invalid: %v", err)
 	}
 }
 
