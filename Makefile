@@ -59,10 +59,14 @@ fuzz:
 experiments:
 	$(GO) run ./cmd/experiments
 
-# Rewrite internal/experiments/testdata/experiments.golden — the pinned
-# output of `go run ./cmd/experiments` — after an intended change to it.
+# Rewrite the three pinned outputs of the simulated stack after an intended
+# change to them: internal/experiments/testdata/experiments.golden (what
+# `go run ./cmd/experiments` prints), internal/experiments/testdata/
+# hybrid_trace.golden (the `-trace-out f -trace-n 40` Chrome trace) and
+# internal/hw/testdata/ig-node.json (what `-dump-platform` prints).
 golden:
-	$(GO) test ./internal/experiments -run '^TestAllRegisteredExperimentsRun$$' -update
+	$(GO) test ./internal/experiments -run '^(TestAllRegisteredExperimentsRun|TestHybridTraceGolden)$$' -update
+	$(GO) test ./internal/hw -run '^TestConfigGolden$$' -update
 
 report:
 	$(GO) run ./cmd/experiments -markdown > experiment-report.md

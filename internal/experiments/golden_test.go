@@ -10,11 +10,15 @@ import (
 
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
+	"fpmpart/internal/telemetry"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from the current output")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current output")
 
-const goldenPath = "testdata/experiments.golden"
+const (
+	goldenPath      = "testdata/experiments.golden"
+	traceGoldenPath = "testdata/hybrid_trace.golden"
+)
 
 // goldenOpts are cmd/experiments' default flags, so the golden is exactly
 // what `go run ./cmd/experiments` prints.
@@ -93,6 +97,58 @@ func TestAllRegisteredExperimentsRun(t *testing.T) {
 	}
 	if all.String() != golden {
 		t.Errorf("%s holds more than the %d registered tables, or in another order", goldenPath, len(Names()))
+	}
+}
+
+// hybridTrace builds the Chrome trace `experiments -trace-out f -trace-n 40`
+// writes: an FPM-partitioned hybrid run with kernel version 3, five traced
+// iterations.
+func hybridTrace(t *testing.T, parallelism int) []byte {
+	t.Helper()
+	opts := goldenOpts()
+	opts.Version = gpukernel.V3
+	opts.Parallelism = parallelism
+	models, err := BuildModels(hw.NewIGNode(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := models.PartitionFPM(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tl, err := models.RunHybridTraced(part.Units(), 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := telemetry.NewChromeTrace()
+	ct.AddTimelineByLane(tl)
+	var buf bytes.Buffer
+	if err := ct.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHybridTraceGolden pins the exported hybrid-run trace byte for byte, at
+// two pool widths. After an intended change, regenerate it with
+// `make golden`.
+func TestHybridTraceGolden(t *testing.T) {
+	got := hybridTrace(t, 2)
+	if *update {
+		if err := os.WriteFile(traceGoldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(traceGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with `make golden`)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("hybrid trace differs from %s (- golden, + now):\n%s", traceGoldenPath, lineDiff(string(want), string(got)))
+	}
+	if serial := hybridTrace(t, 1); !bytes.Equal(serial, got) {
+		t.Error("hybrid trace differs between pool widths 1 and 2")
 	}
 }
 

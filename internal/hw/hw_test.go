@@ -2,7 +2,9 @@ package hw
 
 import (
 	"bytes"
+	"flag"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -368,6 +370,33 @@ func TestConfigRoundTrip(t *testing.T) {
 		if len(n.GPUs) > 0 && back.GPUMemBlocks(0) != n.GPUMemBlocks(0) {
 			t.Errorf("%s: GPU capacity changed", n.Name)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/ig-node.json from the current output")
+
+const configGoldenPath = "testdata/ig-node.json"
+
+// TestConfigGolden pins the JSON of the paper's node — what
+// `experiments -dump-platform` prints — byte for byte. After an intended
+// change, regenerate it with `make golden`.
+func TestConfigGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteConfig(&buf, NewIGNode()); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(configGoldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(configGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with `make golden`)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("WriteConfig(NewIGNode()) differs from %s:\n%s", configGoldenPath, buf.String())
 	}
 }
 
