@@ -21,9 +21,9 @@ import (
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
+	"fpmpart/internal/sim"
 	"fpmpart/internal/stats"
 	"fpmpart/internal/telemetry"
-	"fpmpart/internal/trace"
 )
 
 func main() {
@@ -129,7 +129,7 @@ func main() {
 func writeEngineTrace(tele *cliutil.TelemetryFlags, node *hw.Node) error {
 	return tele.WriteChromeTrace(func(ct *telemetry.ChromeTrace) error {
 		for _, g := range node.GPUs {
-			var tl trace.Timeline
+			var tl sim.Timeline
 			if _, err := gpukernel.ScheduleV3(gpukernel.Invocation{
 				GPU: g, BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
 				Rows: 45, Cols: 45,

@@ -4,14 +4,13 @@
 // of the n iterations the pivot column of A and pivot row of B are broadcast
 // and every process updates its rectangle of C with one GEMM call.
 //
-// The application runs in two modes:
-//
-//   - Simulated: per-process computation times come from the hardware cost
-//     models (internal/hw, internal/gpukernel) — this reproduces the paper's
-//     timing experiments (Tables II/III, Figures 6/7) on the modelled node.
-//   - Real: the multiplication actually executes on goroutines with the pure
-//     Go GEMM (internal/blas), verifying that the partitioning and the
-//     blocked algorithm compute the correct product.
+// The application is simulated: per-process computation times come from the
+// hardware cost models (internal/hw, internal/gpukernel) and communication
+// times from the broadcast models of comm.go — this reproduces the paper's
+// timing experiments (Tables II/III, Figures 6/7) on the modelled node. The
+// package's tests also execute the blocked algorithm for real on goroutines
+// with the packed GEMM (internal/blas), verifying that the partitioning and
+// the blocked algorithm compute the correct product.
 package app
 
 import (

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"fpmpart/internal/comm"
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
 	"fpmpart/internal/layout"
@@ -253,7 +252,7 @@ func TestSimulateWithScheduledNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	bl := uniformLayout(t, len(ps), 24)
-	net := comm.DefaultNetwork()
+	net := DefaultNetwork()
 	sched, err := Simulate(node, ps, bl, SimOptions{Network: &net})
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,16 @@
-// Package comm models the intra-node communication of the heterogeneous
-// parallel matrix multiplication at message granularity: at iteration k the
-// pivot column A(:,k) and pivot row B(k,:) are broadcast — every process
-// needs the pieces overlapping its rectangle, owned by the processes whose
-// rectangles contain block column/row k.
-//
-// The paper deliberately does not model communication ("we arrange elements
-// so that the communication volume is minimised"); this package goes one
-// level deeper so the arrangement's effect can be *simulated* rather than
-// only counted: transfers are scheduled on per-process link timelines
-// (internal/sim) under an aggregate memory-bandwidth cap, and the
-// per-iteration communication time emerges from the schedule.
-package comm
+package app
+
+// The intra-node communication of the application: at iteration k the pivot
+// column A(:,k) and pivot row B(k,:) are broadcast — every process needs the
+// pieces overlapping its rectangle, owned by the processes whose rectangles
+// contain block column/row k. The paper deliberately does not model
+// communication ("we arrange elements so that the communication volume is
+// minimised"). CommModel prices the broadcast volume at one aggregate
+// bandwidth; Network goes one level deeper so the arrangement's effect can
+// be simulated rather than only counted: transfers are scheduled on
+// per-process link timelines (internal/sim) under an aggregate
+// memory-bandwidth cap, and the per-iteration communication time emerges
+// from the schedule.
 
 import (
 	"fmt"
@@ -19,6 +19,33 @@ import (
 	"fpmpart/internal/layout"
 	"fpmpart/internal/sim"
 )
+
+// CommModel is the intra-node communication cost model for the pivot
+// row/column broadcasts: per iteration every process receives the parts of
+// the pivot column and row overlapping its rectangle, moved over shared
+// memory at the given effective bandwidth.
+type CommModel struct {
+	// Bandwidth is the effective aggregate copy bandwidth, bytes/second.
+	Bandwidth float64
+	// Latency is the per-iteration synchronisation/startup cost, seconds.
+	Latency float64
+}
+
+// DefaultComm is a typical shared-memory broadcast model for a NUMA node.
+func DefaultComm() CommModel {
+	return CommModel{Bandwidth: 6e9, Latency: 40e-6}
+}
+
+// IterationTime returns the communication time of one application iteration
+// for the given block layout and blocking factor.
+func (c CommModel) IterationTime(bl *layout.BlockLayout, blockBytes float64) float64 {
+	if c.Bandwidth <= 0 {
+		return 0
+	}
+	// Each process receives (w_i + h_i) blocks of pivot data per iteration.
+	bytes := bl.CommVolume() * blockBytes
+	return c.Latency + bytes/c.Bandwidth
+}
 
 // Network describes the node's interconnect (shared memory on the paper's
 // platform, but the same model covers a flat network).
@@ -41,10 +68,10 @@ func DefaultNetwork() Network {
 // Validate reports configuration errors.
 func (n Network) Validate() error {
 	if n.LinkBandwidth <= 0 {
-		return fmt.Errorf("comm: link bandwidth %v", n.LinkBandwidth)
+		return fmt.Errorf("app: link bandwidth %v", n.LinkBandwidth)
 	}
 	if n.AggregateBandwidth < 0 || n.Latency < 0 {
-		return fmt.Errorf("comm: aggregate %v, latency %v", n.AggregateBandwidth, n.Latency)
+		return fmt.Errorf("app: aggregate %v, latency %v", n.AggregateBandwidth, n.Latency)
 	}
 	return nil
 }
@@ -73,7 +100,7 @@ func overlap(a0, a1, b0, b1 float64) float64 {
 // Self-messages are omitted. blockBytes is the size of one b×b block.
 func PivotTransfers(bl *layout.BlockLayout, k int, blockBytes float64) ([]Transfer, error) {
 	if k < 0 || k >= bl.N {
-		return nil, fmt.Errorf("comm: pivot index %d out of 0..%d", k, bl.N-1)
+		return nil, fmt.Errorf("app: pivot index %d out of 0..%d", k, bl.N-1)
 	}
 	var out []Transfer
 	for to, r := range bl.Rects {
@@ -114,16 +141,16 @@ func (n Network) IterationTime(transfers []Transfer, procs int) (float64, error)
 	send := make([]*sim.Resource, procs)
 	recv := make([]*sim.Resource, procs)
 	for i := 0; i < procs; i++ {
-		send[i] = sim.NewResource(fmt.Sprintf("send%d", i))
-		recv[i] = sim.NewResource(fmt.Sprintf("recv%d", i))
+		send[i] = sim.NewResource(fmt.Sprintf("send%d", i), nil)
+		recv[i] = sim.NewResource(fmt.Sprintf("recv%d", i), nil)
 	}
 	var makespan, totalBytes float64
 	for _, tr := range transfers {
 		if tr.From < 0 || tr.From >= procs || tr.To < 0 || tr.To >= procs {
-			return 0, fmt.Errorf("comm: transfer %v out of %d processes", tr, procs)
+			return 0, fmt.Errorf("app: transfer %v out of %d processes", tr, procs)
 		}
 		if tr.Bytes < 0 {
-			return 0, fmt.Errorf("comm: negative bytes %v", tr.Bytes)
+			return 0, fmt.Errorf("app: negative bytes %v", tr.Bytes)
 		}
 		dur := n.Latency + tr.Bytes/n.LinkBandwidth
 		ready := math.Max(send[tr.From].FreeAt(), recv[tr.To].FreeAt())

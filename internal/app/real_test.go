@@ -1,7 +1,10 @@
 package app
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"fpmpart/internal/bench"
 	"fpmpart/internal/blas"
@@ -10,6 +13,130 @@ import (
 	"fpmpart/internal/matrix"
 	"fpmpart/internal/partition"
 )
+
+// realResult reports a real (actually computed) run of runReal.
+type realResult struct {
+	// PerProcessSeconds is each process's accumulated GEMM time.
+	PerProcessSeconds []float64
+	// WallSeconds is the total elapsed time.
+	WallSeconds float64
+	// Iterations is the number of pivot steps executed.
+	Iterations int
+}
+
+// runReal executes the heterogeneous column-based blocked matrix
+// multiplication for real: it computes C += A·B, where the three N×N
+// matrices (N = bl.N × b elements) are partitioned according to bl, one
+// goroutine per rectangle standing in for an MPI process. At each iteration
+// k the pivot column A(:,k) and pivot row B(k,:) are "broadcast" (shared
+// via views — the algorithm only reads them) and every process updates its
+// rectangle of C with one GEMM call, followed by a barrier.
+//
+// The result is bit-for-bit the blocked product; tests verify it against a
+// direct GEMM. It returns per-process compute times, which on a real
+// heterogeneous machine would be the input to FPM construction.
+//
+// The goroutines all run at the host CPU's speed, so slowdowns (one factor
+// >= 1 per rectangle of bl) emulate slower devices: a process with slowdown
+// s sleeps after each step until the step took s times its compute time,
+// giving it 1/s of the host kernel's speed. A factor of 1 is unmodified.
+func runReal(bl *layout.BlockLayout, b int, a, bm, c *matrix.Dense, slowdowns []float64) (realResult, error) {
+	if b <= 0 {
+		return realResult{}, fmt.Errorf("app: invalid block size %d", b)
+	}
+	if err := bl.Validate(); err != nil {
+		return realResult{}, err
+	}
+	if len(slowdowns) != len(bl.Rects) {
+		return realResult{}, fmt.Errorf("app: %d slowdowns for %d rectangles", len(slowdowns), len(bl.Rects))
+	}
+	for i, s := range slowdowns {
+		if s < 1 {
+			return realResult{}, fmt.Errorf("app: slowdown %v < 1 at process %d", s, i)
+		}
+	}
+	n := bl.N
+	dim := n * b
+	for name, m := range map[string]*matrix.Dense{"A": a, "B": bm, "C": c} {
+		if m == nil || m.Rows != dim || m.Cols != dim {
+			return realResult{}, fmt.Errorf("app: matrix %s must be %dx%d", name, dim, dim)
+		}
+	}
+
+	res := realResult{PerProcessSeconds: make([]float64, len(bl.Rects)), Iterations: n}
+	start := time.Now()
+	var mu sync.Mutex
+	for k := 0; k < n; k++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(bl.Rects))
+		for i, r := range bl.Rects {
+			if r.W == 0 || r.H == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(i int, r layout.Rect) {
+				defer wg.Done()
+				t0 := time.Now()
+				// A's pivot sub-column for this rectangle's rows.
+				av, err := a.View(int(r.Y)*b, k*b, int(r.H)*b, b)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				// B's pivot sub-row for this rectangle's columns.
+				bv, err := bm.View(k*b, int(r.X)*b, b, int(r.W)*b)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				cv, err := c.View(int(r.Y)*b, int(r.X)*b, int(r.H)*b, int(r.W)*b)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				// Each "process" is one rank: single-threaded packed GEMM
+				// on its strided C rectangle.
+				if errs[i] = blas.GemmPacked(1, av, bv, 1, cv, blas.DefaultConfig, 1); errs[i] != nil {
+					return
+				}
+				if s := slowdowns[i]; s > 1 {
+					time.Sleep(time.Duration(float64(time.Since(t0)) * (s - 1)))
+				}
+				mu.Lock()
+				res.PerProcessSeconds[i] += time.Since(t0).Seconds()
+				mu.Unlock()
+			}(i, r)
+		}
+		wg.Wait() // barrier: the broadcast of iteration k+1 awaits all updates
+		for _, err := range errs {
+			if err != nil {
+				return realResult{}, err
+			}
+		}
+	}
+	res.WallSeconds = time.Since(start).Seconds()
+	return res, nil
+}
+
+// Imbalance returns max/min - 1 over the processes that recorded time.
+func (r realResult) Imbalance() float64 {
+	lo, hi := -1.0, 0.0
+	for _, s := range r.PerProcessSeconds {
+		if s <= 0 {
+			continue
+		}
+		if lo < 0 || s < lo {
+			lo = s
+		}
+		if s > hi {
+			hi = s
+		}
+	}
+	if lo <= 0 {
+		return 0
+	}
+	return hi/lo - 1
+}
 
 // realLayout builds a heterogeneous layout for areas on an n-block matrix.
 func realLayout(t *testing.T, areas []float64, n int) *layout.BlockLayout {
@@ -50,7 +177,7 @@ func TestRunRealMatchesDirectGemm(t *testing.T) {
 	bm.FillRandom(2)
 	c := matrix.MustNew(dim, dim)
 
-	res, err := RunReal(bl, b, a, bm, c, ones(len(bl.Rects)))
+	res, err := runReal(bl, b, a, bm, c, ones(len(bl.Rects)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +213,7 @@ func TestRunRealAccumulatesIntoC(t *testing.T) {
 	c := matrix.MustNew(dim, dim)
 	c.FillConstant(1) // pre-existing C contents must be accumulated into
 
-	if _, err := RunReal(bl, b, a, bm, c, ones(len(bl.Rects))); err != nil {
+	if _, err := runReal(bl, b, a, bm, c, ones(len(bl.Rects))); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.MustNew(dim, dim)
@@ -102,18 +229,18 @@ func TestRunRealAccumulatesIntoC(t *testing.T) {
 func TestRunRealValidation(t *testing.T) {
 	bl := realLayout(t, []float64{1}, 2)
 	good := matrix.MustNew(2*4, 2*4)
-	if _, err := RunReal(bl, 0, good, good, good, []float64{1}); err == nil {
+	if _, err := runReal(bl, 0, good, good, good, []float64{1}); err == nil {
 		t.Error("zero block size accepted")
 	}
 	small := matrix.MustNew(4, 4)
-	if _, err := RunReal(bl, 4, small, good, good, []float64{1}); err == nil {
+	if _, err := runReal(bl, 4, small, good, good, []float64{1}); err == nil {
 		t.Error("wrong A shape accepted")
 	}
-	if _, err := RunReal(bl, 4, good, good, nil, []float64{1}); err == nil {
+	if _, err := runReal(bl, 4, good, good, nil, []float64{1}); err == nil {
 		t.Error("nil C accepted")
 	}
 	broken := &layout.BlockLayout{N: 2, Rects: []layout.Rect{{X: 0, Y: 0, W: 1, H: 1}}}
-	if _, err := RunReal(broken, 4, good, good, good, []float64{1}); err == nil {
+	if _, err := runReal(broken, 4, good, good, good, []float64{1}); err == nil {
 		t.Error("non-covering layout accepted")
 	}
 }
@@ -132,7 +259,7 @@ func TestRunRealManyProcesses(t *testing.T) {
 	a.FillRandom(5)
 	bm.FillRandom(6)
 	c := matrix.MustNew(dim, dim)
-	if _, err := RunReal(bl, b, a, bm, c, ones(len(bl.Rects))); err != nil {
+	if _, err := runReal(bl, b, a, bm, c, ones(len(bl.Rects))); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.MustNew(dim, dim)
@@ -153,7 +280,7 @@ func TestRunRealRateLimitedCorrectness(t *testing.T) {
 	a.FillRandom(1)
 	bm.FillRandom(2)
 	c := matrix.MustNew(dim, dim)
-	res, err := RunReal(bl, b, a, bm, c, []float64{1, 2, 1})
+	res, err := runReal(bl, b, a, bm, c, []float64{1, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,23 +300,23 @@ func TestRunRealRateLimitedValidation(t *testing.T) {
 	bl := realLayout(t, []float64{1, 1}, 4)
 	dim := 4 * 4
 	m := matrix.MustNew(dim, dim)
-	if _, err := RunReal(bl, 4, m, m, m, []float64{1}); err == nil {
+	if _, err := runReal(bl, 4, m, m, m, []float64{1}); err == nil {
 		t.Error("slowdown count mismatch accepted")
 	}
-	if _, err := RunReal(bl, 4, m, m, m, []float64{0.5, 1}); err == nil {
+	if _, err := runReal(bl, 4, m, m, m, []float64{0.5, 1}); err == nil {
 		t.Error("slowdown < 1 accepted")
 	}
-	if _, err := RunReal(bl, 0, m, m, m, []float64{1, 1}); err == nil {
+	if _, err := runReal(bl, 0, m, m, m, []float64{1, 1}); err == nil {
 		t.Error("zero block size accepted")
 	}
 }
 
 func TestRealResultImbalance(t *testing.T) {
-	r := RealResult{PerProcessSeconds: []float64{2, 4, 0}}
+	r := realResult{PerProcessSeconds: []float64{2, 4, 0}}
 	if got := r.Imbalance(); got != 1 {
 		t.Errorf("imbalance = %v, want 1 (idle process ignored)", got)
 	}
-	if (RealResult{}).Imbalance() != 0 {
+	if (realResult{}).Imbalance() != 0 {
 		t.Error("empty result imbalance should be 0")
 	}
 }
@@ -268,7 +395,7 @@ func TestClosedLoopRealFPM(t *testing.T) {
 	a.FillRandom(3)
 	bm.FillRandom(4)
 	c := matrix.MustNew(dim, dim)
-	rr, err := RunReal(bl, runB, a, bm, c, []float64{1, slowdown})
+	rr, err := runReal(bl, runB, a, bm, c, []float64{1, slowdown})
 	if err != nil {
 		t.Fatal(err)
 	}

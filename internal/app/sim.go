@@ -4,38 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"fpmpart/internal/comm"
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
 	"fpmpart/internal/layout"
 )
-
-// CommModel is the intra-node communication cost model for the pivot
-// row/column broadcasts: per iteration every process receives the parts of
-// the pivot column and row overlapping its rectangle, moved over shared
-// memory at the given effective bandwidth.
-type CommModel struct {
-	// Bandwidth is the effective aggregate copy bandwidth, bytes/second.
-	Bandwidth float64
-	// Latency is the per-iteration synchronisation/startup cost, seconds.
-	Latency float64
-}
-
-// DefaultComm is a typical shared-memory broadcast model for a NUMA node.
-func DefaultComm() CommModel {
-	return CommModel{Bandwidth: 6e9, Latency: 40e-6}
-}
-
-// IterationTime returns the communication time of one application iteration
-// for the given block layout and blocking factor.
-func (c CommModel) IterationTime(bl *layout.BlockLayout, blockBytes float64) float64 {
-	if c.Bandwidth <= 0 {
-		return 0
-	}
-	// Each process receives (w_i + h_i) blocks of pivot data per iteration.
-	bytes := bl.CommVolume() * blockBytes
-	return c.Latency + bytes/c.Bandwidth
-}
 
 // ProcessTime is the simulated outcome for one process.
 type ProcessTime struct {
@@ -138,9 +110,9 @@ type SimOptions struct {
 	// communication accounting.
 	Comm CommModel
 	// Network, when non-nil, replaces the scalar Comm model with
-	// message-level scheduled communication (internal/comm): per-iteration
-	// pivot transfers on per-process links under an aggregate cap.
-	Network *comm.Network
+	// message-level scheduled communication: per-iteration pivot transfers
+	// on per-process links under an aggregate cap.
+	Network *Network
 }
 
 // Simulate runs the application on the modelled node: processes procs hold

@@ -6,7 +6,7 @@ import (
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
 	"fpmpart/internal/layout"
-	"fpmpart/internal/trace"
+	"fpmpart/internal/sim"
 )
 
 // SimulateTraced runs Simulate and additionally reconstructs the run as a
@@ -25,7 +25,7 @@ import (
 //
 // maxIters bounds the number of traced iterations (0 = all bl.N); the
 // returned SimResult always describes the full run.
-func SimulateTraced(node *hw.Node, procs []Process, bl *layout.BlockLayout, opts SimOptions, maxIters int) (SimResult, *trace.Timeline, error) {
+func SimulateTraced(node *hw.Node, procs []Process, bl *layout.BlockLayout, opts SimOptions, maxIters int) (SimResult, *sim.Timeline, error) {
 	res, err := Simulate(node, procs, bl, opts)
 	if err != nil {
 		return SimResult{}, nil, err
@@ -50,13 +50,13 @@ func SimulateTraced(node *hw.Node, procs []Process, bl *layout.BlockLayout, opts
 	// A GPU host's engine schedule is identical every iteration: compute the
 	// ideal version-3 pipeline once per process, then stamp it per slot,
 	// rescaled so it fills exactly the process's effective iteration time.
-	engines := make(map[int][]trace.Span)
+	engines := make(map[int][]sim.Span)
 	if opts.Version == gpukernel.V3 {
 		for i, p := range procs {
 			if p.Kind != GPUHost || iterTime[i] <= 0 {
 				continue
 			}
-			var etl trace.Timeline
+			var etl sim.Timeline
 			r := bl.Rects[i]
 			inv := gpukernel.Invocation{
 				GPU:       node.GPUs[p.GPU],
@@ -78,7 +78,7 @@ func SimulateTraced(node *hw.Node, procs []Process, bl *layout.BlockLayout, opts
 		}
 	}
 
-	tl := &trace.Timeline{}
+	tl := &sim.Timeline{}
 	for k := 0; k < iters; k++ {
 		t0 := float64(k) * slot
 		for i, p := range procs {

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/gpukernel"
@@ -344,29 +343,3 @@ func (k *FuncKernel) MaxSize() float64 { return k.Max }
 
 // Run implements Kernel.
 func (k *FuncKernel) Run(x float64) (float64, error) { return k.F(x) }
-
-// LatencyKernel wraps a kernel and sleeps for a fixed wall-clock duration on
-// every run, emulating the hardware-in-the-loop cost of real measurements:
-// a real kernel run occupies the device, not the coordinating goroutine, so
-// model-building wall time shrinks with the worker-pool width even on a
-// single host core. Used to study (and benchmark) the measurement cost the
-// paper identifies as the method's main overhead.
-type LatencyKernel struct {
-	Kernel
-	// Latency is the emulated wall-clock duration of one kernel run.
-	Latency time.Duration
-}
-
-// Run implements Kernel.
-func (k *LatencyKernel) Run(x float64) (float64, error) {
-	time.Sleep(k.Latency)
-	return k.Kernel.Run(x)
-}
-
-// AtPoint implements PointKernel, delegating to the wrapped kernel.
-func (k *LatencyKernel) AtPoint(x float64) Kernel {
-	if pk, ok := k.Kernel.(PointKernel); ok {
-		return &LatencyKernel{Kernel: pk.AtPoint(x), Latency: k.Latency}
-	}
-	return k
-}

@@ -185,7 +185,7 @@ func TestEndToEndSocketFPM(t *testing.T) {
 	// The model must reproduce the analytic socket speed within noise. The
 	// FPM is in blocks/second; the analytic rate is flops/second.
 	for _, x := range []float64{60, 300, 1200} {
-		want := s.SocketRate(x, 6, 640)
+		want := x * hw.BlockFlops(640) / s.KernelTime(x, 6, 640)
 		got := m.Speed(x) * hw.BlockFlops(640)
 		if math.Abs(got-want)/want > 0.08 {
 			t.Errorf("model speed(%v) = %v, analytic %v", x, got, want)

@@ -130,13 +130,39 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// latencyKernel wraps a kernel and sleeps for a fixed wall-clock duration on
+// every run, emulating the hardware-in-the-loop cost of real measurements:
+// a real kernel run occupies the device, not the coordinating goroutine, so
+// model-building wall time shrinks with the worker-pool width even on a
+// single host core. The pool benchmarks use it to show the measurement cost
+// the paper identifies as the method's main overhead shrinking with width.
+type latencyKernel struct {
+	Kernel
+	// Latency is the emulated wall-clock duration of one kernel run.
+	Latency time.Duration
+}
+
+// Run implements Kernel.
+func (k *latencyKernel) Run(x float64) (float64, error) {
+	time.Sleep(k.Latency)
+	return k.Kernel.Run(x)
+}
+
+// AtPoint implements PointKernel, delegating to the wrapped kernel.
+func (k *latencyKernel) AtPoint(x float64) Kernel {
+	if pk, ok := k.Kernel.(PointKernel); ok {
+		return &latencyKernel{Kernel: pk.AtPoint(x), Latency: k.Latency}
+	}
+	return k
+}
+
 func TestLatencyKernelDerivesPoints(t *testing.T) {
 	base := testSocketKernel(9, 0.03)
-	lk := &LatencyKernel{Kernel: base, Latency: time.Microsecond}
+	lk := &latencyKernel{Kernel: base, Latency: time.Microsecond}
 	derived := lk.AtPoint(64)
-	dlk, ok := derived.(*LatencyKernel)
+	dlk, ok := derived.(*latencyKernel)
 	if !ok {
-		t.Fatalf("AtPoint returned %T, want *LatencyKernel", derived)
+		t.Fatalf("AtPoint returned %T, want *latencyKernel", derived)
 	}
 	if dlk.Latency != lk.Latency {
 		t.Fatalf("latency not preserved: %v", dlk.Latency)
@@ -163,7 +189,7 @@ func buildLatencyModel(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		k := &LatencyKernel{
+		k := &latencyKernel{
 			Kernel:  testSocketKernel(7, 0.02),
 			Latency: benchPointLatency,
 		}

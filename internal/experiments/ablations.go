@@ -5,7 +5,6 @@ import (
 
 	"fpmpart/internal/app"
 	"fpmpart/internal/bench"
-	"fpmpart/internal/comm"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
@@ -352,7 +351,7 @@ func AblationLayout(models *Models, ns []int) (*Table, error) {
 
 // AblationCommModels compares the scalar communication model (aggregate
 // volume over a bandwidth, the level of fidelity the paper itself uses)
-// against message-level scheduled communication (internal/comm): pivot
+// against message-level scheduled communication (app.Network): pivot
 // transfers on per-process links under an aggregate cap. Both applied to
 // the same FPM partition.
 func AblationCommModels(models *Models, ns []int) (*Table, error) {
@@ -363,7 +362,7 @@ func AblationCommModels(models *Models, ns []int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := comm.DefaultNetwork()
+	net := app.DefaultNetwork()
 	t := &Table{
 		ID:      "ablation-comm",
 		Title:   "Communication models: aggregate-volume vs message-level scheduling (seconds)",

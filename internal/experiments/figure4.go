@@ -5,7 +5,7 @@ import (
 
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
-	"fpmpart/internal/trace"
+	"fpmpart/internal/sim"
 )
 
 // Figure4 regenerates the content of the paper's Figure 4(b) — the
@@ -39,7 +39,7 @@ func Figure4(node *hw.Node, opts ModelOptions) (*Table, error) {
 	// A 45x45-block rectangle is out-of-core on both preset devices.
 	const side = 45
 	for _, g := range node.GPUs {
-		var tl trace.Timeline
+		var tl sim.Timeline
 		bd, err := gpukernel.ScheduleV3(gpukernel.Invocation{
 			GPU: g, BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
 			Rows: side, Cols: side,

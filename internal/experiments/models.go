@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"fpmpart/internal/app"
 	"fpmpart/internal/bench"
@@ -55,11 +54,6 @@ type ModelOptions struct {
 	// sequentially; results are bit-identical either way because all
 	// simulated noise is derived from per-point seeds.
 	Parallelism int
-	// RunLatency adds a fixed sleep to every kernel invocation, emulating
-	// the hardware-in-the-loop delay of real model building (where each
-	// measurement waits on the device). Used by benchmarks to exercise the
-	// worker pools; zero for normal simulation.
-	RunLatency time.Duration
 	// FaultSpec overrides the fault plan of the recovery experiment
 	// (faults.ParseSpec syntax); empty selects the default crash scenario.
 	FaultSpec string
@@ -80,9 +74,6 @@ func (o ModelOptions) withDefaults() (ModelOptions, error) {
 	}
 	if o.NoiseSigma < 0 {
 		return o, fmt.Errorf("experiments: negative noise sigma %v", o.NoiseSigma)
-	}
-	if o.RunLatency < 0 {
-		return o, fmt.Errorf("experiments: negative run latency %v", o.RunLatency)
 	}
 	if o.Version == 0 {
 		o.Version = gpukernel.V2
@@ -153,7 +144,7 @@ func BuildModels(node *hw.Node, opts ModelOptions) (*Models, error) {
 				dst = &m.SocketHost
 			}
 			jobs = append(jobs, job{
-				kernel: wrapLatency(k, opts.RunLatency), dst: dst, idx: s,
+				kernel: k, dst: dst, idx: s,
 				what: fmt.Sprintf("socket %d (%d cores)", s, active),
 			})
 		}
@@ -167,7 +158,7 @@ func BuildModels(node *hw.Node, opts ModelOptions) (*Models, error) {
 			OutOfCore: opts.Version != gpukernel.V1,
 		}
 		jobs = append(jobs, job{
-			kernel: wrapLatency(k, opts.RunLatency), dst: &m.GPU, idx: g,
+			kernel: k, dst: &m.GPU, idx: g,
 			what: fmt.Sprintf("gpu %d (%s)", g, gpu.Name),
 		})
 	}
@@ -184,14 +175,6 @@ func BuildModels(node *hw.Node, opts ModelOptions) (*Models, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// wrapLatency wraps a kernel in a fixed per-run sleep when latency > 0.
-func wrapLatency(k bench.Kernel, latency time.Duration) bench.Kernel {
-	if latency <= 0 {
-		return k
-	}
-	return &bench.LatencyKernel{Kernel: k, Latency: latency}
 }
 
 // Devices returns the partitioning devices of a hybrid run, in the fixed

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"fpmpart/internal/hw"
 )
@@ -81,7 +80,6 @@ func TestModelOptionsValidation(t *testing.T) {
 		{"negative points", ModelOptions{Points: -4}, "grid"},
 		{"negative max blocks", ModelOptions{MaxBlocks: -100}, "size limit"},
 		{"negative noise", ModelOptions{NoiseSigma: -0.1}, "noise"},
-		{"negative latency", ModelOptions{RunLatency: -time.Second}, "latency"},
 	}
 	for _, c := range cases {
 		if _, err := BuildModels(node, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -94,8 +92,7 @@ func TestModelOptionsValidation(t *testing.T) {
 	}
 }
 
-// Figure7SweepOpts builds models and runs the Figure 7 sweep — the
-// experiments-layer unit the parallel benchmarks time end to end.
+// Figure7SweepOpts builds models and runs the Figure 7 sweep.
 func Figure7SweepOpts(node *hw.Node, opts ModelOptions) (*Table, error) {
 	models, err := BuildModels(node, opts)
 	if err != nil {
@@ -103,24 +100,3 @@ func Figure7SweepOpts(node *hw.Node, opts ModelOptions) (*Table, error) {
 	}
 	return Figure7(models, nil)
 }
-
-// The sweep benchmark is latency-bound: RunLatency makes every simulated
-// kernel invocation wait as a real hardware measurement would, so the pool's
-// benefit is visible on a single-core runner.
-
-func runSweepBench(b *testing.B, workers int) {
-	node := hw.NewIGNode()
-	for i := 0; i < b.N; i++ {
-		_, err := Figure7SweepOpts(node, ModelOptions{
-			Seed: 1, NoiseSigma: 0.02, Points: 8,
-			Parallelism: workers,
-			RunLatency:  500 * time.Microsecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentSweepSequential(b *testing.B) { runSweepBench(b, 1) }
-func BenchmarkExperimentSweepParallel(b *testing.B)   { runSweepBench(b, 8) }

@@ -6,7 +6,7 @@ import (
 	"fpmpart/internal/app"
 	"fpmpart/internal/layout"
 	"fpmpart/internal/partition"
-	"fpmpart/internal/trace"
+	"fpmpart/internal/sim"
 )
 
 // CPMRefBlocks is the problem size at which the CPM baseline's constants
@@ -36,7 +36,7 @@ func runWithUnits(m *Models, procs []app.Process, units []int, n int) (app.SimRe
 // problem, reconstructing the run as a per-process timeline for
 // Chrome-trace export (see app.SimulateTraced); maxIters bounds the traced
 // iterations (0 = all n).
-func (m *Models) RunHybridTraced(units []int, n, maxIters int) (app.SimResult, *trace.Timeline, error) {
+func (m *Models) RunHybridTraced(units []int, n, maxIters int) (app.SimResult, *sim.Timeline, error) {
 	procs, err := app.Processes(m.Node, app.Hybrid)
 	if err != nil {
 		return app.SimResult{}, nil, err
@@ -81,18 +81,23 @@ func runCPMandFPM(m *Models, procs []app.Process, n int) (cpmRes, fpmRes app.Sim
 	return cpmRes, fpmRes, err
 }
 
-// runHomogeneous executes the hybrid application with the workload spread
-// evenly over all processes.
-func runHomogeneous(m *Models, procs []app.Process, n int) (app.SimResult, error) {
-	shares := make([]float64, len(procs))
+// evenLayout spreads an n×n-block problem evenly over p processes.
+func evenLayout(p, n int) (*layout.BlockLayout, error) {
+	shares := make([]float64, p)
 	for i := range shares {
 		shares[i] = 1
 	}
 	l, err := layout.Continuous(shares)
 	if err != nil {
-		return app.SimResult{}, err
+		return nil, err
 	}
-	bl, err := l.Discretize(n)
+	return l.Discretize(n)
+}
+
+// runHomogeneous executes the hybrid application with the workload spread
+// evenly over all processes.
+func runHomogeneous(m *Models, procs []app.Process, n int) (app.SimResult, error) {
+	bl, err := evenLayout(len(procs), n)
 	if err != nil {
 		return app.SimResult{}, err
 	}
@@ -105,15 +110,7 @@ func runCPUOnly(m *Models, n int) (app.SimResult, error) {
 	if err != nil {
 		return app.SimResult{}, err
 	}
-	shares := make([]float64, len(procs))
-	for i := range shares {
-		shares[i] = 1
-	}
-	l, err := layout.Continuous(shares)
-	if err != nil {
-		return app.SimResult{}, err
-	}
-	bl, err := l.Discretize(n)
+	bl, err := evenLayout(len(procs), n)
 	if err != nil {
 		return app.SimResult{}, err
 	}
@@ -126,11 +123,7 @@ func runSingleGPU(m *Models, g, n int) (app.SimResult, error) {
 	if err != nil {
 		return app.SimResult{}, err
 	}
-	l, err := layout.Continuous([]float64{1})
-	if err != nil {
-		return app.SimResult{}, err
-	}
-	bl, err := l.Discretize(n)
+	bl, err := evenLayout(1, n)
 	if err != nil {
 		return app.SimResult{}, err
 	}

@@ -2,11 +2,12 @@ package gpukernel
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"fpmpart/internal/hw"
-	"fpmpart/internal/trace"
+	"fpmpart/internal/sim"
 )
 
 func inv680(rows, cols int) Invocation {
@@ -233,17 +234,37 @@ func TestV3NotSlowerProperty(t *testing.T) {
 	}
 }
 
+// engineLanes returns the lanes of tl in first-appearance order, failing
+// the test when two spans of one lane overlap (engines are sequential).
+func engineLanes(t *testing.T, tl *sim.Timeline) []string {
+	t.Helper()
+	byLane := map[string][]sim.Span{}
+	var lanes []string
+	for _, s := range tl.Spans() {
+		if _, seen := byLane[s.Lane]; !seen {
+			lanes = append(lanes, s.Lane)
+		}
+		byLane[s.Lane] = append(byLane[s.Lane], s)
+	}
+	for lane, spans := range byLane {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].Start < spans[i-1].End-1e-12 {
+				t.Errorf("lane %s: %q overlaps %q", lane, spans[i].Label, spans[i-1].Label)
+			}
+		}
+	}
+	return lanes
+}
+
 func TestScheduleV3ProducesValidTimeline(t *testing.T) {
-	var tl trace.Timeline
+	var tl sim.Timeline
 	bd, err := ScheduleV3(inv680(45, 45), &tl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tl.Validate(); err != nil {
-		t.Errorf("engine timeline overlaps: %v", err)
-	}
 	// Lanes: h2d, compute, d2h (two DMA engines on the GTX680).
-	lanes := tl.Lanes()
+	lanes := engineLanes(t, &tl)
 	if len(lanes) != 3 {
 		t.Errorf("lanes = %v, want h2d/compute/d2h", lanes)
 	}
@@ -253,18 +274,21 @@ func TestScheduleV3ProducesValidTimeline(t *testing.T) {
 		t.Errorf("reported makespan %v below traced %v", bd.Makespan, tl.Makespan())
 	}
 	// Compute busy time matches the breakdown.
-	if got := tl.BusyTime("compute"); math.Abs(got-bd.Compute) > 1e-9 {
+	var got float64
+	for _, s := range tl.Spans() {
+		if s.Lane == "compute" {
+			got += s.End - s.Start
+		}
+	}
+	if math.Abs(got-bd.Compute) > 1e-9 {
 		t.Errorf("traced compute %v vs breakdown %v", got, bd.Compute)
 	}
 	// Single-DMA device: h2d and d2h share one lane.
-	var tlc trace.Timeline
+	var tlc sim.Timeline
 	if _, err := ScheduleV3(invC870(45, 45), &tlc); err != nil {
 		t.Fatal(err)
 	}
-	if err := tlc.Validate(); err != nil {
-		t.Errorf("C870 timeline overlaps: %v", err)
-	}
-	if got := len(tlc.Lanes()); got != 2 {
+	if got := len(engineLanes(t, &tlc)); got != 2 {
 		t.Errorf("C870 lanes = %d, want 2 (shared DMA engine)", got)
 	}
 	// Invalid invocation is rejected.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"fpmpart/internal/sim"
-	"fpmpart/internal/trace"
 )
 
 // timeV1 models the naive kernel: every invocation ships the pivot column,
@@ -107,10 +106,19 @@ func timeV3(inv Invocation) (Breakdown, error) {
 }
 
 // timeV3Traced is timeV3 optionally recording the engine schedule.
-func timeV3Traced(inv Invocation, tl *trace.Timeline) (Breakdown, error) {
+func timeV3Traced(inv Invocation, tl *sim.Timeline) (Breakdown, error) {
 	bb := inv.blockBytes()
 	g := inv.GPU
 	bd := Breakdown{}
+
+	// The engines record their own schedules into tl — these spans are what
+	// the Chrome-trace export renders as per-engine lanes.
+	h2d := sim.NewResource("h2d", tl)
+	d2h := h2d
+	if g.DMAEngines >= 2 {
+		d2h = sim.NewResource("d2h", tl)
+	}
+	compute := sim.NewResource("compute", tl)
 
 	if inv.fitsResident() {
 		// In-memory: the A/B transfers overlap with compute of the previous
@@ -126,8 +134,8 @@ func timeV3Traced(inv Invocation, tl *trace.Timeline) (Breakdown, error) {
 		bd.Makespan = blend(ideal, serial, g.CopyComputeOverlap)
 		// The ideal in-memory schedule overlaps the pivot transfers with the
 		// previous iteration's compute: both engines run from time zero.
-		record(tl, "h2d", "AB", 0, bd.H2D)
-		record(tl, "compute", "gemm", 0, bd.Compute)
+		h2d.ExecLabeled("AB", 0, bd.H2D)
+		compute.ExecLabeled("gemm", 0, bd.Compute)
 		return bd, nil
 	}
 
@@ -138,23 +146,6 @@ func timeV3Traced(inv Invocation, tl *trace.Timeline) (Breakdown, error) {
 	}
 	tiles := len(heights)
 	bd.Tiles = tiles
-
-	h2d := sim.NewResource("h2d")
-	d2h := h2d
-	if g.DMAEngines >= 2 {
-		d2h = sim.NewResource("d2h")
-	}
-	compute := sim.NewResource("compute")
-	if tl != nil {
-		// The engines report their own schedules — these spans are what the
-		// Chrome-trace export renders as per-engine lanes.
-		for _, r := range []*sim.Resource{h2d, d2h, compute} {
-			r := r
-			r.Observe(func(label string, start, end float64) {
-				record(tl, r.Name(), label, start, end)
-			})
-		}
-	}
 
 	// Pivot row B first.
 	_, bReady := h2d.ExecLabeled("B", 0, g.H2DTime(float64(inv.Cols)*bb))
@@ -219,19 +210,10 @@ func blend(ideal, serial, overlap float64) float64 {
 	return ideal + (1-overlap)*(serial-ideal)
 }
 
-// record adds a span to the timeline when one is being collected.
-func record(tl *trace.Timeline, lane, label string, start, end float64) {
-	if tl == nil || end <= start {
-		return
-	}
-	// Errors are impossible for monotone resource schedules; ignore them.
-	_ = tl.Add(lane, label, start, end)
-}
-
 // ScheduleV3 computes the version-3 kernel time while recording the ideal
 // pipelined engine schedule (before the overlap-quality blending) into tl —
 // the timeline of the paper's Figure 4(b).
-func ScheduleV3(inv Invocation, tl *trace.Timeline) (Breakdown, error) {
+func ScheduleV3(inv Invocation, tl *sim.Timeline) (Breakdown, error) {
 	if err := inv.validate(); err != nil {
 		return Breakdown{}, err
 	}

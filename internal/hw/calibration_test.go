@@ -27,7 +27,7 @@ func TestGoldenSocketCalibration(t *testing.T) {
 		{1200, 1, 17, 21, "single core ≈0.85·peak"},
 	}
 	for _, c := range cases {
-		got := gflops(s.SocketRate(c.x, c.active, 640))
+		got := gflops(socketRate(s, c.x, c.active, 640))
 		if got < c.lo || got > c.hi {
 			t.Errorf("%s: s%d(%v) = %.1f Gflop/s, want [%v, %v]",
 				c.constraint, c.active, c.x, got, c.lo, c.hi)
@@ -42,7 +42,7 @@ func TestGoldenNodeLevelRatios(t *testing.T) {
 	// near-square shapes), mirroring internal/experiments assertions but at
 	// the hw level so a calibration edit fails fast and locally.
 	s := NewOpteron8439SE()
-	s6at := func(x float64) float64 { return s.SocketRate(x, 6, 640) }
+	s6at := func(x float64) float64 { return socketRate(s, x, 6, 640) }
 	if r := gflops(s6at(900)); r < 95 || r > 106 {
 		t.Errorf("socket anchor = %.1f", r)
 	}

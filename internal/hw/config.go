@@ -8,112 +8,26 @@ import (
 
 // JSON (de)serialisation of platform descriptions, so custom nodes can be
 // supplied to the tools as config files instead of code. The wire format is
-// the natural JSON of the structs with explicit field names; Load validates
-// the result before returning it.
-
-// nodeJSON mirrors Node with stable JSON tags.
-type nodeJSON struct {
-	Name           string       `json:"name"`
-	Sockets        []socketJSON `json:"sockets"`
-	GPUs           []gpuJSON    `json:"gpus"`
-	GPUSocket      []int        `json:"gpu_socket"`
-	GPUContention  float64      `json:"gpu_contention"`
-	CPUContention  float64      `json:"cpu_contention"`
-	BlockSize      int          `json:"block_size"`
-	ElemBytes      int          `json:"elem_bytes"`
-	SocketMemBytes float64      `json:"socket_mem_bytes"`
-	MemPressure    float64      `json:"mem_pressure"`
-}
-
-type socketJSON struct {
-	Name            string  `json:"name"`
-	Cores           int     `json:"cores"`
-	PeakCoreRate    float64 `json:"peak_core_rate"`
-	MinEff          float64 `json:"min_eff"`
-	MaxEff          float64 `json:"max_eff"`
-	RampElems       float64 `json:"ramp_elems"`
-	ContentionAlpha float64 `json:"contention_alpha"`
-	DipStartElems   float64 `json:"dip_start_elems,omitempty"`
-	DipDepth        float64 `json:"dip_depth,omitempty"`
-}
-
-type gpuJSON struct {
-	Name               string  `json:"name"`
-	MemBytes           float64 `json:"mem_bytes"`
-	PeakRate           float64 `json:"peak_rate"`
-	RampElems          float64 `json:"ramp_elems"`
-	MisalignPenalty    float64 `json:"misalign_penalty"`
-	H2DBandwidth       float64 `json:"h2d_bandwidth"`
-	D2HBandwidth       float64 `json:"d2h_bandwidth"`
-	TransferLatency    float64 `json:"transfer_latency"`
-	DMAEngines         int     `json:"dma_engines"`
-	CopyComputeOverlap float64 `json:"copy_compute_overlap"`
-	KernelLaunch       float64 `json:"kernel_launch"`
-}
+// the JSON of Node, Socket and GPU under their field tags; ReadConfig
+// validates the result before returning it.
 
 // WriteConfig serialises the node as indented JSON.
 func WriteConfig(w io.Writer, n *Node) error {
 	if err := n.Validate(); err != nil {
 		return err
 	}
-	out := nodeJSON{
-		Name: n.Name, GPUSocket: n.GPUSocket,
-		GPUContention: n.GPUContention, CPUContention: n.CPUContention,
-		BlockSize: n.BlockSize, ElemBytes: n.ElemBytes,
-		SocketMemBytes: n.SocketMemBytes, MemPressure: n.MemPressure,
-	}
-	for _, s := range n.Sockets {
-		out.Sockets = append(out.Sockets, socketJSON{
-			Name: s.Name, Cores: s.Cores, PeakCoreRate: s.PeakCoreRate,
-			MinEff: s.MinEff, MaxEff: s.MaxEff, RampElems: s.RampElems,
-			ContentionAlpha: s.ContentionAlpha,
-			DipStartElems:   s.DipStartElems, DipDepth: s.DipDepth,
-		})
-	}
-	for _, g := range n.GPUs {
-		out.GPUs = append(out.GPUs, gpuJSON{
-			Name: g.Name, MemBytes: g.MemBytes, PeakRate: g.PeakRate,
-			RampElems: g.RampElems, MisalignPenalty: g.MisalignPenalty,
-			H2DBandwidth: g.H2DBandwidth, D2HBandwidth: g.D2HBandwidth,
-			TransferLatency: g.TransferLatency, DMAEngines: g.DMAEngines,
-			CopyComputeOverlap: g.CopyComputeOverlap, KernelLaunch: g.KernelLaunch,
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(n)
 }
 
 // ReadConfig parses and validates a node description.
 func ReadConfig(r io.Reader) (*Node, error) {
-	var in nodeJSON
+	n := &Node{}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	if err := dec.Decode(n); err != nil {
 		return nil, fmt.Errorf("hw: parsing platform config: %w", err)
-	}
-	n := &Node{
-		Name: in.Name, GPUSocket: in.GPUSocket,
-		GPUContention: in.GPUContention, CPUContention: in.CPUContention,
-		BlockSize: in.BlockSize, ElemBytes: in.ElemBytes,
-		SocketMemBytes: in.SocketMemBytes, MemPressure: in.MemPressure,
-	}
-	for _, s := range in.Sockets {
-		n.Sockets = append(n.Sockets, &Socket{
-			Name: s.Name, Cores: s.Cores, PeakCoreRate: s.PeakCoreRate,
-			MinEff: s.MinEff, MaxEff: s.MaxEff, RampElems: s.RampElems,
-			ContentionAlpha: s.ContentionAlpha,
-			DipStartElems:   s.DipStartElems, DipDepth: s.DipDepth,
-		})
-	}
-	for _, g := range in.GPUs {
-		n.GPUs = append(n.GPUs, &GPU{
-			Name: g.Name, MemBytes: g.MemBytes, PeakRate: g.PeakRate,
-			RampElems: g.RampElems, MisalignPenalty: g.MisalignPenalty,
-			H2DBandwidth: g.H2DBandwidth, D2HBandwidth: g.D2HBandwidth,
-			TransferLatency: g.TransferLatency, DMAEngines: g.DMAEngines,
-			CopyComputeOverlap: g.CopyComputeOverlap, KernelLaunch: g.KernelLaunch,
-		})
 	}
 	if err := n.Validate(); err != nil {
 		return nil, fmt.Errorf("hw: invalid platform config: %w", err)

@@ -32,22 +32,23 @@ func BlockBytes(b, elemBytes int) float64 { return float64(b) * float64(b) * flo
 // models a socket, not a core, as the unit of performance.
 type Socket struct {
 	// Name identifies the socket model ("Opteron8439SE").
-	Name string
+	Name string `json:"name"`
 	// Cores is the number of physical cores.
-	Cores int
+	Cores int `json:"cores"`
 	// PeakCoreRate is the per-core peak arithmetic rate, flops/second.
-	PeakCoreRate float64
+	PeakCoreRate float64 `json:"peak_core_rate"`
 	// MinEff and MaxEff bound the GEMM kernel efficiency: efficiency ramps
 	// from MinEff at tiny problems to MaxEff asymptotically as per-core
 	// problem size grows (cache-blocked GEMM amortises its overheads).
-	MinEff, MaxEff float64
+	MinEff float64 `json:"min_eff"`
+	MaxEff float64 `json:"max_eff"`
 	// RampElems is the per-core problem size — expressed as element area
 	// (elements of C), which is what the cache-blocked kernel actually
 	// sees — at which half the efficiency ramp is reached.
-	RampElems float64
+	RampElems float64 `json:"ramp_elems"`
 	// ContentionAlpha is the per-additional-active-core slowdown of every
 	// core on the socket: factor = 1/(1+alpha·(active-1)).
-	ContentionAlpha float64
+	ContentionAlpha float64 `json:"contention_alpha"`
 	// DipStartElems and DipDepth optionally model a last-level-cache dip:
 	// once the per-core working set passes DipStartElems elements, the
 	// efficiency is reduced by up to DipDepth (fraction, e.g. 0.15), fading
@@ -55,7 +56,8 @@ type Socket struct {
 	// Speed functions with such dips are the paper's situation (i): tasks
 	// crossing levels of the memory hierarchy — exactly what constant
 	// models cannot express.
-	DipStartElems, DipDepth float64
+	DipStartElems float64 `json:"dip_start_elems,omitempty"`
+	DipDepth      float64 `json:"dip_depth,omitempty"`
 }
 
 // Validate reports configuration errors.
@@ -134,47 +136,37 @@ func (s *Socket) KernelTime(x float64, active, b int) float64 {
 	return perCore * BlockFlops(b) / rate
 }
 
-// SocketRate returns the aggregate socket speed (flops/s) for the same
-// configuration — the quantity plotted in the paper's Figure 2. Only tests
-// call it: the hw and bench calibration tests check it against the paper.
-func (s *Socket) SocketRate(x float64, active, b int) float64 {
-	t := s.KernelTime(x, active, b)
-	if t <= 0 {
-		return 0
-	}
-	return x * BlockFlops(b) / t
-}
-
 // GPU models one accelerator: a device with private memory connected to the
 // host over PCI Express, driven by a dedicated host core.
 type GPU struct {
 	// Name identifies the device ("GTX680", "TeslaC870").
-	Name string
+	Name string `json:"name"`
 	// MemBytes is the usable device memory.
-	MemBytes float64
+	MemBytes float64 `json:"mem_bytes"`
 	// PeakRate is the asymptotic device GEMM rate, flops/second.
-	PeakRate float64
+	PeakRate float64 `json:"peak_rate"`
 	// RampElems is the tile size — as element area of C — at which half of
 	// PeakRate is reached (kernel launch and occupancy ramp).
-	RampElems float64
+	RampElems float64 `json:"ramp_elems"`
 	// MisalignPenalty multiplies the rate when tile dimensions are not
 	// multiples of 32 elements (the CUBLAS Level-3 alignment effect the
 	// paper cites from Barrachina et al.).
-	MisalignPenalty float64
+	MisalignPenalty float64 `json:"misalign_penalty"`
 	// H2DBandwidth and D2HBandwidth are PCIe bandwidths, bytes/second.
-	H2DBandwidth, D2HBandwidth float64
+	H2DBandwidth float64 `json:"h2d_bandwidth"`
+	D2HBandwidth float64 `json:"d2h_bandwidth"`
 	// TransferLatency is the fixed cost of one transfer operation, seconds.
-	TransferLatency float64
+	TransferLatency float64 `json:"transfer_latency"`
 	// DMAEngines is 1 (Tesla C870) or 2 (GeForce GTX680): with one engine,
 	// host-to-device and device-to-host transfers serialise.
-	DMAEngines int
+	DMAEngines int `json:"dma_engines"`
 	// CopyComputeOverlap in [0,1] is the fraction of transfer time that the
 	// overlapped (version-3) kernel manages to hide under computation;
 	// imperfect overlap reflects stream synchronisation and pinned-buffer
 	// staging costs on real hardware.
-	CopyComputeOverlap float64
+	CopyComputeOverlap float64 `json:"copy_compute_overlap"`
 	// KernelLaunch is the fixed cost of one device kernel launch, seconds.
-	KernelLaunch float64
+	KernelLaunch float64 `json:"kernel_launch"`
 }
 
 // Validate reports configuration errors.
@@ -234,29 +226,29 @@ func (g *GPU) D2HTime(bytes float64) float64 {
 // Node is a complete hybrid platform: sockets plus GPUs, each GPU served by
 // a dedicated core on a specific socket.
 type Node struct {
-	Name    string
-	Sockets []*Socket
-	GPUs    []*GPU
+	Name    string    `json:"name"`
+	Sockets []*Socket `json:"sockets"`
+	GPUs    []*GPU    `json:"gpus"`
 	// GPUSocket[i] is the socket index hosting GPU i's dedicated core.
-	GPUSocket []int
+	GPUSocket []int `json:"gpu_socket"`
 	// GPUContention multiplies GPU speed when CPU kernels run on the same
 	// socket (the paper measured a 7–15% drop: factor 0.85–0.93).
-	GPUContention float64
+	GPUContention float64 `json:"gpu_contention"`
 	// CPUContention multiplies CPU speed when a GPU host process shares the
 	// socket (the paper found CPUs "not so much affected": ~0.98).
-	CPUContention float64
+	CPUContention float64 `json:"cpu_contention"`
 	// BlockSize is the application blocking factor b (elements).
-	BlockSize int
+	BlockSize int `json:"block_size"`
 	// ElemBytes is the element size (4 for single precision).
-	ElemBytes int
+	ElemBytes int `json:"elem_bytes"`
 	// SocketMemBytes is each socket's local NUMA memory (0 = unlimited).
-	SocketMemBytes float64
+	SocketMemBytes float64 `json:"socket_mem_bytes"`
 	// MemPressure in [0,1) degrades a GPU host process when its working set
 	// exceeds its socket's local memory and data must stream from remote
 	// NUMA nodes: speed is scaled by 1 - MemPressure·(excess fraction).
 	// The paper's GPU-only runs at n ≥ 50 (≥19 GB of matrices against
 	// 16 GB/socket) show exactly this extra slowdown.
-	MemPressure float64
+	MemPressure float64 `json:"mem_pressure"`
 }
 
 // GPUHostFactor returns the speed factor for a GPU host process whose
@@ -287,11 +279,17 @@ func (n *Node) Validate() error {
 		return fmt.Errorf("hw: node %s: %d GPUs but %d socket mappings", n.Name, len(n.GPUs), len(n.GPUSocket))
 	}
 	for i, s := range n.Sockets {
+		if s == nil {
+			return fmt.Errorf("hw: node %s: socket %d missing", n.Name, i)
+		}
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("socket %d: %w", i, err)
 		}
 	}
 	for i, g := range n.GPUs {
+		if g == nil {
+			return fmt.Errorf("hw: node %s: gpu %d missing", n.Name, i)
+		}
 		if err := g.Validate(); err != nil {
 			return fmt.Errorf("gpu %d: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"math"
 	"os"
@@ -9,6 +10,16 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// socketRate returns the aggregate socket speed (flops/s) of x blocks on
+// `active` cores — the quantity plotted in the paper's Figure 2.
+func socketRate(s *Socket, x float64, active, b int) float64 {
+	t := s.KernelTime(x, active, b)
+	if t <= 0 {
+		return 0
+	}
+	return x * BlockFlops(b) / t
+}
 
 func TestBlockConstants(t *testing.T) {
 	if got, want := BlockFlops(640), 2.0*640*640*640; got != want {
@@ -53,18 +64,18 @@ func TestSocketRateCalibration(t *testing.T) {
 	// Figure 2 levels: full socket plateau ≈ 100–110 Gflop/s, 5-core ≈
 	// 88–100 Gflop/s, small problems (x≈60) around 60–80 Gflop/s.
 	s := NewOpteron8439SE()
-	s6 := s.SocketRate(1200, 6, 640)
+	s6 := socketRate(s, 1200, 6, 640)
 	if s6 < 100e9 || s6 > 112e9 {
 		t.Errorf("s6(1200) = %v Gflops, want ≈105", s6/1e9)
 	}
-	s5 := s.SocketRate(1200, 5, 640)
+	s5 := socketRate(s, 1200, 5, 640)
 	if s5 < 85e9 || s5 > 100e9 {
 		t.Errorf("s5(1200) = %v Gflops, want ≈92", s5/1e9)
 	}
 	if s5 >= s6 {
 		t.Errorf("s5 %v >= s6 %v", s5, s6)
 	}
-	small := s.SocketRate(60, 6, 640)
+	small := socketRate(s, 60, 6, 640)
 	if small < 55e9 || small > 85e9 {
 		t.Errorf("s6(60) = %v Gflops, want 60–80", small/1e9)
 	}
@@ -91,7 +102,7 @@ func TestSocketKernelTimeEdges(t *testing.T) {
 	if s.KernelTime(100, 0, 640) != s.KernelTime(100, 1, 640) {
 		t.Error("active=0 not clamped to 1")
 	}
-	if s.SocketRate(0, 6, 640) != 0 {
+	if socketRate(s, 0, 6, 640) != 0 {
 		t.Error("rate at zero work should be 0")
 	}
 }
@@ -224,7 +235,7 @@ func TestSocketRateMonotoneProperty(t *testing.T) {
 		if x1 > x2 {
 			x1, x2 = x2, x1
 		}
-		return s.SocketRate(x1, 6, 640) <= s.SocketRate(x2, 6, 640)+1e-6
+		return socketRate(s, x1, 6, 640) <= socketRate(s, x2, 6, 640)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -275,18 +286,18 @@ func TestSocketCacheDip(t *testing.T) {
 	}
 	// Below the dip: unchanged vs the plain preset.
 	plain := NewOpteron8439SE()
-	if a, b := s.SocketRate(300, 6, 640), plain.SocketRate(300, 6, 640); a != b {
+	if a, b := socketRate(s, 300, 6, 640), socketRate(plain, 300, 6, 640); a != b {
 		t.Errorf("pre-dip rates differ: %v vs %v", a, b)
 	}
 	// Beyond it the socket slows, eventually by ≈20%.
-	far := s.SocketRate(3000, 6, 640) / plain.SocketRate(3000, 6, 640)
+	far := socketRate(s, 3000, 6, 640) / socketRate(plain, 3000, 6, 640)
 	if far > 0.85 || far < 0.75 {
 		t.Errorf("dip factor = %v, want ≈0.8", far)
 	}
 	// The resulting speed function is non-monotone — the case the
 	// partitioner's envelope inversion exists for.
-	peak := s.SocketRate(600, 6, 640)
-	dipped := s.SocketRate(1400, 6, 640)
+	peak := socketRate(s, 600, 6, 640)
+	dipped := socketRate(s, 1400, 6, 640)
 	if dipped >= peak {
 		t.Errorf("expected non-monotone curve: peak %v, dipped %v", peak, dipped)
 	}
@@ -363,8 +374,8 @@ func TestConfigRoundTrip(t *testing.T) {
 			t.Errorf("%s: shape changed on round trip", n.Name)
 		}
 		// Spot-check a behavioural quantity survives exactly.
-		if back.Sockets[0].SocketRate(600, back.Sockets[0].Cores, back.BlockSize) !=
-			n.Sockets[0].SocketRate(600, n.Sockets[0].Cores, n.BlockSize) {
+		if socketRate(back.Sockets[0], 600, back.Sockets[0].Cores, back.BlockSize) !=
+			socketRate(n.Sockets[0], 600, n.Sockets[0].Cores, n.BlockSize) {
 			t.Errorf("%s: socket rate changed", n.Name)
 		}
 		if len(n.GPUs) > 0 && back.GPUMemBlocks(0) != n.GPUMemBlocks(0) {
@@ -409,6 +420,21 @@ func TestReadConfigRejectsBadInput(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadConfig(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+	// A null socket or GPU is rejected, not dereferenced.
+	for i, mutate := range []func(*Node){
+		func(n *Node) { n.Sockets[1] = nil },
+		func(n *Node) { n.GPUs[0] = nil },
+	} {
+		n := NewIGNode()
+		mutate(n)
+		data, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadConfig(bytes.NewReader(data)); err == nil {
+			t.Errorf("null element %d accepted", i)
 		}
 	}
 	// Writing an invalid node fails too.

@@ -7,7 +7,7 @@ import (
 	"sort"
 	"strings"
 
-	"fpmpart/internal/trace"
+	"fpmpart/internal/sim"
 )
 
 // ChromeTrace accumulates spans and writes them in the Chrome trace_event
@@ -76,10 +76,10 @@ func (c *ChromeTrace) Span(process, thread, name string, start, end float64) {
 	})
 }
 
-// AddTimeline adds every span of a trace.Timeline under one process; lanes
+// AddTimeline adds every span of a sim.Timeline under one process; lanes
 // become threads. This is how the engine schedules recorded by
 // internal/gpukernel (the paper's Figure 4(b)) reach Perfetto.
-func (c *ChromeTrace) AddTimeline(process string, tl *trace.Timeline) {
+func (c *ChromeTrace) AddTimeline(process string, tl *sim.Timeline) {
 	for _, s := range tl.Spans() {
 		c.Span(process, s.Lane, s.Label, s.Start, s.End)
 	}
@@ -88,7 +88,7 @@ func (c *ChromeTrace) AddTimeline(process string, tl *trace.Timeline) {
 // AddTimelineByLane adds a timeline whose lane names encode the process: a
 // lane "socket0/core3" becomes thread "core3" of process "socket0"; a lane
 // without a separator becomes thread "main" of a process named after it.
-func (c *ChromeTrace) AddTimelineByLane(tl *trace.Timeline) {
+func (c *ChromeTrace) AddTimelineByLane(tl *sim.Timeline) {
 	for _, s := range tl.Spans() {
 		proc, thread, ok := strings.Cut(s.Lane, "/")
 		if !ok {

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fpmpart/internal/trace"
+	"fpmpart/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -34,9 +34,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // engineTimeline builds a small deterministic GPU-engine schedule like the
 // ones internal/gpukernel records (the paper's Figure 4(b) shape).
-func engineTimeline(t *testing.T) *trace.Timeline {
+func engineTimeline(t *testing.T) *sim.Timeline {
 	t.Helper()
-	var tl trace.Timeline
+	var tl sim.Timeline
 	for _, s := range []struct {
 		lane, label string
 		start, end  float64
@@ -100,7 +100,7 @@ func TestChromeTraceGoldenFromTimeline(t *testing.T) {
 }
 
 func TestChromeTraceGoldenByLane(t *testing.T) {
-	var tl trace.Timeline
+	var tl sim.Timeline
 	for _, s := range []struct {
 		lane, label string
 		start, end  float64

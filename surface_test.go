@@ -16,13 +16,11 @@ import (
 // file calls, each with the reason it stays exported. Every other exported
 // name needs a caller outside the tests.
 var surfaceAllowed = map[string]string{
-	"app.RunReal":               "goroutine run of the blocked GEMM that its tests check bit for bit; left to the change that folds the simulated stack",
 	"blas.Gemm":                 "default-configuration product the blas, app and workerd tests compare against",
 	"blas.GemmBlocked":          "seed kernel the blas tests and benchmarks check the packed kernel against",
 	"blas.GemmNaive":            "triple-loop oracle the blas tests and fuzzers compare against",
 	"faults.Injector.Plan":      "resolved fault plan the faults tests check a seed against",
 	"hw.NewTestNode":            "small platform fixture the hw and experiments tests share",
-	"hw.Socket.SocketRate":      "the paper's Figure 2 socket speed the hw and bench calibration tests check",
 	"matrix.Dense.Clone":        "deep copy the blas and matrix tests keep as a reference operand",
 	"matrix.Dense.FillConstant": "fill the blas, app and matrix tests build operands with",
 	"par.Gate.Depth":            "configured waiting room the par tests check beside Width",
