@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzShardRequest -fuzztime=15s ./internal/workerd/
 	$(GO) test -fuzz=FuzzObserveRequest -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzPartitionRequest -fuzztime=15s ./internal/service/
+	$(GO) test -fuzz=FuzzRun -fuzztime=15s ./internal/resilient/
 
 experiments:
 	$(GO) run ./cmd/experiments

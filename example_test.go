@@ -94,23 +94,6 @@ func ExampleNewLayout() {
 	// 4 rectangles covering 64 blocks
 }
 
-// The dynamic balancer redistributes by observed speed between iterations —
-// the related-work baseline the paper contrasts with static partitioning.
-func ExampleRunDynamic() {
-	oracle := func(device, units int) float64 {
-		perUnit := []float64{0.25, 1.0}[device] // device 0 is 4x faster
-		return float64(units) * perUnit
-	}
-	tr, err := fpmpart.RunDynamic(oracle, []int{50, 50}, 8, fpmpart.DynamicOptions{})
-	if err != nil {
-		panic(err)
-	}
-	final := tr.Steps[len(tr.Steps)-1].Units
-	fmt.Printf("converged to %v after %d rebalances\n", final, tr.Rebalances)
-	// Output:
-	// converged to [80 20] after 1 rebalances
-}
-
 // Hierarchical partitioning composes across cluster levels: groups are
 // summarised by aggregate models, then partitioned internally.
 func ExamplePartitionHierarchical() {

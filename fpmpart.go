@@ -12,11 +12,10 @@
 //
 // The package is the library entry point: building models by timing a
 // kernel (internal/bench, internal/fpm), the partitioning algorithms
-// (internal/partition), column-based 2D layouts (internal/layout) and the
-// dynamic load-balancing baseline (internal/dynamic). The paper's
-// evaluation is cmd/experiments, the partitioning service is cmd/fpmd with
-// cmd/fpmworker, and model building on the simulated platform is
-// cmd/fpmbench.
+// (internal/partition) and column-based 2D layouts (internal/layout). The
+// paper's evaluation is cmd/experiments, the partitioning service is
+// cmd/fpmd with cmd/fpmworker, and model building on the simulated platform
+// is cmd/fpmbench.
 //
 // # Quick start
 //
@@ -40,7 +39,6 @@ package fpmpart
 
 import (
 	"fpmpart/internal/bench"
-	"fpmpart/internal/dynamic"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/layout"
 	"fpmpart/internal/partition"
@@ -80,17 +78,6 @@ type (
 	BenchOptions = bench.Options
 	// BenchReport summarises a model-building session.
 	BenchReport = bench.Report
-)
-
-// Dynamic load-balancing types.
-type (
-	// DynamicOracle reports the true per-iteration time of a device holding
-	// the given units — the platform abstraction of the dynamic balancer.
-	DynamicOracle = dynamic.Oracle
-	// DynamicTrace is the record of a dynamic load-balancing run.
-	DynamicTrace = dynamic.Trace
-	// DynamicOptions tunes the dynamic balancer.
-	DynamicOptions = dynamic.Options
 )
 
 // MustModel builds a piecewise-linear FPM from (size, speed) points and
@@ -144,12 +131,4 @@ func BuildModel(k Kernel, sizes []float64, opts BenchOptions) (*Model, BenchRepo
 // "geometric" spacing, for use with BuildModel.
 func Sizes(lo, hi float64, n int, spacing string) ([]float64, error) {
 	return fpm.Grid(lo, hi, n, spacing)
-}
-
-// RunDynamic executes the dynamic load-balancing baseline (related work of
-// the paper): nIters application iterations from an initial distribution,
-// redistributing by observed speed whenever the imbalance exceeds the
-// threshold.
-func RunDynamic(oracle DynamicOracle, initial []int, nIters int, opts DynamicOptions) (DynamicTrace, error) {
-	return dynamic.Run(oracle, initial, nIters, opts)
 }

@@ -71,11 +71,11 @@ func TestPackBRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMicroKernelsMatchGeneric drives every unrolled kernel against the
-// generic reference on the same packed panels, including the AVX2 tile
-// when the host supports it.
+// TestMicroKernelsMatchGeneric drives the scalar 8×4 kernel, and the AVX2
+// tile when the host supports it, against the generic reference on the same
+// packed panels (TestSIMDKernelsMatchGeneric covers the AVX-512 tile).
 func TestMicroKernelsMatchGeneric(t *testing.T) {
-	tiles := [][2]int{{4, 4}, {8, 4}, {6, 4}, {4, 8}, {8, 8}}
+	tiles := [][2]int{{8, 4}}
 	if hasAVX2FMA {
 		tiles = append(tiles, [2]int{6, 16})
 	}

@@ -4,26 +4,17 @@ import (
 	"fmt"
 	"math"
 
-	"fpmpart/internal/dynamic"
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/partition"
+	"fpmpart/internal/resilient"
 )
 
-// AblationDynamic compares static FPM partitioning against the dynamic
-// load-balancing baseline of the paper's related work (reference [14]):
-// the iterative application starts from a homogeneous, CPM or FPM
-// distribution and the dynamic balancer redistributes by observed speed
-// between iterations, paying a per-unit migration cost. The experiment
-// quantifies the paper's argument that on a dedicated platform an accurate
-// static partitioning gets the distribution right from iteration one, while
-// the dynamic balancer pays for its early unbalanced iterations and for
-// data migration.
 // DeviceOracle returns the platform's true iteration-time oracle at
 // Devices() granularity: sockets run their share over their active cores,
 // GPUs run a near-square rectangle of their share's area, both with the
 // contention coefficients applied — the same physics as app.Simulate. It is
-// the ground truth the dynamic balancer and the resilient runtime execute
-// against.
+// the ground truth resilient.Run executes against, wrapped by a
+// faults.Injector.
 func (m *Models) DeviceOracle() func(device, units int) float64 {
 	node := m.Node
 	gpuCount := len(node.GPUs)
@@ -67,6 +58,15 @@ func (m *Models) MigrationCostPerUnit() float64 {
 	return 3 * m.Node.BlockBytes() / 6e9
 }
 
+// AblationDynamic compares static FPM partitioning against the dynamic
+// load-balancing baseline of the paper's related work (reference [14]):
+// the iterative application starts from a homogeneous, CPM or FPM
+// distribution and resilient.Run's proportional policy redistributes by
+// observed speed between iterations, paying a per-unit migration cost. The
+// experiment quantifies the paper's argument that on a dedicated platform an
+// accurate static partitioning gets the distribution right from iteration
+// one, while the dynamic balancer pays for its early unbalanced iterations
+// and for data migration.
 func AblationDynamic(models *Models, n, iters int) (*Table, error) {
 	if n <= 0 {
 		n = 60
@@ -75,7 +75,10 @@ func AblationDynamic(models *Models, n, iters int) (*Table, error) {
 		iters = n // the application runs n iterations at matrix size n
 	}
 	devs := models.Devices()
-	oracle := models.DeviceOracle()
+	oracle, err := wrapSpec("", 0, models.DeviceOracle()) // no faults
+	if err != nil {
+		return nil, err
+	}
 	migration := models.MigrationCostPerUnit()
 
 	t := &Table{
@@ -103,13 +106,20 @@ func AblationDynamic(models *Models, n, iters int) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dynamic %s start: %w", s.name, err)
 		}
-		tr, err := dynamic.Run(oracle, res.Units(), iters, dynamic.Options{MigrationCost: migration})
+		tr, err := resilient.Run(devs, oracle, res.Units(), iters, resilient.Options{
+			Policy:        resilient.Proportional,
+			MigrationCost: migration,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: dynamic from %s: %w", s.name, err)
 		}
-		t.AddRow(s.name, tr.Rebalances, tr.TotalMoved, tr.TotalSeconds,
+		moved := 0
+		for _, st := range tr.Steps {
+			moved += st.Moved
+		}
+		t.AddRow(s.name, tr.Rebalances, moved, tr.TotalSeconds,
 			fmt.Sprintf("%.2f", tr.Steps[0].Imbalance),
-			fmt.Sprintf("%.2f", tr.FinalImbalance()))
+			fmt.Sprintf("%.2f", tr.Steps[len(tr.Steps)-1].Imbalance))
 	}
 	return t, nil
 }

@@ -180,7 +180,7 @@ func TestExperimentsDocMatchesGolden(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md's %s block differs from %s (- golden, + doc):\n%s", name, goldenPath, lineDiff(w, got))
 		}
 	}
-	for _, name := range []string{"table2", "table3", "figure7"} {
+	for _, name := range []string{"table2", "table3", "figure7", "ablation-dynamic", "recovery"} {
 		if !seen[name] {
 			t.Errorf("EXPERIMENTS.md has no golden block for %s", name)
 		}

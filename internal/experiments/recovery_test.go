@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"fpmpart/internal/resilient"
 )
 
 func TestRecoveryExperiment(t *testing.T) {
@@ -36,8 +41,13 @@ func TestRecoveryExperiment(t *testing.T) {
 			if completed != "true" {
 				t.Errorf("row %d: %s did not complete: %v", i+1, policy, row)
 			}
-			if row[3] != "1" {
-				t.Errorf("row %d: %s rebalanced %s times, want 1", i+1, policy, row[3])
+			// FPM re-partitioning moves work once, at the crash; the
+			// proportional balancer also corrects the imbalance the models
+			// leave, so it moves work more than once.
+			if rebalances := cell(t, tab, i+1, 3); policy == "fpm-repartition" && rebalances != 1 {
+				t.Errorf("row %d: %s rebalanced %v times, want 1", i+1, policy, rebalances)
+			} else if policy == "proportional" && rebalances <= 1 {
+				t.Errorf("row %d: %s rebalanced %v times, want more than 1", i+1, policy, rebalances)
 			}
 			if got := cell(t, tab, i+1, 4); int(got) != units {
 				t.Errorf("row %d: units processed = %v, want %d", i+1, got, units)
@@ -48,8 +58,8 @@ func TestRecoveryExperiment(t *testing.T) {
 		}
 	}
 	// No survivor's share crosses a memory cliff here, so the proportional
-	// rule (speed as units/second on each survivor's last share) lands on
-	// the split FPM re-partitioning finds: the two totals agree within 5% at
+	// rule (speed as units/second on each survivor's share) lands near the
+	// split FPM re-partitioning finds: the two totals agree within 5% at
 	// every crash point.
 	for i := 1; i < len(tab.Rows); i += 3 {
 		fpmTotal := cell(t, tab, i, 7)
@@ -58,6 +68,41 @@ func TestRecoveryExperiment(t *testing.T) {
 			t.Errorf("crash point %d: proportional recovery (%v s) not within 5%% of FPM (%v s)",
 				(i-1)/3, propTotal, fpmTotal)
 		}
+	}
+}
+
+// TestRecoveryProportionalIsTheDynamicBalancer pins that the recovery
+// table's proportional policy is the balancer of ablation-dynamic: run
+// fault-free from the FPM start, it reports the rebalances, blocks moved and
+// total of that table's FPM row.
+func TestRecoveryProportionalIsTheDynamicBalancer(t *testing.T) {
+	m := buildIGModels(t)
+	tab, err := AblationDynamic(m, 60, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := m.PartitionFPM(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := wrapSpec("", 1, m.DeviceOracle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := resilient.Run(m.Devices(), oracle, start.Units(), 60, resilient.Options{
+		Policy:        resilient.Proportional,
+		MigrationCost: m.MigrationCostPerUnit(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, st := range tr.Steps {
+		moved += st.Moved
+	}
+	got := []string{strconv.Itoa(tr.Rebalances), strconv.Itoa(moved), fmt.Sprintf("%.1f", tr.TotalSeconds)}
+	if want := tab.Rows[2][1:4]; !slices.Equal(got, want) { // rows: homogeneous, CPM, FPM
+		t.Errorf("fault-free proportional run (rebalances, moved, total) = %v, ablation-dynamic FPM row %v", got, want)
 	}
 }
 

@@ -3,8 +3,8 @@
 // paper's closing argument — static FPM partitioning is preferable on
 // *dedicated, stable* platforms — is only testable on the stable half
 // without it: nothing in the repo could crash, stall or degrade mid-run. An
-// Injector wraps any dynamic.Oracle (the per-device iteration-time oracle)
-// and perturbs it according to a Spec:
+// Injector wraps a per-device iteration-time oracle (func(device, units)
+// seconds) and perturbs it according to a Spec:
 //
 //   - Crash: from iteration k onward every call on the device fails with
 //     ErrCrashed — a permanent loss, the "GPU fell off the bus" scenario.
@@ -34,7 +34,6 @@ import (
 	"strings"
 	"sync"
 
-	"fpmpart/internal/dynamic"
 	"fpmpart/internal/stats"
 )
 
@@ -310,7 +309,7 @@ func (in *Injector) Empty() bool { return in == nil || len(in.plan) == 0 }
 // Wrap layers the injector's faults over base. A nil or empty injector
 // returns a thin adapter that calls base directly — fault injection is free
 // when unconfigured.
-func (in *Injector) Wrap(base dynamic.Oracle) Oracle {
+func (in *Injector) Wrap(base func(device, units int) float64) Oracle {
 	if in.Empty() {
 		return func(device, units, iter int) (float64, error) {
 			return base(device, units), nil

@@ -1,49 +1,52 @@
-// Package resilient executes the iterative data-parallel application with
-// failure detection and FPM-based recovery. It is the fault-tolerant
-// counterpart of internal/dynamic's balancer: where dynamic.Run reacts to
-// *imbalance*, resilient.Run reacts to *failure* — a device that crashes,
-// stalls or degrades mid-run (injected by internal/faults, or observed on a
-// real platform as timings that no longer match the model).
+// Package resilient runs the iterative data-parallel application: every
+// iteration executes each device's share, observes the times, and
+// re-partitions when the platform calls for it. It is the one simulated
+// iteration loop, behind both the dynamic-balancing ablation and the fault
+// recovery experiment.
 //
-// The design follows the paper's own logic one step further: static FPM
-// partitioning is preferable on a dedicated, stable platform, so the right
-// response to the platform *becoming unstable* is to re-establish a static
-// FPM distribution over the devices that still behave as modelled
-// (Clarke et al.'s self-adaptable algorithms make the same move). The loop:
+// The paper sets static FPM partitioning against dynamic load balancing
+// (Clarke, Lastovetsky & Rychkov, reference [14]): a dynamic algorithm
+// starts from some distribution, observes per-device times after each
+// iteration and redistributes by observed speed when the imbalance is too
+// high, paying a migration cost for every unit moved. The same loop answers
+// an unstable platform — a device that crashes, stalls or degrades mid-run
+// (injected by internal/faults) — by re-establishing a distribution over
+// the devices that still behave as modelled:
 //
-//  1. Partition n units over the devices with partition.FPM and record the
-//     model-predicted per-device times.
+//  1. Start from the given distribution and record each device's
+//     model-predicted time.
 //  2. Each iteration, execute every device's share through an
 //     iteration-aware oracle. A failed call is retried with capped
 //     exponential backoff — transient stalls recover, crashes do not.
 //  3. An iteration whose observed time deviates from the FPM prediction by
 //     more than half is an anomaly; three consecutive anomalies confirm a
-//     degradation.
-//  4. On a confirmed failure the device is dropped (crash) or demoted
-//     (degradation: its model is rescaled to the observed speed), the
-//     surviving work is re-partitioned with partition.FPM, the moved units
-//     are charged Options.MigrationCost each, and the victim's share of the
-//     interrupted iteration is re-executed by the survivors before the run
-//     continues.
+//     degradation, and the device is demoted (its model rescaled to the
+//     observed speed).
+//  4. Re-partition once after an iteration in which a device failed, a
+//     device was demoted, or the observed imbalance exceeded 5% (imbalance
+//     alone never triggers after the last iteration). The policy picks the
+//     new distribution; every unit moved is charged Options.MigrationCost,
+//     and the survivors re-execute a failed device's share of the
+//     interrupted iteration.
 //
-// Recovery policies FPMRepartition, Proportional and NoRecovery exist so
-// the recovery experiment can compare FPM re-partitioning against the
-// dynamic balancer's proportional rule (dynamic.Redistribute) and against
-// doing nothing.
+// FPMRepartition re-solves partition.FPM on the (possibly demoted) models,
+// so from an FPM start it only moves work after a failure or demotion. Proportional is the
+// dynamic balancer's rule. NoRecovery keeps the distribution and abandons a
+// failed device's work.
 package resilient
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
-	"fpmpart/internal/dynamic"
 	"fpmpart/internal/faults"
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/partition"
 )
 
-// Detection and retry constants.
+// Detection, retry and balancing constants.
 const (
 	// deviationThreshold is the relative deviation of an observed iteration
 	// time from its FPM prediction ((obs-pred)/pred) above which the
@@ -58,9 +61,12 @@ const (
 	// retryBackoff is the delay in seconds charged before the first retry,
 	// doubling on each subsequent one.
 	retryBackoff = 1e-3
+	// imbalanceThreshold is the observed imbalance ((max-min)/min of the
+	// per-device times) above which an iteration triggers a re-partition.
+	imbalanceThreshold = 0.05
 )
 
-// Policy selects how a confirmed failure is recovered.
+// Policy selects what a re-partition returns.
 type Policy int
 
 // Recovery policies.
@@ -69,8 +75,8 @@ const (
 	// on their (possibly demoted) functional performance models.
 	FPMRepartition Policy = iota
 	// Proportional redistributes in proportion to the speeds (units per
-	// second) observed on each survivor's last share — the dynamic
-	// balancer's rule, dynamic.Redistribute.
+	// second) each live device showed this iteration — the dynamic
+	// balancer's rule.
 	Proportional
 	// NoRecovery drops the device's work on the floor: no redistribution,
 	// the lost units are never processed. The run reports Completed=false.
@@ -111,7 +117,7 @@ const (
 	EventDrop
 	// EventDemote is a device whose model was rescaled to observed speed.
 	EventDemote
-	// EventRepartition is a recovery redistribution.
+	// EventRepartition is a re-partition that moved work.
 	EventRepartition
 	// EventLost is work abandoned under NoRecovery.
 	EventLost
@@ -161,8 +167,11 @@ type Step struct {
 	// RecoverySeconds is the time survivors spent re-executing a failed
 	// device's share of this iteration.
 	RecoverySeconds float64
-	// Moved is the number of units migrated by recovery this iteration.
+	// Moved is the number of units migrated after this iteration.
 	Moved int
+	// Imbalance is (max-min)/min of the live devices' times, +Inf when a
+	// live device sat idle with at least one unit per live device to share.
+	Imbalance float64
 }
 
 // seconds is the wall-clock charge of the step.
@@ -181,7 +190,7 @@ type Trace struct {
 	UnitsProcessed int
 	// LostUnits is work never executed (NoRecovery after a failure).
 	LostUnits int
-	// Rebalances counts recovery redistributions.
+	// Rebalances counts re-partitions that moved work.
 	Rebalances int
 	// Retries counts backoff retries.
 	Retries int
@@ -198,46 +207,51 @@ type deviceState struct {
 	dev     partition.Device
 	alive   bool
 	strikes int
-	// lastUnits and lastTime are the share and time of the last
-	// successfully observed iteration.
-	lastUnits int
-	lastTime  float64
 }
 
-// Run executes nIters iterations of the application over n units on the
-// given devices through the oracle, partitioning with partition.FPM and
-// recovering from failures per the options. The oracle is typically a
-// faults.Injector-wrapped platform oracle; a fault-free oracle makes Run
-// equivalent to a static FPM run.
-func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts Options) (Trace, error) {
+// Run executes nIters iterations of the application distributed as initial
+// (n = Σ initial units) over the devices through the oracle, re-partitioning
+// per the options. The oracle is typically a faults.Injector-wrapped
+// platform oracle.
+func Run(devices []partition.Device, oracle faults.Oracle, initial []int, nIters int, opts Options) (Trace, error) {
 	if oracle == nil {
 		return Trace{}, errors.New("resilient: nil oracle")
 	}
 	if len(devices) == 0 {
 		return Trace{}, errors.New("resilient: no devices")
 	}
-	if n <= 0 || nIters <= 0 {
-		return Trace{}, fmt.Errorf("resilient: invalid problem size n=%d, iterations=%d", n, nIters)
+	if len(initial) != len(devices) {
+		return Trace{}, fmt.Errorf("resilient: %d initial shares for %d devices", len(initial), len(devices))
+	}
+	if nIters <= 0 {
+		return Trace{}, fmt.Errorf("resilient: invalid iteration count %d", nIters)
 	}
 	if opts.MigrationCost < 0 {
 		return Trace{}, fmt.Errorf("resilient: negative migration cost %v", opts.MigrationCost)
+	}
+	n := 0
+	for _, u := range initial {
+		if u < 0 {
+			return Trace{}, fmt.Errorf("resilient: negative initial share %d", u)
+		}
+		n += u
+	}
+	if n == 0 {
+		return Trace{}, errors.New("resilient: nothing to distribute")
 	}
 
 	state := make([]*deviceState, len(devices))
 	for i, d := range devices {
 		state[i] = &deviceState{dev: d, alive: true}
 	}
-	units, err := partitionAlive(state, n)
-	if err != nil {
-		return Trace{}, fmt.Errorf("resilient: initial partition: %w", err)
-	}
+	units := append([]int(nil), initial...)
 	preds := predict(state, units)
 
-	tr := Trace{Completed: true}
+	var tr Trace
 	for it := 0; it < nIters; it++ {
 		step := Step{Iter: it, Units: append([]int(nil), units...)}
-		var failed []int
-		var confirmedSlow []int
+		times := make([]float64, len(state))
+		var failed, slow []int
 		for d, st := range state {
 			if !st.alive || units[d] == 0 {
 				continue
@@ -249,19 +263,14 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 				// Permanent failure: retries exhausted (crash, or a stall
 				// longer than the retry budget). The time burnt waiting on
 				// the victim still bounds the iteration from below.
-				if retrySec > step.Makespan {
-					step.Makespan = retrySec
-				}
+				step.Makespan = max(step.Makespan, retrySec)
 				failed = append(failed, d)
 				tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventDrop,
 					Detail: err.Error()})
 				continue
 			}
-			st.lastUnits, st.lastTime = units[d], t
-			total := t + retrySec
-			if total > step.Makespan {
-				step.Makespan = total
-			}
+			times[d] = t
+			step.Makespan = max(step.Makespan, t+retrySec)
 			// Anomaly detection against the FPM prediction.
 			if pred := preds[d]; pred > 0 {
 				relDev := (t - pred) / pred
@@ -270,7 +279,7 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 					tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventAnomaly,
 						Detail: fmt.Sprintf("observed %.3gs vs predicted %.3gs (%.0f%% over)", t, pred, relDev*100)})
 					if st.strikes >= strikeLimit {
-						confirmedSlow = append(confirmedSlow, d)
+						slow = append(slow, d)
 					}
 				} else {
 					st.strikes = 0
@@ -278,91 +287,66 @@ func Run(devices []partition.Device, oracle faults.Oracle, n, nIters int, opts O
 			}
 		}
 
-		if len(failed) > 0 {
-			lostThisIter := 0
+		lost := 0
+		for _, d := range failed {
+			state[d].alive = false
+			lost += units[d]
+			tr.Dropped = append(tr.Dropped, d)
+		}
+		step.Imbalance = imbalance(state, units, times, n)
+		if opts.Policy == NoRecovery {
+			// The failed share of this and every remaining iteration is
+			// abandoned; the survivors plod on with their old shares, and
+			// no device is demoted.
 			for _, d := range failed {
-				state[d].alive = false
-				lostThisIter += units[d]
-				tr.Dropped = append(tr.Dropped, d)
+				tr.LostUnits += units[d] * (nIters - it)
+				tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventLost,
+					Detail: fmt.Sprintf("%d units/iteration abandoned for %d iterations", units[d], nIters-it)})
+				units[d] = 0
 			}
-			if opts.Policy == NoRecovery {
-				// The failed share of this and every remaining iteration is
-				// abandoned; the survivors plod on with their old shares.
-				remaining := nIters - it
-				tr.LostUnits += lostThisIter * remaining
-				tr.Completed = false
-				for _, d := range failed {
-					units[d] = 0
-					tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventLost,
-						Detail: fmt.Sprintf("%d units/iteration abandoned for %d iterations", lostThisIter, remaining)})
-				}
-				tr.UnitsProcessed += n - lostThisIter
-			} else {
-				next, err := repartition(state, n, opts)
-				if err != nil {
-					return tr, fmt.Errorf("resilient: recovery at iteration %d: %w", it, err)
-				}
-				moved := unitsMoved(units, next)
-				step.Moved += moved
-				step.MigrationSeconds += float64(moved) * opts.MigrationCost
-				// Survivors re-execute the victims' share of this iteration,
-				// split in proportion to their new assignment.
-				recSec, err := recoverResidual(oracle, state, next, lostThisIter, n, it)
-				if err != nil {
-					return tr, fmt.Errorf("resilient: residual re-execution at iteration %d: %w", it, err)
-				}
-				step.RecoverySeconds += recSec
-				units = next
-				preds = predict(state, units)
-				tr.Rebalances++
-				tr.Events = append(tr.Events, Event{Iter: it, Device: -1, Kind: EventRepartition,
-					Detail: fmt.Sprintf("%s over %d survivors, %d units moved", opts.Policy, alive(state), moved)})
-				tr.UnitsProcessed += n
-			}
-		} else {
-			// Work lost to an earlier NoRecovery drop was charged to
-			// LostUnits at drop time; sum(units) is what actually ran.
 			tr.UnitsProcessed += sum(units)
+			slow = nil
+		} else {
+			// Survivors re-execute the victims' share of this iteration.
+			tr.UnitsProcessed += n
+		}
+		for _, d := range slow {
+			// Demote: rescale the model to the observed speed so the
+			// re-partition believes the degraded reality.
+			st := state[d]
+			factor := preds[d] / times[d]
+			st.dev.Model = fpm.Scaled{Base: st.dev.Model, Factor: factor}
+			st.strikes = 0
+			tr.Demoted = append(tr.Demoted, d)
+			tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventDemote,
+				Detail: fmt.Sprintf("model rescaled by %.3g after %d strikes", factor, strikeLimit)})
 		}
 
-		if len(confirmedSlow) > 0 && opts.Policy != NoRecovery {
-			for _, d := range confirmedSlow {
-				st := state[d]
-				// Demote: rescale the model to the observed speed so the
-				// re-partition believes the degraded reality.
-				obs, pred := st.lastTime, preds[d]
-				factor := 1.0
-				if obs > 0 && pred > 0 {
-					factor = pred / obs
-					st.dev.Model = fpm.Scaled{Base: st.dev.Model, Factor: factor}
-				}
-				st.strikes = 0
-				tr.Demoted = append(tr.Demoted, d)
-				tr.Events = append(tr.Events, Event{Iter: it, Device: d, Kind: EventDemote,
-					Detail: fmt.Sprintf("model rescaled by %.3g after %d strikes", factor, strikeLimit)})
-			}
-			next, err := repartition(state, n, opts)
+		if len(failed) > 0 || len(slow) > 0 || (step.Imbalance > imbalanceThreshold && it < nIters-1) {
+			next, err := repartition(state, units, times, n, opts.Policy)
 			if err != nil {
-				return tr, fmt.Errorf("resilient: demotion re-partition at iteration %d: %w", it, err)
+				return tr, fmt.Errorf("resilient: re-partition at iteration %d: %w", it, err)
 			}
-			moved := unitsMoved(units, next)
-			migration := float64(moved) * opts.MigrationCost
-			step.Moved += moved
-			step.MigrationSeconds += migration
+			// A re-partition that keeps the distribution is not a rebalance.
+			if !slices.Equal(next, units) {
+				step.Moved = unitsMoved(units, next)
+				step.MigrationSeconds = float64(step.Moved) * opts.MigrationCost
+				tr.Rebalances++
+				tr.Events = append(tr.Events, Event{Iter: it, Device: -1, Kind: EventRepartition,
+					Detail: fmt.Sprintf("%s over %d devices, %d units moved", opts.Policy, alive(state), step.Moved)})
+			}
+			if opts.Policy != NoRecovery {
+				step.RecoverySeconds = recoverResidual(oracle, state, next, lost, n, it)
+			}
 			units = next
 			preds = predict(state, units)
-			tr.Rebalances++
-			tr.Events = append(tr.Events, Event{Iter: it, Device: -1, Kind: EventRepartition,
-				Detail: fmt.Sprintf("%s after demotion, %d units moved", opts.Policy, moved)})
 		}
 
 		tr.Steps = append(tr.Steps, step)
 		tr.TotalSeconds += step.seconds()
 	}
 	tr.FinalUnits = append([]int(nil), units...)
-	if tr.UnitsProcessed < n*nIters {
-		tr.Completed = false
-	}
+	tr.Completed = tr.UnitsProcessed == n*nIters
 	return tr, nil
 }
 
@@ -410,44 +394,24 @@ func checkTime(t float64, d int) error {
 	return nil
 }
 
-// partitionAlive runs an FPM partition over all live devices.
-func partitionAlive(state []*deviceState, n int) ([]int, error) {
-	devs := make([]partition.Device, 0, len(state))
-	idx := make([]int, 0, len(state))
-	for i, st := range state {
-		if st.alive {
-			devs = append(devs, st.dev)
-			idx = append(idx, i)
-		}
+// repartition redistributes n units over the live devices per the policy:
+// FPM on their models, the proportional rule on this iteration's shares and
+// times, or (NoRecovery) the current distribution unchanged.
+func repartition(state []*deviceState, units []int, times []float64, n int, policy Policy) ([]int, error) {
+	if policy == NoRecovery {
+		return units, nil
 	}
-	if len(devs) == 0 {
-		return nil, errors.New("resilient: no surviving devices")
-	}
-	res, err := partition.FPM(devs, n, partition.FPMOptions{})
-	if err != nil {
-		return nil, err
-	}
-	units := make([]int, len(state))
-	for j, u := range res.Units() {
-		units[idx[j]] = u
-	}
-	return units, nil
-}
-
-// repartition redistributes n units over the live devices per the policy.
-func repartition(state []*deviceState, n int, opts Options) ([]int, error) {
-	if opts.Policy != Proportional {
-		return partitionAlive(state, n)
-	}
-	var idx, last []int
-	var times, caps []float64
+	var idx, shares []int
+	var devs []partition.Device
+	var obs, caps []float64
 	for i, st := range state {
 		if !st.alive {
 			continue
 		}
 		idx = append(idx, i)
-		last = append(last, st.lastUnits)
-		times = append(times, st.lastTime)
+		devs = append(devs, st.dev)
+		shares = append(shares, units[i])
+		obs = append(obs, times[i])
 		c := math.Inf(1)
 		if mu := st.dev.MaxUnits; mu > 0 {
 			c = mu
@@ -457,15 +421,79 @@ func repartition(state []*deviceState, n int, opts Options) ([]int, error) {
 	if len(idx) == 0 {
 		return nil, errors.New("resilient: no surviving devices")
 	}
-	shares, err := dynamic.Redistribute(last, times, n, caps)
-	if err != nil {
-		return nil, err
+	var next []int
+	if policy == Proportional {
+		var err error
+		if next, err = proportional(shares, obs, n, caps); err != nil {
+			return nil, err
+		}
+	} else {
+		res, err := partition.FPM(devs, n, partition.FPMOptions{})
+		if err != nil {
+			return nil, err
+		}
+		next = res.Units()
 	}
-	units := make([]int, len(state))
-	for j, u := range shares {
-		units[idx[j]] = u
+	out := make([]int, len(state))
+	for j, u := range next {
+		out[idx[j]] = u
 	}
-	return units, nil
+	return out, nil
+}
+
+// proportional is the dynamic balancer's rule: it splits total units over
+// the devices in proportion to the speed each showed on its share,
+// units[d]/times[d], within caps (+Inf for an uncapped device). A device
+// that ran nothing has no observed speed; it is probed with the average
+// apparent speed total/p/hi, hi being the slowest observed time, so it can
+// re-enter the distribution. With nothing observed at all, every device
+// gets the same speed.
+func proportional(units []int, times []float64, total int, caps []float64) ([]int, error) {
+	hi := 0.0
+	for d, u := range units {
+		if u > 0 {
+			hi = max(hi, times[d])
+		}
+	}
+	probe := 1.0
+	if hi > 0 {
+		probe = float64(total) / float64(len(units)) / hi
+	}
+	speeds := make([]float64, len(units))
+	for d, u := range units {
+		if u > 0 && times[d] > 0 {
+			speeds[d] = float64(u) / times[d]
+		} else {
+			speeds[d] = probe
+		}
+	}
+	return partition.RoundShares(speeds, total, caps)
+}
+
+// imbalance is (max-min)/min of the live devices' times this iteration. A
+// live device left idle while there is at least one unit per live device is
+// the worst possible imbalance, +Inf: its time is zero.
+func imbalance(state []*deviceState, units []int, times []float64, n int) float64 {
+	lo, hi := math.Inf(1), 0.0
+	live, idle := 0, false
+	for d, st := range state {
+		if !st.alive {
+			continue
+		}
+		live++
+		if units[d] == 0 {
+			idle = true
+			continue
+		}
+		lo, hi = min(lo, times[d]), max(hi, times[d])
+	}
+	switch {
+	case idle && n >= live:
+		return math.Inf(1)
+	case hi == 0:
+		return 0
+	}
+	return hi/lo - 1
 }
 
 // recoverResidual re-executes the failed devices' share of the interrupted
@@ -473,13 +501,10 @@ func repartition(state []*deviceState, n int, opts Options) ([]int, error) {
 // and returns the extra makespan. When a survivor's oracle call fails too
 // (e.g. it is itself stalled), its model prediction stands in — the charge
 // must not be lost just because the platform is having a bad day.
-func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, residual, n, it int) (float64, error) {
-	if residual <= 0 {
-		return 0, nil
-	}
+func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, residual, n, it int) float64 {
 	var makespan float64
 	for d, st := range state {
-		if !st.alive || next[d] == 0 {
+		if residual <= 0 || !st.alive || next[d] == 0 {
 			continue
 		}
 		extra := int(math.Round(float64(residual) * float64(next[d]) / float64(n)))
@@ -487,14 +512,12 @@ func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, res
 			continue
 		}
 		t, err := oracle(d, extra, it)
-		if err != nil || t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		if err != nil || checkTime(t, d) != nil {
 			t = fpm.Time(st.dev.Model, float64(extra))
 		}
-		if t > makespan {
-			makespan = t
-		}
+		makespan = max(makespan, t)
 	}
-	return makespan, nil
+	return makespan
 }
 
 // predict returns the FPM-predicted per-device iteration times for units.
