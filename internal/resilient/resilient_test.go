@@ -305,8 +305,6 @@ func TestRunValidation(t *testing.T) {
 		{"no devices", nil, oracle, nil, 5, Options{}},
 		{"nil oracle", devs, nil, []int{10}, 5, Options{}},
 		{"share count", devs, oracle, []int{5, 5}, 5, Options{}},
-		{"negative share", devs, oracle, []int{-1}, 5, Options{}},
-		{"zero total", devs, oracle, []int{0}, 5, Options{}},
 		{"zero iterations", devs, oracle, []int{10}, 0, Options{}},
 		{"negative migration cost", devs, oracle, []int{10}, 5, Options{MigrationCost: -1}},
 	}
@@ -314,12 +312,6 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(c.devs, c.oracle, c.initial, c.nIters, c.opts); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
-	}
-	// An invalid time fails the device like a crash: with no survivor to
-	// take its work, the run errs.
-	bad := func(d, u, it int) (float64, error) { return -1, nil }
-	if _, err := Run(devs, bad, []int{5}, 1, Options{}); err == nil {
-		t.Error("invalid oracle time accepted")
 	}
 }
 
@@ -355,6 +347,35 @@ func totalMoved(tr Trace) int {
 		moved += st.Moved
 	}
 	return moved
+}
+
+// TestProportionalRunValidation checks the starting distribution and the
+// oracle's times under the balancer's policy.
+func TestProportionalRunValidation(t *testing.T) {
+	devs, base := constDevices(t, 1)
+	oracle := injected(t, "", 1, base)
+	opts := Options{Policy: Proportional}
+	if _, err := Run(devs, nil, []int{1}, 1, opts); err == nil {
+		t.Error("nil oracle accepted")
+	}
+	if _, err := Run(devs, oracle, nil, 1, opts); err == nil {
+		t.Error("empty distribution accepted")
+	}
+	if _, err := Run(devs, oracle, []int{1}, 0, opts); err == nil {
+		t.Error("zero iterations accepted")
+	}
+	if _, err := Run(devs, oracle, []int{-1}, 1, opts); err == nil {
+		t.Error("negative units accepted")
+	}
+	if _, err := Run(devs, oracle, []int{0}, 1, opts); err == nil {
+		t.Error("zero total accepted")
+	}
+	// An invalid time fails the device like a crash: with no survivor to
+	// take its work, the run errs.
+	bad := func(d, u, it int) (float64, error) { return -1, nil }
+	if _, err := Run(devs, bad, []int{5}, 1, opts); err == nil {
+		t.Error("invalid oracle time accepted")
+	}
 }
 
 func TestRunBalancedStartNeverRebalances(t *testing.T) {
