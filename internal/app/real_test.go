@@ -357,7 +357,7 @@ func TestClosedLoopRealFPM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := bench.Options{RelErr: 0.1, MinReps: 3, MaxReps: 30, Robust: true}
+	opts := bench.Options{RelErr: 0.1, MaxReps: 30, Robust: true}
 	fast, _, err := bench.BuildModel(kernel, sizes, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"sort"
 
 	"fpmpart/internal/fpm"
-	"fpmpart/internal/par"
-	"fpmpart/internal/stats"
 )
 
 // Adaptive model construction: instead of a fixed grid, measurement points
@@ -22,26 +20,25 @@ type AdaptiveOptions struct {
 	// Options configures the per-point repeat-until-reliable loop and the
 	// worker pool measuring each refinement wave's midpoints.
 	Options
-	// RelTol is the acceptable relative error of the interpolated time at
-	// an interval's midpoint; intervals above it keep splitting. Default
-	// 0.05.
-	RelTol float64
 	// MaxPoints bounds the number of measured sizes. Default 24.
 	MaxPoints int
-	// MinGap stops splitting intervals narrower than this (default:
-	// (hi-lo)/1024).
-	MinGap float64
 }
 
-func (o AdaptiveOptions) withDefaults(lo, hi float64) (AdaptiveOptions, error) {
+const (
+	// adaptiveRelTol is the acceptable relative error of the interpolated
+	// time at an interval's midpoint; intervals above it keep splitting.
+	adaptiveRelTol = 0.05
+	// adaptiveMinGapDiv stops splitting intervals narrower than the range
+	// divided by it.
+	adaptiveMinGapDiv = 1024
+)
+
+func (o AdaptiveOptions) withDefaults() (AdaptiveOptions, error) {
 	opts, err := o.Options.withDefaults()
 	if err != nil {
 		return o, err
 	}
 	o.Options = opts
-	if o.RelTol < 0 {
-		return o, fmt.Errorf("bench: negative adaptive tolerance %v", o.RelTol)
-	}
 	if o.MaxPoints < 0 {
 		return o, fmt.Errorf("bench: negative adaptive point budget %d", o.MaxPoints)
 	}
@@ -50,22 +47,16 @@ func (o AdaptiveOptions) withDefaults(lo, hi float64) (AdaptiveOptions, error) {
 		// silently overspent before refinement even starts.
 		return o, fmt.Errorf("bench: adaptive point budget %d below the 2 endpoint measurements", o.MaxPoints)
 	}
-	if o.RelTol == 0 {
-		o.RelTol = 0.05
-	}
 	if o.MaxPoints == 0 {
 		o.MaxPoints = 24
-	}
-	if o.MinGap <= 0 {
-		o.MinGap = (hi - lo) / 1024
 	}
 	return o, nil
 }
 
 // BuildModelAdaptive benchmarks the kernel over [lo, hi], recursively
 // splitting the interval whose midpoint time the current model mispredicts
-// the most, until every interval interpolates within RelTol or MaxPoints
-// sizes have been measured.
+// the most, until every interval interpolates within adaptiveRelTol or
+// MaxPoints sizes have been measured.
 //
 // Refinement proceeds in waves: every interval of the current frontier has
 // its midpoint measured concurrently on the options' worker pool, then the
@@ -86,36 +77,23 @@ func BuildModelAdaptive(k Kernel, lo, hi float64, opts AdaptiveOptions) (*fpm.Pi
 			return nil, Report{}, fmt.Errorf("bench: range below %s's limit %v", k.Name(), max)
 		}
 	}
-	opts, err := opts.withDefaults(lo, hi)
+	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, Report{}, err
 	}
 
 	rep := Report{Kernel: k.Name()}
 	measured := map[float64]float64{} // size -> mean time
+	minGap := (hi - lo) / adaptiveMinGapDiv
 
-	// measureWave measures the given sizes concurrently, then folds them
-	// into the report and the measured map in order.
+	// measureWave measures the given sizes and records their mean times.
 	measureWave := func(xs []float64) error {
-		type pointResult struct {
-			est  *stats.Estimator
-			mean float64
-		}
-		results := make([]pointResult, len(xs))
-		err := par.ForEach(opts.Parallelism, len(xs), func(i int) error {
-			est, mean, err := measurePoint(k, xs[i], opts.Options)
-			if err != nil {
-				return err
-			}
-			results[i] = pointResult{est: est, mean: mean}
-			return nil
-		})
+		means, err := rep.measure(k, xs, opts.Options)
 		if err != nil {
 			return err
 		}
 		for i, x := range xs {
-			measured[x] = results[i].mean
-			rep.addPoint(x, results[i].est, results[i].mean)
+			measured[x] = means[i]
 		}
 		return nil
 	}
@@ -134,7 +112,7 @@ func BuildModelAdaptive(k Kernel, lo, hi float64, opts AdaptiveOptions) (*fpm.Pi
 			if len(measured)+len(mids) >= opts.MaxPoints {
 				break
 			}
-			if iv.b-iv.a <= opts.MinGap {
+			if iv.b-iv.a <= minGap {
 				continue
 			}
 			wave = append(wave, iv)
@@ -155,7 +133,7 @@ func BuildModelAdaptive(k Kernel, lo, hi float64, opts AdaptiveOptions) (*fpm.Pi
 			sa, sb := iv.a/ta, iv.b/tb
 			predicted := mid / ((sa + sb) / 2)
 			actual := measured[mid]
-			if math.Abs(predicted-actual)/actual > opts.RelTol {
+			if math.Abs(predicted-actual)/actual > adaptiveRelTol {
 				next = append(next, interval{iv.a, mid}, interval{mid, iv.b})
 			}
 		}

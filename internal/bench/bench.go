@@ -35,14 +35,14 @@ type Kernel interface {
 	MaxSize() float64
 }
 
-// Options configures the repeat-until-reliable measurement loop.
+// Options configures the repeat-until-reliable measurement loop: each point
+// is repeated at least three times, and until the 95% confidence interval of
+// its mean is within RelErr or MaxReps runs are spent.
 type Options struct {
-	// Confidence is the confidence level for the mean (default 0.95).
-	Confidence float64
 	// RelErr is the target relative half-width (default 0.025).
 	RelErr float64
-	// MinReps and MaxReps bound repetitions per point (defaults 3 and 30).
-	MinReps, MaxReps int
+	// MaxReps bounds repetitions per point (default 30).
+	MaxReps int
 	// Robust applies 3-MAD outlier filtering to each point's repetitions —
 	// recommended when timing with the wall clock (see RealGEMMKernel).
 	Robust bool
@@ -56,27 +56,25 @@ type Options struct {
 	Parallelism int
 }
 
+const (
+	// confidence is the confidence level of each point's mean.
+	confidence = 0.95
+	// minReps is the fewest repetitions a point's mean rests on.
+	minReps = 3
+)
+
 func (o Options) withDefaults() (Options, error) {
 	if o.Parallelism < 0 {
 		return o, fmt.Errorf("bench: negative parallelism %d", o.Parallelism)
 	}
-	if o.MinReps < 0 || o.MaxReps < 0 {
-		return o, fmt.Errorf("bench: negative repetition bound (min %d, max %d)", o.MinReps, o.MaxReps)
+	if o.MaxReps < 0 {
+		return o, fmt.Errorf("bench: negative repetition bound %d", o.MaxReps)
 	}
 	if o.RelErr < 0 {
 		return o, fmt.Errorf("bench: negative relative-error target %v", o.RelErr)
 	}
-	if o.Confidence < 0 {
-		return o, fmt.Errorf("bench: negative confidence level %v", o.Confidence)
-	}
-	if o.Confidence == 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
 	if o.RelErr == 0 {
 		o.RelErr = 0.025
-	}
-	if o.MinReps < 2 {
-		o.MinReps = 3
 	}
 	if o.MaxReps == 0 {
 		o.MaxReps = 30
@@ -121,28 +119,37 @@ func kernelAt(k Kernel, x float64) Kernel {
 	return k
 }
 
-// measurePoint runs the repeat-until-reliable loop for one model point.
-func measurePoint(k Kernel, x float64, opts Options) (*stats.Estimator, float64, error) {
-	est := stats.NewEstimator(opts.Confidence, opts.RelErr, opts.MinReps, opts.MaxReps)
-	est.Robust = opts.Robust
-	kp := kernelAt(k, x)
-	mean, err := est.Measure(func() (float64, error) { return kp.Run(x) })
-	if err != nil {
-		return nil, 0, fmt.Errorf("bench: %s at size %v: %w", k.Name(), x, err)
-	}
-	return est, mean, nil
-}
-
-// addPoint folds one measured point into the report; called in grid order so
-// reports are identical at any worker count.
-func (rep *Report) addPoint(x float64, est *stats.Estimator, mean float64) {
-	rep.Points = append(rep.Points, PointReport{
-		Size: x, MeanTime: mean, Reps: est.N(), Converged: est.Converged(),
+// measure runs the repeat-until-reliable loop at every size on the
+// options' worker pool, then folds the points into the report in size order
+// — so the report is identical at any worker count — and returns their mean
+// times. The report is left untouched on error.
+func (rep *Report) measure(k Kernel, xs []float64, opts Options) ([]float64, error) {
+	ests := make([]*stats.Estimator, len(xs))
+	means := make([]float64, len(xs))
+	err := par.ForEach(opts.Parallelism, len(xs), func(i int) error {
+		est := stats.NewEstimator(confidence, opts.RelErr, minReps, opts.MaxReps)
+		est.Robust = opts.Robust
+		kp := kernelAt(k, xs[i])
+		mean, err := est.Measure(func() (float64, error) { return kp.Run(xs[i]) })
+		if err != nil {
+			return fmt.Errorf("bench: %s at size %v: %w", k.Name(), xs[i], err)
+		}
+		ests[i], means[i] = est, mean
+		return nil
 	})
-	rep.TotalRuns += est.N()
-	for _, v := range est.Sample().Values() {
-		rep.TotalTime += v
+	if err != nil {
+		return nil, err
 	}
+	for i, x := range xs {
+		rep.Points = append(rep.Points, PointReport{
+			Size: x, MeanTime: means[i], Reps: ests[i].N(), Converged: ests[i].Converged(),
+		})
+		rep.TotalRuns += ests[i].N()
+		for _, v := range ests[i].Sample().Values() {
+			rep.TotalTime += v
+		}
+	}
+	return means, nil
 }
 
 // BuildModel benchmarks the kernel at each of the given sizes and returns
@@ -178,26 +185,13 @@ func BuildModel(k Kernel, sizes []float64, opts Options) (*fpm.PiecewiseLinear, 
 	if len(kept) == 0 {
 		return nil, rep, fmt.Errorf("bench: all sizes exceed %s's limit %v", k.Name(), maxSize)
 	}
-	type pointResult struct {
-		est  *stats.Estimator
-		mean float64
-	}
-	results := make([]pointResult, len(kept))
-	err = par.ForEach(opts.Parallelism, len(kept), func(i int) error {
-		est, mean, err := measurePoint(k, kept[i], opts)
-		if err != nil {
-			return err
-		}
-		results[i] = pointResult{est: est, mean: mean}
-		return nil
-	})
+	means, err := rep.measure(k, kept, opts)
 	if err != nil {
 		return nil, Report{}, err
 	}
-	samples := make([]fpm.TimeSample, 0, len(kept))
+	samples := make([]fpm.TimeSample, len(kept))
 	for i, x := range kept {
-		rep.addPoint(x, results[i].est, results[i].mean)
-		samples = append(samples, fpm.TimeSample{Size: x, Seconds: results[i].mean})
+		samples[i] = fpm.TimeSample{Size: x, Seconds: means[i]}
 	}
 	model, err := fpm.FromTimings(samples)
 	if err != nil {
@@ -301,17 +295,7 @@ func (k *GPUKernel) Run(x float64) (float64, error) {
 	if x <= 0 {
 		return 0, fmt.Errorf("bench: invalid size %v", x)
 	}
-	// The paper builds GPU models with near-square rectangles: speed for a
-	// given area barely depends on shape, so measure the closest integer
-	// rectangle and rescale time to the exact requested area.
-	rows := int(math.Round(math.Sqrt(x)))
-	if rows < 1 {
-		rows = 1
-	}
-	cols := int(math.Round(x / float64(rows)))
-	if cols < 1 {
-		cols = 1
-	}
+	rows, cols := nearSquare(x)
 	inv := gpukernel.Invocation{
 		GPU: k.GPU, BlockSize: k.BlockSize, ElemBytes: k.ElemBytes,
 		Rows: rows, Cols: cols,
@@ -325,6 +309,16 @@ func (k *GPUKernel) Run(x float64) (float64, error) {
 		t /= f
 	}
 	return k.Noise.Perturb(t), nil
+}
+
+// nearSquare returns the integer rectangle of blocks closest to a square of
+// area x. The paper builds GPU models with near-square rectangles — speed
+// for a given area barely depends on shape — so kernels time this rectangle
+// and rescale the time to the exact requested area.
+func nearSquare(x float64) (rows, cols int) {
+	rows = max(int(math.Round(math.Sqrt(x))), 1)
+	cols = max(int(math.Round(x/float64(rows))), 1)
+	return rows, cols
 }
 
 // FuncKernel adapts an arbitrary timing function — e.g. a real wall-clock

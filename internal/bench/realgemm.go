@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -50,14 +49,7 @@ func (k *RealGEMMKernel) Run(x float64) (float64, error) {
 	if x <= 0 {
 		return 0, fmt.Errorf("bench: invalid size %v", x)
 	}
-	rows := int(math.Round(math.Sqrt(x)))
-	if rows < 1 {
-		rows = 1
-	}
-	cols := int(math.Round(x / float64(rows)))
-	if cols < 1 {
-		cols = 1
-	}
+	rows, cols := nearSquare(x)
 	bs := k.BlockSize
 	k.mu.Lock()
 	defer k.mu.Unlock()

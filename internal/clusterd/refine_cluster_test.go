@@ -3,14 +3,18 @@ package clusterd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fpmpart/internal/fpm"
 	"fpmpart/internal/refine"
 	"fpmpart/internal/service"
+	"fpmpart/internal/workerd"
 )
 
 // postObserve feeds one observe batch of identical samples to a member and
@@ -131,4 +135,104 @@ func TestClusterReplicatesRefinedModels(t *testing.T) {
 			t.Fatalf("member %s answered with stale generations %v, want >= %d", mem.base, res.ModelGens, gen2)
 		}
 	}
+}
+
+// TestExecuteRefinesOnModelOwner: shard timings of a job run on a member
+// that does not own the worker's model are refined by the owner only. Each
+// member's refiner reads its clock only when a reliable bucket calls for a
+// rebuild, so a clock read on the coordinator would mean it was about to
+// publish beside the owner.
+func TestExecuteRefinesOnModelOwner(t *testing.T) {
+	addrs := pickAddrs(t, 2)
+	peerURLs := make([]string, len(addrs))
+	for i, a := range addrs {
+		peerURLs[i] = "http://" + a
+	}
+	var rebuilds [2]atomic.Int64
+	withWorkers := func(i int) func(*service.Config) {
+		return func(cfg *service.Config) {
+			cfg.EnableWorkers = true
+			cfg.EnableObserve = true
+			// Two samples fill a bucket (one shard timing per round), and
+			// an effectively-zero cooldown lets every rebuild publish.
+			cfg.Refine = refine.Config{MinSamples: 2, MaxSamplesPerBucket: 2, Cooldown: time.Nanosecond,
+				Now: func() time.Time { rebuilds[i].Add(1); return time.Now() }}
+		}
+	}
+	m0 := startMemberCfg(t, addrs[0], peerURLs, t.TempDir(), 50*time.Millisecond, withWorkers(0))
+	m1 := startMemberCfg(t, addrs[1], peerURLs, t.TempDir(), 50*time.Millisecond, withWorkers(1))
+
+	// A worker name owned by m1; the job runs on m0. Both members must see
+	// the same two-member ring before ownership means anything.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(m0.c.mem.Ring().Peers()) < 2 || len(m1.c.mem.Ring().Peers()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("members never saw each other alive")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	name := ""
+	for i := 0; name == ""; i++ {
+		if id := fmt.Sprintf("w%d", i); !ownsKey(m0, id) && ownsKey(m1, id) {
+			name = id
+		}
+	}
+
+	w, err := workerd.NewWorker(workerd.WorkerOptions{Name: name, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := httptest.NewServer(w.Handler())
+	t.Cleanup(ws.Close)
+	model, err := service.SyntheticModel(4, 1000).MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, _ := json.Marshal(workerd.Registration{Name: name, URL: ws.URL, Cores: 1, Model: model})
+	resp, err := http.Post(m0.base+"/v1/workers", "application/json", bytes.NewReader(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register on m0: status %d: %s", resp.StatusCode, body)
+	}
+	registered, err := m0.s.Models.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The owner must hold the model before timings are forwarded to it.
+	waitForGen(t, m1, name, registered.Gen)
+
+	job, _ := json.Marshal(workerd.ExecuteRequest{Rows: 96, K: 32, N: 32, Rounds: 3})
+	resp, err = http.Post(m0.base+"/v1/execute", "application/json", bytes.NewReader(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute on m0: status %d: %s", resp.StatusCode, body)
+	}
+
+	if n := rebuilds[0].Load(); n != 0 {
+		t.Errorf("coordinator m0 went to rebuild %s %d times; only its owner m1 may", name, n)
+	}
+	if rebuilds[1].Load() == 0 {
+		t.Errorf("owner m1 never rebuilt %s from the job's shard timings", name)
+	}
+	refined, err := m1.s.Models.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined.Gen <= registered.Gen {
+		t.Errorf("owner serves %s at generation %d, want a refined one above %d", name, refined.Gen, registered.Gen)
+	}
+}
+
+// ownsKey reports whether m is the ring owner of key.
+func ownsKey(m *member, key string) bool {
+	_, self := m.c.Owner(key)
+	return self
 }

@@ -146,13 +146,7 @@ func AblationDMAEngines(node *hw.Node, opts ModelOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := len(node.GPUs) - 1
-	for i, gpu := range node.GPUs {
-		if gpu.DMAEngines == 2 {
-			g = i
-		}
-	}
-	base := node.GPUs[g]
+	base := node.GPUs[fastGPU(node)]
 	single := *base
 	single.DMAEngines = 1
 	t := &Table{
@@ -201,24 +195,15 @@ func AblationSocketFPM(node *hw.Node, opts ModelOptions) (*Table, error) {
 	for i, x := range sizes {
 		soloSizes[i] = x / float64(sock.Cores)
 	}
-	bopts := bench.Options{Parallelism: opts.Parallelism}
-	var groupModel, soloModel *fpm.PiecewiseLinear
-	err = opts.forEachUnit(2, func(i int) error {
-		var err error
-		if i == 0 {
-			group := &bench.SocketKernel{Socket: sock, Active: sock.Cores, BlockSize: node.BlockSize,
-				Noise: stats.NewNoise(opts.Seed+40, opts.NoiseSigma)}
-			groupModel, _, err = bench.BuildModel(group, sizes, bopts)
-		} else {
-			solo := &bench.SocketKernel{Socket: sock, Active: 1, BlockSize: node.BlockSize,
-				Noise: stats.NewNoise(opts.Seed+41, opts.NoiseSigma)}
-			soloModel, _, err = bench.BuildModel(solo, soloSizes, bopts)
-		}
-		return err
-	})
+	built, err := buildCurves(opts,
+		curve{&bench.SocketKernel{Socket: sock, Active: sock.Cores, BlockSize: node.BlockSize,
+			Noise: stats.NewNoise(opts.Seed+40, opts.NoiseSigma)}, sizes},
+		curve{&bench.SocketKernel{Socket: sock, Active: 1, BlockSize: node.BlockSize,
+			Noise: stats.NewNoise(opts.Seed+41, opts.NoiseSigma)}, soloSizes})
 	if err != nil {
 		return nil, err
 	}
+	groupModel, soloModel := built[0], built[1]
 	t := &Table{
 		ID:      "ablation-socket-fpm",
 		Title:   fmt.Sprintf("Socket model: measured-in-group vs naive per-core x%d (Gflop/s)", sock.Cores),

@@ -6,7 +6,6 @@ import (
 	"fpmpart/internal/app"
 	"fpmpart/internal/bench"
 	"fpmpart/internal/fpm"
-	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
 	"fpmpart/internal/stats"
 )
@@ -24,13 +23,7 @@ func AblationModelAccuracy(node *hw.Node, opts ModelOptions) (*Table, error) {
 	if err := node.Validate(); err != nil {
 		return nil, err
 	}
-	g := len(node.GPUs) - 1
-	for i, gpu := range node.GPUs {
-		if gpu.DMAEngines == 2 {
-			g = i
-		}
-	}
-	gpu := node.GPUs[g]
+	gpu := node.GPUs[fastGPU(node)]
 	kernel := func(noise *stats.Noise) *bench.GPUKernel {
 		return &bench.GPUKernel{
 			GPU: gpu, Version: opts.Version, BlockSize: node.BlockSize,
@@ -121,13 +114,17 @@ func AblationContentionModels(node *hw.Node, ns []int, opts ModelOptions) (*Tabl
 		},
 	}
 	// The exclusive and contention-aware model sets are independent builds.
+	// The aware set measures each device while the rest of the node loads
+	// it (the coefficients applied), on its own noise seeds.
 	var exclusive, aware *Models
 	err = opts.forEachUnit(2, func(i int) error {
 		var err error
 		if i == 0 {
 			exclusive, err = BuildModels(node, opts)
 		} else {
-			aware, err = buildContentionAware(node, opts)
+			o := opts
+			o.Seed += 1000
+			aware, err = buildModels(node, o, node.CPUContention, node.GPUContention)
 		}
 		return err
 	})
@@ -166,73 +163,6 @@ func AblationContentionModels(node *hw.Node, ns []int, opts ModelOptions) (*Tabl
 	return t, nil
 }
 
-// buildContentionAware builds node models with the CPU↔GPU contention
-// coefficients applied to the kernels during benchmarking (measuring the
-// devices while the rest of the node is loaded, instead of exclusively).
-func buildContentionAware(node *hw.Node, opts ModelOptions) (*Models, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	sizes, err := fpm.Grid(8, opts.MaxBlocks, opts.Points, "geometric")
-	if err != nil {
-		return nil, err
-	}
-	bopts := bench.Options{Parallelism: opts.Parallelism}
-	m := &Models{
-		Node:        node,
-		Version:     opts.Version,
-		SocketFull:  make([]*fpm.PiecewiseLinear, len(node.Sockets)),
-		SocketHost:  make([]*fpm.PiecewiseLinear, len(node.Sockets)),
-		GPU:         make([]*fpm.PiecewiseLinear, len(node.GPUs)),
-		Parallelism: opts.Parallelism,
-	}
-	seed := opts.Seed + 1000
-	for s, sock := range node.Sockets {
-		for _, host := range []bool{false, true} {
-			active := sock.Cores
-			factor := 1.0
-			if host {
-				active--
-				factor = node.CPUContention
-			}
-			if active < 1 {
-				active = 1
-			}
-			seed++
-			k := &bench.SocketKernel{
-				Socket: sock, Active: active, BlockSize: node.BlockSize,
-				Noise: stats.NewNoise(seed, opts.NoiseSigma), SpeedFactor: factor,
-			}
-			model, _, err := bench.BuildModel(k, sizes, bopts)
-			if err != nil {
-				return nil, err
-			}
-			if host {
-				m.SocketHost[s] = model
-			} else {
-				m.SocketFull[s] = model
-			}
-		}
-	}
-	for g, gpu := range node.GPUs {
-		seed++
-		k := &bench.GPUKernel{
-			GPU: gpu, Version: opts.Version,
-			BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
-			Noise:       stats.NewNoise(seed, opts.NoiseSigma),
-			SpeedFactor: node.GPUContention,
-			OutOfCore:   opts.Version != gpukernel.V1,
-		}
-		model, _, err := bench.BuildModel(k, sizes, bopts)
-		if err != nil {
-			return nil, err
-		}
-		m.GPU[g] = model
-	}
-	return m, nil
-}
-
 // AblationNoise measures the partitioning method's robustness to
 // measurement noise: models are rebuilt at several noise levels with
 // multiple seeds, and the spread of the fast GPU's share and the realised
@@ -259,12 +189,7 @@ func AblationNoise(node *hw.Node, n int, opts ModelOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	gtx := 0
-	for i, g := range node.GPUs {
-		if g.DMAEngines == 2 {
-			gtx = i
-		}
-	}
+	gtx := fastGPU(node)
 	// Every (sigma, seed) arm rebuilds models from scratch, so all of them
 	// run as one flat fan-out; the per-sigma aggregates (min/max share,
 	// worst imbalance) are folded sequentially afterwards.

@@ -2,53 +2,55 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"fpmpart/internal/gpukernel"
+	"fpmpart/internal/bench"
 	"fpmpart/internal/partition"
 	"fpmpart/internal/resilient"
 )
 
 // DeviceOracle returns the platform's true iteration-time oracle at
-// Devices() granularity: sockets run their share over their active cores,
-// GPUs run a near-square rectangle of their share's area, both with the
-// contention coefficients applied — the same physics as app.Simulate. It is
-// the ground truth resilient.Run executes against, wrapped by a
-// faults.Injector.
+// Devices() granularity: the noiseless benchmark kernels the models are
+// built from, each slowed by the node's contention coefficient. A socket
+// runs its share on its cores less one per GPU it hosts, and pays the CPU
+// coefficient whether or not it hosts a GPU (app.IterationTime charges it
+// only on sockets running a GPU host). A GPU times the near-square rectangle
+// of its share's area, not the layout's rectangle, and its host core slows
+// further once the working set spills the socket's memory. It is the ground
+// truth resilient.Run executes against, wrapped by a faults.Injector.
 func (m *Models) DeviceOracle() func(device, units int) float64 {
 	node := m.Node
-	gpuCount := len(node.GPUs)
-	return func(d, u int) float64 {
-		if u <= 0 {
-			return 0
-		}
-		if d < gpuCount {
-			rows := int(math.Round(math.Sqrt(float64(u))))
-			if rows < 1 {
-				rows = 1
-			}
-			cols := (u + rows - 1) / rows
-			bd, err := gpukernel.Time(m.Version, gpukernel.Invocation{
-				GPU: node.GPUs[d], BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
-				Rows: rows, Cols: cols,
-			})
-			if err != nil {
-				// A share too wide for the device: dominate the makespan so
-				// the balancer moves work away instead of crashing.
-				return 1e6
-			}
-			t := bd.Makespan * float64(u) / float64(rows*cols) / node.GPUContention
-			return t / node.GPUHostFactor(3*float64(u)*node.BlockBytes())
-		}
-		s := d - gpuCount
-		sock := node.Sockets[s]
+	var kernels []bench.Kernel
+	for _, gpu := range node.GPUs {
+		kernels = append(kernels, &bench.GPUKernel{
+			GPU: gpu, Version: m.Version, BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
+			SpeedFactor: node.GPUContention,
+		})
+	}
+	for s, sock := range node.Sockets {
 		active := sock.Cores
 		for _, gs := range node.GPUSocket {
 			if gs == s {
 				active--
 			}
 		}
-		return sock.KernelTime(float64(u), active, node.BlockSize) / node.CPUContention
+		kernels = append(kernels, &bench.SocketKernel{
+			Socket: sock, Active: active, BlockSize: node.BlockSize, SpeedFactor: node.CPUContention,
+		})
+	}
+	return func(d, u int) float64 {
+		if u <= 0 {
+			return 0
+		}
+		t, err := kernels[d].Run(float64(u))
+		if err != nil {
+			// A share too wide for the device: dominate the makespan so
+			// the balancer moves work away instead of crashing.
+			return 1e6
+		}
+		if d < len(node.GPUs) {
+			t /= node.GPUHostFactor(3 * float64(u) * node.BlockBytes())
+		}
+		return t
 	}
 }
 

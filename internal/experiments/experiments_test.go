@@ -407,6 +407,41 @@ func TestAblationDMA(t *testing.T) {
 	}
 }
 
+// TestFastGPUOneRule runs every experiment that singles out the fast GPU on
+// a node where no GPU has two DMA engines: all of them must fall back to the
+// same GPU, the last one.
+func TestFastGPUOneRule(t *testing.T) {
+	node := hw.NewIGNode()
+	for _, g := range node.GPUs {
+		g.DMAEngines = 1
+	}
+	want, other := node.GPUs[len(node.GPUs)-1].Name, node.GPUs[0].Name
+	models, err := BuildModels(node, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table2, err := Table2(models, []int{40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]string{"table2": table2.Columns[2]}
+	for id, run := range map[string]func(*hw.Node, ModelOptions) (*Table, error){
+		"figure3": Figure3, "figure5": Figure5, "ablation-dma": AblationDMAEngines,
+		"ablation-model-accuracy": AblationModelAccuracy,
+	} {
+		tab, err := run(node, testOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		named[id] = tab.Title
+	}
+	for id, text := range named {
+		if !strings.Contains(text, want) || strings.Contains(text, other) {
+			t.Errorf("%s names %q, want the last GPU %s", id, text, want)
+		}
+	}
+}
+
 func TestAblationBlockingFactor(t *testing.T) {
 	tab, err := AblationBlockingFactor(hw.NewIGNode(), []int{320, 640}, 60, testOpts())
 	if err != nil {

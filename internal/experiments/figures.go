@@ -37,32 +37,22 @@ func Figure2(node *hw.Node, opts ModelOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	actives := []int{sock.Cores - 1, sock.Cores}
-	curves := make([]*fpm.PiecewiseLinear, len(actives))
-	err = opts.forEachUnit(len(actives), func(i int) error {
-		k := &bench.SocketKernel{
-			Socket: sock, Active: actives[i], BlockSize: node.BlockSize,
+	var curves []curve
+	for i, active := range []int{sock.Cores - 1, sock.Cores} {
+		curves = append(curves, curve{&bench.SocketKernel{
+			Socket: sock, Active: active, BlockSize: node.BlockSize,
 			Noise: stats.NewNoise(opts.Seed+int64(i), opts.NoiseSigma),
-		}
-		m, _, err := bench.BuildModel(k, sizes, bench.Options{Parallelism: opts.Parallelism})
-		if err != nil {
-			return err
-		}
-		curves[i] = m
-		return nil
-	})
+		}, sizes})
+	}
+	models, err := buildCurves(opts, curves...)
 	if err != nil {
 		return nil, err
-	}
-	models := map[int]*fpm.PiecewiseLinear{}
-	for i, active := range actives {
-		models[active] = curves[i]
 	}
 	unit := node.BlockFlops() / 1e9
 	for _, x := range sizes {
 		t.AddRow(int(x),
-			models[sock.Cores-1].Speed(x)*unit,
-			models[sock.Cores].Speed(x)*unit)
+			models[0].Speed(x)*unit,
+			models[1].Speed(x)*unit)
 	}
 	return t, nil
 }
@@ -80,14 +70,7 @@ func Figure3(node *hw.Node, opts ModelOptions) (*Table, error) {
 	if err := node.Validate(); err != nil {
 		return nil, err
 	}
-	// The GTX680 is the GPU with two DMA engines on the preset node; fall
-	// back to GPU 0 for custom nodes.
-	g := 0
-	for i, gpu := range node.GPUs {
-		if gpu.DMAEngines == 2 {
-			g = i
-		}
-	}
+	g := fastGPU(node)
 	gpu := node.GPUs[g]
 	memBlocks := node.GPUMemBlocks(g)
 	t := &Table{
@@ -104,26 +87,16 @@ func Figure3(node *hw.Node, opts ModelOptions) (*Table, error) {
 		return nil, err
 	}
 	unit := node.BlockFlops() / 1e9
-	versions := []gpukernel.Version{gpukernel.V1, gpukernel.V2, gpukernel.V3}
-	curves := make([]*fpm.PiecewiseLinear, len(versions))
-	err = opts.forEachUnit(len(versions), func(i int) error {
-		k := &bench.GPUKernel{
-			GPU: gpu, Version: versions[i], BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
+	var curves []curve
+	for i, v := range []gpukernel.Version{gpukernel.V1, gpukernel.V2, gpukernel.V3} {
+		curves = append(curves, curve{&bench.GPUKernel{
+			GPU: gpu, Version: v, BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
 			Noise: stats.NewNoise(opts.Seed+10+int64(i), opts.NoiseSigma), OutOfCore: true,
-		}
-		m, _, err := bench.BuildModel(k, sizes, bench.Options{Parallelism: opts.Parallelism})
-		if err != nil {
-			return err
-		}
-		curves[i] = m
-		return nil
-	})
+		}, sizes})
+	}
+	models, err := buildCurves(opts, curves...)
 	if err != nil {
 		return nil, err
-	}
-	models := map[gpukernel.Version]*fpm.PiecewiseLinear{}
-	for i, v := range versions {
-		models[v] = curves[i]
 	}
 	for _, x := range sizes {
 		inMem := "no"
@@ -131,9 +104,9 @@ func Figure3(node *hw.Node, opts ModelOptions) (*Table, error) {
 			inMem = "yes"
 		}
 		t.AddRow(int(x),
-			models[gpukernel.V1].Speed(x)*unit,
-			models[gpukernel.V2].Speed(x)*unit,
-			models[gpukernel.V3].Speed(x)*unit,
+			models[0].Speed(x)*unit,
+			models[1].Speed(x)*unit,
+			models[2].Speed(x)*unit,
 			inMem)
 	}
 	return t, nil
@@ -155,7 +128,7 @@ func Figure5(node *hw.Node, opts ModelOptions) (*Table, error) {
 	if len(node.GPUs) == 0 {
 		return nil, fmt.Errorf("experiments: figure5 needs a GPU")
 	}
-	g := len(node.GPUs) - 1 // the paper uses the GTX680 (GPU index 1)
+	g := fastGPU(node) // the paper uses the GTX680
 	gpu := node.GPUs[g]
 	sock := node.Sockets[node.GPUSocket[g]]
 	hostCores := sock.Cores - 1
@@ -186,41 +159,26 @@ func Figure5(node *hw.Node, opts ModelOptions) (*Table, error) {
 	// pool and assemble the rows afterwards. The contention coefficient is
 	// workload-independent in the model, matching the paper's finding that
 	// the CPU curves coincide for both splits.
-	cpuFactors := []float64{1, node.CPUContention, node.CPUContention}
-	gpuFactors := []float64{1, node.GPUContention, node.GPUContention}
-	cpuModels := make([]*fpm.PiecewiseLinear, len(cpuFactors))
-	gpuModels := make([]*fpm.PiecewiseLinear, len(gpuFactors))
-	bopts := bench.Options{Parallelism: opts.Parallelism}
-	err = opts.forEachUnit(len(cpuFactors)+len(gpuFactors), func(i int) error {
-		if i < len(cpuFactors) {
-			k := &bench.SocketKernel{
-				Socket: sock, Active: hostCores, BlockSize: node.BlockSize,
-				Noise:       stats.NewNoise(opts.Seed+20+int64(i), opts.NoiseSigma),
-				SpeedFactor: cpuFactors[i],
-			}
-			m, _, err := bench.BuildModel(k, cpuSizes, bopts)
-			if err != nil {
-				return err
-			}
-			cpuModels[i] = m
-			return nil
-		}
-		g := i - len(cpuFactors)
-		k := &bench.GPUKernel{
+	var curves []curve
+	for i, f := range []float64{1, node.CPUContention, node.CPUContention} {
+		curves = append(curves, curve{&bench.SocketKernel{
+			Socket: sock, Active: hostCores, BlockSize: node.BlockSize,
+			Noise:       stats.NewNoise(opts.Seed+20+int64(i), opts.NoiseSigma),
+			SpeedFactor: f,
+		}, cpuSizes})
+	}
+	for i, f := range []float64{1, node.GPUContention, node.GPUContention} {
+		curves = append(curves, curve{&bench.GPUKernel{
 			GPU: gpu, Version: opts.Version, BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
-			Noise:       stats.NewNoise(opts.Seed+30+int64(g), opts.NoiseSigma),
-			SpeedFactor: gpuFactors[g], OutOfCore: true,
-		}
-		m, _, err := bench.BuildModel(k, gpuSizes, bopts)
-		if err != nil {
-			return err
-		}
-		gpuModels[g] = m
-		return nil
-	})
+			Noise:       stats.NewNoise(opts.Seed+30+int64(i), opts.NoiseSigma),
+			SpeedFactor: f, OutOfCore: true,
+		}, gpuSizes})
+	}
+	models, err := buildCurves(opts, curves...)
 	if err != nil {
 		return nil, err
 	}
+	cpuModels, gpuModels := models[:3], models[3:]
 	for _, x := range cpuSizes {
 		t.AddRow("cpu", int(x), cpuModels[0].Speed(x)*unit,
 			fmt.Sprintf("%.1f", cpuModels[1].Speed(x)*unit),

@@ -9,7 +9,6 @@ import (
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
 	"fpmpart/internal/layout"
-	"fpmpart/internal/par"
 	"fpmpart/internal/partition"
 	"fpmpart/internal/stats"
 )
@@ -97,6 +96,13 @@ func (o ModelOptions) withDefaults() (ModelOptions, error) {
 // the fixed device order — sockets (full then host configuration) followed
 // by GPUs — so the models are identical at any worker count.
 func BuildModels(node *hw.Node, opts ModelOptions) (*Models, error) {
+	return buildModels(node, opts, 1, 1)
+}
+
+// buildModels is BuildModels with the kernels slowed while they are
+// measured: each socket's host configuration by hostFactor, each GPU by
+// gpuFactor (1 measures the device exclusively, as the paper does).
+func buildModels(node *hw.Node, opts ModelOptions, hostFactor, gpuFactor float64) (*Models, error) {
 	if err := node.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,73 +114,86 @@ func BuildModels(node *hw.Node, opts ModelOptions) (*Models, error) {
 	if err != nil {
 		return nil, err
 	}
-	bopts := bench.Options{Parallelism: opts.Parallelism}
+	var curves []curve
+	seed := opts.Seed
+	for _, sock := range node.Sockets {
+		for _, host := range []bool{false, true} {
+			active, factor := sock.Cores, 1.0
+			if host {
+				active, factor = sock.Cores-1, hostFactor
+			}
+			seed++
+			curves = append(curves, curve{&bench.SocketKernel{
+				Socket: sock, Active: max(active, 1), BlockSize: node.BlockSize,
+				Noise: stats.NewNoise(seed, opts.NoiseSigma), SpeedFactor: factor,
+			}, sizes})
+		}
+	}
+	for _, gpu := range node.GPUs {
+		seed++
+		curves = append(curves, curve{&bench.GPUKernel{
+			GPU: gpu, Version: opts.Version,
+			BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
+			Noise:       stats.NewNoise(seed, opts.NoiseSigma),
+			SpeedFactor: gpuFactor,
+			OutOfCore:   opts.Version != gpukernel.V1,
+		}, sizes})
+	}
+	built, err := buildCurves(opts, curves...)
+	if err != nil {
+		return nil, err
+	}
 	m := &Models{
 		Node:        node,
 		Version:     opts.Version,
 		SocketFull:  make([]*fpm.PiecewiseLinear, len(node.Sockets)),
 		SocketHost:  make([]*fpm.PiecewiseLinear, len(node.Sockets)),
-		GPU:         make([]*fpm.PiecewiseLinear, len(node.GPUs)),
+		GPU:         built[2*len(node.Sockets):],
 		Parallelism: opts.Parallelism,
 	}
-	type job struct {
-		kernel bench.Kernel
-		dst    *[]*fpm.PiecewiseLinear
-		idx    int
-		what   string
+	for s := range node.Sockets {
+		m.SocketFull[s], m.SocketHost[s] = built[2*s], built[2*s+1]
 	}
-	var jobs []job
-	seed := opts.Seed
-	for s, sock := range node.Sockets {
-		for _, host := range []bool{false, true} {
-			active := sock.Cores
-			if host {
-				active--
-			}
-			if active < 1 {
-				active = 1
-			}
-			seed++
-			k := &bench.SocketKernel{
-				Socket: sock, Active: active, BlockSize: node.BlockSize,
-				Noise: stats.NewNoise(seed, opts.NoiseSigma),
-			}
-			dst := &m.SocketFull
-			if host {
-				dst = &m.SocketHost
-			}
-			jobs = append(jobs, job{
-				kernel: k, dst: dst, idx: s,
-				what: fmt.Sprintf("socket %d (%d cores)", s, active),
-			})
-		}
-	}
-	for g, gpu := range node.GPUs {
-		seed++
-		k := &bench.GPUKernel{
-			GPU: gpu, Version: opts.Version,
-			BlockSize: node.BlockSize, ElemBytes: node.ElemBytes,
-			Noise:     stats.NewNoise(seed, opts.NoiseSigma),
-			OutOfCore: opts.Version != gpukernel.V1,
-		}
-		jobs = append(jobs, job{
-			kernel: k, dst: &m.GPU, idx: g,
-			what: fmt.Sprintf("gpu %d (%s)", g, gpu.Name),
-		})
-	}
-	err = par.ForEach(opts.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		model, _, err := bench.BuildModel(j.kernel, sizes, bopts)
+	return m, nil
+}
+
+// curve is one speed function to measure: a kernel over a size grid.
+type curve struct {
+	kernel bench.Kernel
+	sizes  []float64
+}
+
+// buildCurves measures every curve on a pool of opts.Parallelism workers,
+// each measuring its grid points on a pool of the same width. Every kernel
+// carries its own seeded noise, so the models are identical at any width.
+func buildCurves(opts ModelOptions, curves ...curve) ([]*fpm.PiecewiseLinear, error) {
+	models := make([]*fpm.PiecewiseLinear, len(curves))
+	bopts := bench.Options{Parallelism: opts.Parallelism}
+	err := opts.forEachUnit(len(curves), func(i int) error {
+		m, _, err := bench.BuildModel(curves[i].kernel, curves[i].sizes, bopts)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", j.what, err)
+			return fmt.Errorf("experiments: %s: %w", curves[i].kernel.Name(), err)
 		}
-		(*j.dst)[j.idx] = model
+		models[i] = m
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	return models, nil
+}
+
+// fastGPU returns the index of the node's fast GPU — the paper's GTX680,
+// the GPU with two DMA engines (the last one, if several have two) — or the
+// last GPU when none has two.
+func fastGPU(node *hw.Node) int {
+	g := len(node.GPUs) - 1
+	for i, gpu := range node.GPUs {
+		if gpu.DMAEngines == 2 {
+			g = i
+		}
+	}
+	return g
 }
 
 // Devices returns the partitioning devices of a hybrid run, in the fixed

@@ -15,14 +15,8 @@ func Table2(models *Models, ns []int) (*Table, error) {
 	if len(ns) == 0 {
 		ns = []int{40, 50, 60, 70}
 	}
-	// The paper's GPU column is the GTX680 — the two-DMA device on the
-	// preset node; fall back to the last GPU otherwise.
-	g := len(models.Node.GPUs) - 1
-	for i, gpu := range models.Node.GPUs {
-		if gpu.DMAEngines == 2 {
-			g = i
-		}
-	}
+	// The paper's GPU column is the GTX680, the fast GPU.
+	g := fastGPU(models.Node)
 	t := &Table{
 		ID:    "table2",
 		Title: "Execution time of parallel matrix multiplication (seconds)",

@@ -336,7 +336,9 @@ func Run(devices []partition.Device, oracle faults.Oracle, initial []int, nIters
 					Detail: fmt.Sprintf("%s over %d devices, %d units moved", opts.Policy, alive(state), step.Moved)})
 			}
 			if opts.Policy != NoRecovery {
-				step.RecoverySeconds = recoverResidual(oracle, state, next, lost, n, it)
+				if step.RecoverySeconds, err = recoverResidual(oracle, state, next, lost, it); err != nil {
+					return tr, fmt.Errorf("resilient: recovery at iteration %d: %w", it, err)
+				}
 			}
 			units = next
 			preds = predict(state, units)
@@ -497,27 +499,39 @@ func imbalance(state []*deviceState, units []int, times []float64, n int) float6
 }
 
 // recoverResidual re-executes the failed devices' share of the interrupted
-// iteration on the survivors, split in proportion to their new assignment,
-// and returns the extra makespan. When a survivor's oracle call fails too
-// (e.g. it is itself stalled), its model prediction stands in — the charge
-// must not be lost just because the platform is having a bad day.
-func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, residual, n, it int) float64 {
+// iteration on the survivors, split in proportion to their new assignment
+// and rounded as a whole (partition.RoundShares) so the re-executed units sum
+// to the lost share, and returns the extra makespan. When a survivor's
+// oracle call fails too (e.g. it is itself stalled), its model prediction
+// stands in — the charge must not be lost just because the platform is
+// having a bad day.
+func recoverResidual(oracle faults.Oracle, state []*deviceState, next []int, residual, it int) (float64, error) {
+	if residual <= 0 {
+		return 0, nil
+	}
+	// The re-partition gives the failed devices nothing, so none of the
+	// residual lands on them.
+	shares := make([]float64, len(next))
+	caps := make([]float64, len(next))
+	for d, u := range next {
+		shares[d], caps[d] = float64(u), math.Inf(1)
+	}
+	extra, err := partition.RoundShares(shares, residual, caps)
+	if err != nil {
+		return 0, err
+	}
 	var makespan float64
-	for d, st := range state {
-		if residual <= 0 || !st.alive || next[d] == 0 {
+	for d, u := range extra {
+		if u == 0 {
 			continue
 		}
-		extra := int(math.Round(float64(residual) * float64(next[d]) / float64(n)))
-		if extra <= 0 {
-			continue
-		}
-		t, err := oracle(d, extra, it)
+		t, err := oracle(d, u, it)
 		if err != nil || checkTime(t, d) != nil {
-			t = fpm.Time(st.dev.Model, float64(extra))
+			t = fpm.Time(state[d].dev.Model, float64(u))
 		}
 		makespan = max(makespan, t)
 	}
-	return makespan
+	return makespan, nil
 }
 
 // predict returns the FPM-predicted per-device iteration times for units.

@@ -125,6 +125,44 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveredResidualSumsToLostShare checks that the survivors re-execute
+// exactly the crashed device's share of the interrupted iteration: split
+// over [27 27 26], the 20 lost units rounded one survivor at a time would
+// come to 7+7+7 = 21.
+func TestRecoveredResidualSumsToLostShare(t *testing.T) {
+	const crash = 3
+	devs, base := constDevices(t, 1, 1, 1, 1)
+	inner := injected(t, "crash:dev=0,iter=3", 7, base)
+	calls := map[int][]int{} // survivor -> units it ran at the crash iteration
+	oracle := func(d, u, it int) (float64, error) {
+		if it == crash && d != 0 {
+			calls[d] = append(calls[d], u)
+		}
+		return inner(d, u, it)
+	}
+	start := fpmStart(t, devs, 80)
+	tr, err := Run(devs, oracle, start, 6, Options{Policy: FPMRepartition})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.FinalUnits, []int{0, 27, 27, 26}) {
+		t.Fatalf("final units = %v, want [0 27 27 26]", tr.FinalUnits)
+	}
+	reexecuted := 0
+	for d := 1; d < len(devs); d++ {
+		if len(calls[d]) != 2 {
+			t.Fatalf("survivor %d ran %v at the crash iteration, want its share then its part of the residual", d, calls[d])
+		}
+		reexecuted += calls[d][1]
+	}
+	if reexecuted != start[0] {
+		t.Errorf("survivors re-executed %d units, want the lost share %d", reexecuted, start[0])
+	}
+	if tr.UnitsProcessed != 80*6 {
+		t.Errorf("units processed = %d, want %d", tr.UnitsProcessed, 80*6)
+	}
+}
+
 func TestCrashWithoutRecoveryLosesWork(t *testing.T) {
 	devs, base := constDevices(t, 4, 2, 2)
 	oracle := injected(t, "crash:dev=0,iter=10", 7, base)

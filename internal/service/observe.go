@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -15,7 +16,7 @@ import (
 
 // POST /v1/observe: online FPM refinement from live traffic. Clients post
 // batches of observed executions (the job executor hands its shard timings
-// to the same refiner through workerObserver); the refiner accumulates them
+// to the same routing through workerObserver); the refiner accumulates them
 // into size-bucketed estimators and republishes refined models under bumped
 // generations, which invalidates dependent solution-cache entries by
 // construction and — in cluster mode — replicates to peers highest-wins.
@@ -150,21 +151,35 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(order)
 
-	// Cluster routing: refinement for a model must happen on exactly one
-	// member — its ring owner — or two members rebuild concurrently and race
-	// generations through highest-wins replication, losing samples. Split
-	// the validated batch by owner, forward each remote sub-batch one hop
-	// (ForwardedHeader stops loops, as with partition forwards), and refine
-	// the local share here. A transport failure falls back to refining
-	// locally: degraded-mode samples still land, at the cost of a possible
-	// race until the owner is reachable again.
+	out, err := s.observe(ctx, order, byModel, r.Header.Get(ForwardedHeader) != "")
+	if err != nil {
+		// The batch passed validation, so a refiner error here is a lost
+		// race with a concurrent model delete — still the client's 4xx, not
+		// a server fault.
+		writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
+	s.writeResult(ctx, w, http.StatusOK, &out)
+}
+
+// observe feeds validated samples (ids in sorted order) to the refiner under
+// the cluster routing rule that POST /v1/observe and the job executor's
+// shard timings share. Refinement for a model must happen on exactly one
+// member — its ring owner — or two members rebuild concurrently and race
+// generations through highest-wins replication, losing samples. So the
+// owner refines, any other member forwards the model's samples one hop
+// (ForwardedHeader stops loops, as with partition forwards), and a batch
+// that arrived forwarded is refined here. A transport failure falls back to
+// refining locally: degraded-mode samples still land, at the cost of a
+// possible race until the owner is reachable again. Without a cluster every
+// model is refined directly.
+func (s *Server) observe(ctx context.Context, ids []string, byModel map[string][]refine.Sample, forwarded bool) (observeResponse, error) {
 	cluster := s.cfg.Cluster
-	forwarded := r.Header.Get(ForwardedHeader) != ""
-	localIDs := order
+	localIDs := ids
 	remote := map[string][]string{}
 	if cluster != nil && !forwarded {
 		localIDs = localIDs[:0:0]
-		for _, id := range order {
+		for _, id := range ids {
 			if peer, self := cluster.Owner(id); !self {
 				remote[peer] = append(remote[peer], id)
 			} else {
@@ -173,15 +188,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	out := observeResponse{Models: make([]observeModelResult, 0, len(order))}
+	out := observeResponse{Models: make([]observeModelResult, 0, len(ids))}
 	var peers []string
 	for peer := range remote {
 		peers = append(peers, peer)
 	}
 	sort.Strings(peers)
 	for _, peer := range peers {
-		ids := remote[peer]
-		merged, ok := s.forwardObserve(ctx, peer, ids, byModel)
+		merged, ok := s.forwardObserve(ctx, peer, remote[peer], byModel)
 		if ok {
 			out.Accepted += merged.Accepted
 			out.Models = append(out.Models, merged.Models...)
@@ -189,20 +203,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		// Fallback: the owner is unreachable; refine locally rather than
 		// dropping the samples.
-		localIDs = append(localIDs, ids...)
+		localIDs = append(localIDs, remote[peer]...)
 	}
 	sort.Strings(localIDs)
 
 	endRefine := telemetry.Stage(ctx, "refine")
+	defer endRefine()
 	for _, id := range localIDs {
 		res, err := s.refiner.Observe(id, byModel[id])
 		if err != nil {
-			endRefine()
-			// The batch passed validation, so a refiner error here is a lost
-			// race with a concurrent model delete — still the client's 4xx,
-			// not a server fault.
-			writeError(w, http.StatusConflict, "refine %q: %v", id, err)
-			return
+			return observeResponse{}, fmt.Errorf("refine %q: %w", id, err)
 		}
 		out.Accepted += res.Accepted
 		mr := observeModelResult{
@@ -220,9 +230,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Models = append(out.Models, mr)
 	}
-	endRefine()
 	sort.Slice(out.Models, func(i, j int) bool { return out.Models[i].Model < out.Models[j].Model })
-	s.writeResult(ctx, w, http.StatusOK, &out)
+	return out, nil
 }
 
 // forwardObserve ships the sub-batch for ids to their ring owner and merges

@@ -49,24 +49,27 @@ func (a workerModelSource) WorkerModel(name string) (*fpm.PiecewiseLinear, uint6
 	return m.PL, m.Gen, nil
 }
 
-// workerObserver feeds measured shard timings into the same refiner that
-// backs POST /v1/observe. A nil refiner (Config.EnableObserve off) makes
-// execution run open-loop: jobs still work, models just stay as calibrated.
+// workerObserver feeds measured shard timings through the same routing as
+// POST /v1/observe: in cluster mode the worker model's ring owner refines
+// it. A nil refiner (Config.EnableObserve off) makes execution run
+// open-loop: jobs still work, models just stay as calibrated.
 type workerObserver struct{ s *Server }
 
 func (a workerObserver) ObserveWorker(name string, samples []refine.Sample) {
 	if a.s.refiner == nil {
 		return
 	}
-	res, err := a.s.refiner.Observe(name, samples)
+	out, err := a.s.observe(context.TODO(), []string{name}, map[string][]refine.Sample{name: samples}, false)
 	if err != nil {
 		a.s.logger.Warn("worker observe failed",
 			slog.String("worker", name), slog.String("error", err.Error()))
 		return
 	}
-	if res.Applied {
-		a.s.logger.Info("worker model refined",
-			slog.String("worker", name), slog.Uint64("generation", res.Generation))
+	for _, mr := range out.Models {
+		if mr.Applied {
+			a.s.logger.Info("worker model refined",
+				slog.String("worker", name), slog.Uint64("generation", mr.Generation))
+		}
 	}
 }
 
