@@ -53,6 +53,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzGemmDifferential -fuzztime=15s ./internal/blas/
 	$(GO) test -fuzz=FuzzFillRandomAt -fuzztime=15s ./internal/matrix/
 	$(GO) test -fuzz=FuzzShardRequest -fuzztime=15s ./internal/workerd/
+	$(GO) test -fuzz=FuzzShardResponse -fuzztime=15s ./internal/workerd/
+	$(GO) test -fuzz=FuzzExecuteRequest -fuzztime=15s ./internal/workerd/
 	$(GO) test -fuzz=FuzzObserveRequest -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzPartitionRequest -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzRun -fuzztime=15s ./internal/resilient/

@@ -267,8 +267,8 @@ func GemmPacked(alpha float32, a, b matrix.Operand, beta float32, c *matrix.Dens
 // non-nil queue it pulls block indices from the shared atomic counter
 // (tile-aligned work stealing); otherwise it sweeps [blk0, blkN)
 // sequentially. Each worker packs its own A block into a pooled buffer,
-// which for a seeded A also holds the mr×kc strip each panel is generated
-// into.
+// which also holds the macro-kernel's fringe tile and, for a seeded A, the
+// mr×kc strip each panel is generated into.
 func gemmWorker(kern, stKern microKernel, alpha float32, a operand, bbuf []float32, c *matrix.Dense,
 	blk0, blkN int, queue *atomic.Int64,
 	jc, pc, mc, kcLen, ncLen, mr, nr int) {
@@ -279,9 +279,10 @@ func gemmWorker(kern, stKern microKernel, alpha float32, a operand, bbuf []float
 	if a.seeded {
 		strip = mr * kcLen
 	}
-	abufP := getPanelBuf(panels + strip)
+	const tile = maxMR * maxNR
+	abufP := getPanelBuf(panels + tile + strip)
 	defer putPanelBuf(abufP)
-	abuf, sbuf := (*abufP)[:panels], (*abufP)[panels:]
+	abuf, tmp, sbuf := (*abufP)[:panels], (*abufP)[panels:panels+tile], (*abufP)[panels+tile:]
 
 	for {
 		var blk int
@@ -298,7 +299,7 @@ func gemmWorker(kern, stKern microKernel, alpha float32, a operand, bbuf []float
 		mcLen := min(mc, m-ic)
 
 		packABlock(abuf, sbuf, a, alpha, ic, pc, mcLen, kcLen, mr)
-		macroKernel(kern, stKern, abuf, bbuf, c, ic, jc, mcLen, ncLen, kcLen, mr, nr)
+		macroKernel(kern, stKern, abuf, bbuf, tmp, c, ic, jc, mcLen, ncLen, kcLen, mr, nr)
 	}
 }
 
@@ -328,13 +329,13 @@ func packBParallel(dst []float32, b operand, p0, j0, kcols, ncols, nr, workers i
 // macroKernel sweeps the register tiles of one (mcLen × ncLen) C block:
 // for each packed kc×nr B micro-panel (held in L1 across the sweep) it
 // streams every packed A micro-panel through the micro-kernel. Full tiles
-// update C in place; fringe tiles stage through a zeroed stack buffer and
-// write back only the valid h×w region.
+// update C in place; fringe tiles stage through tmp (maxMR·maxNR elements),
+// zeroed for each, and write back only the valid h×w region.
 //
 // A non-nil stKern selects store mode (beta == 0, first k-block): full
 // tiles are overwritten via stKern without reading C, fringe tiles are
 // staged and copied rather than added.
-func macroKernel(kern, stKern microKernel, abuf, bbuf []float32, c *matrix.Dense,
+func macroKernel(kern, stKern microKernel, abuf, bbuf, tmp []float32, c *matrix.Dense,
 	i0, j0, mcLen, ncLen, kcLen, mr, nr int) {
 	for jr := 0; jr < ncLen; jr += nr {
 		w := min(nr, ncLen-jr)
@@ -351,8 +352,8 @@ func macroKernel(kern, stKern microKernel, abuf, bbuf []float32, c *matrix.Dense
 				}
 				continue
 			}
-			var tmp [maxMR * maxNR]float32
-			kern(kcLen, apan, bpan, tmp[:], nr)
+			clear(tmp)
+			kern(kcLen, apan, bpan, tmp, nr)
 			for i := 0; i < h; i++ {
 				crow := c.Data[(i0+ir+i)*c.Stride+j0+jr:]
 				trow := tmp[i*nr:]

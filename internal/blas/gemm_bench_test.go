@@ -45,6 +45,22 @@ func BenchmarkGemmPacked1024(b *testing.B) {
 	})
 }
 
+// BenchmarkGemmPackedShard is exec-large's fast shard as a worker runs it:
+// a seeded 3072×1536×1536 product, single-threaded, with the default
+// configuration, operand generation included.
+func BenchmarkGemmPackedShard(b *testing.B) {
+	const m, k, n = 3072, 1536, 1536
+	a := matrix.Seeded{Seed: 1, Width: k, Rows: m, Cols: k}
+	bm := matrix.Seeded{Seed: 2, Width: n, Rows: k, Cols: n}
+	c := matrix.MustNew(m, n)
+	b.SetBytes(2 * m * k * n)
+	for i := 0; i < b.N; i++ {
+		if err := GemmPacked(1, a, bm, 0, c, DefaultConfig, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGemmMicroKernels compares the register tiles head to head at
 // 512×1024×512 (four kc blocks deep) under identical cache blocking,
 // isolating the register-tile choice DefaultConfig makes per ISA: the

@@ -12,8 +12,8 @@ import (
 // Devices() granularity: the noiseless benchmark kernels the models are
 // built from, each slowed by the node's contention coefficient. A socket
 // runs its share on its cores less one per GPU it hosts, and pays the CPU
-// coefficient whether or not it hosts a GPU (app.IterationTime charges it
-// only on sockets running a GPU host). A GPU times the near-square rectangle
+// coefficient only if it hosts a GPU, as buildModels' host curves and
+// app.IterationTime charge it. A GPU times the near-square rectangle
 // of its share's area, not the layout's rectangle, and its host core slows
 // further once the working set spills the socket's memory. It is the ground
 // truth resilient.Run executes against, wrapped by a faults.Injector.
@@ -27,14 +27,14 @@ func (m *Models) DeviceOracle() func(device, units int) float64 {
 		})
 	}
 	for s, sock := range node.Sockets {
-		active := sock.Cores
+		active, factor := sock.Cores, 1.0
 		for _, gs := range node.GPUSocket {
 			if gs == s {
-				active--
+				active, factor = active-1, node.CPUContention
 			}
 		}
 		kernels = append(kernels, &bench.SocketKernel{
-			Socket: sock, Active: active, BlockSize: node.BlockSize, SpeedFactor: node.CPUContention,
+			Socket: sock, Active: active, BlockSize: node.BlockSize, SpeedFactor: factor,
 		})
 	}
 	return func(d, u int) float64 {

@@ -45,7 +45,7 @@ func Recovery(models *Models, n, iters int, spec string, seed int64) (*Table, er
 		},
 		Notes: []string{
 			"FPM re-partitioning restores a static balanced distribution on the survivors in one rebalance",
-			"proportional redistribution by observed units/second also corrects the FPM start's 7% imbalance, before and after the crash: three rebalances, about 4% under FPM",
+			"proportional redistribution by observed units/second also corrects the FPM start's 9% imbalance, before and after the crash: three rebalances, about 5% under FPM",
 			"no-recovery loses the victim's share of every remaining iteration",
 		},
 	}

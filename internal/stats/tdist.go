@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // This file implements Student's t-distribution from first principles
 // (log-gamma via Lanczos, the regularised incomplete beta function via a
@@ -126,7 +129,9 @@ func TCDF(t, df float64) float64 {
 
 // TInv returns the p-quantile of Student's t distribution with df degrees of
 // freedom, i.e. the t such that TCDF(t, df) = p. It uses bisection on the
-// CDF, which is monotone; the result is accurate to ~1e-12 in t.
+// CDF, which is monotone; the result is accurate to ~1e-12 in t. Results are
+// memoised per (p, df): MeanCI asks for the same few levels at the same
+// sample sizes again and again, and one bisection costs about 20 µs.
 func TInv(p, df float64) float64 {
 	if math.IsNaN(p) || df <= 0 || p <= 0 || p >= 1 {
 		if p == 0.5 {
@@ -141,6 +146,39 @@ func TInv(p, df float64) float64 {
 	if p < 0.5 {
 		return -TInv(1-p, df)
 	}
+	key := tInvKey{p, df}
+	tInvMemo.RLock()
+	t, ok := tInvMemo.m[key]
+	tInvMemo.RUnlock()
+	if ok {
+		return t
+	}
+	t = tInvUpper(p, df)
+	// A NaN df never matches its own key, so it is not stored.
+	if !math.IsNaN(df) {
+		tInvMemo.Lock()
+		if len(tInvMemo.m) < tInvMemoMax {
+			tInvMemo.m[key] = t
+		}
+		tInvMemo.Unlock()
+	}
+	return t
+}
+
+// tInvKey is one memoised TInv argument pair.
+type tInvKey struct{ p, df float64 }
+
+// tInvMemoMax bounds the memo: a process sees a few confidence levels times
+// the sample sizes its estimators reach, far fewer than this.
+const tInvMemoMax = 4096
+
+var tInvMemo = struct {
+	sync.RWMutex
+	m map[tInvKey]float64
+}{m: map[tInvKey]float64{}}
+
+// tInvUpper is TInv's bisection for 0.5 < p < 1.
+func tInvUpper(p, df float64) float64 {
 	lo, hi := 0.0, 1.0
 	for TCDF(hi, df) < p {
 		hi *= 2

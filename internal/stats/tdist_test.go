@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -121,4 +122,33 @@ func TestTInvNormalLimit(t *testing.T) {
 	if math.Abs(got-1.959964) > 1e-3 {
 		t.Errorf("large-df TInv(0.975) = %v, want ~1.96", got)
 	}
+}
+
+// The memoised TInv returns the bits of the bisection itself, on first call
+// and from the memo, for df 1..600 at the two-sided levels in use (0.95) and
+// beside it, from concurrent callers.
+func TestTInvMemoBitIdentical(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, conf := range []float64{0.90, 0.95, 0.99} {
+		p := 1 - (1-conf)/2
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for pass := 0; pass < 2; pass++ {
+					for df := 1.0; df <= 600; df++ {
+						want := tInvUpper(p, df)
+						if got := TInv(p, df); math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("TInv(%v, %v) = %v, bisection %v", p, df, got, want)
+						}
+						lower := -tInvUpper(1-(1-p), df) // the mirror TInv solves
+						if got := TInv(1-p, df); math.Float64bits(got) != math.Float64bits(lower) {
+							t.Errorf("TInv(%v, %v) = %v, bisection %v", 1-p, df, got, lower)
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -494,9 +494,7 @@ func (rs *roundState) recordGen(name string) {
 	}
 }
 
-// sendShard posts one shard and validates the answer (band length and
-// checksum when the band was requested), reading no more of it than
-// maxShardResponse.
+// sendShard posts one shard and checks the answer with readShardResponse.
 func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest) (*ShardResponse, error) {
 	body, err := json.Marshal(sr)
 	if err != nil {
@@ -518,34 +516,46 @@ func (e *Executor) sendShard(ctx context.Context, w WorkerInfo, sr *ShardRequest
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("worker %s: status %d: %s", w.Name, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	out, err := readShardResponse(resp.Body, sr)
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", w.Name, err)
+	}
+	return out, nil
+}
+
+// readShardResponse reads and checks a worker's 200 answer to sr: it reads
+// no more than maxShardResponse, and accepts only the asked band, a result
+// of the band's length whose CRC-32C is the claimed checksum when sr asked
+// for it, and finite, non-negative seconds.
+func readShardResponse(body io.Reader, sr *ShardRequest) (*ShardResponse, error) {
 	// Read the body to EOF, so the connection is kept, into one buffer of
 	// the bound's size: a response that fills it is over the bound.
 	buf := make([]byte, maxShardResponse(sr))
-	n, err := io.ReadFull(resp.Body, buf)
+	n, err := io.ReadFull(body, buf)
 	switch {
 	case err == nil:
-		return nil, fmt.Errorf("worker %s: shard response exceeds %d bytes", w.Name, len(buf))
+		return nil, fmt.Errorf("shard response exceeds %d bytes", len(buf))
 	case err != io.ErrUnexpectedEOF && err != io.EOF:
-		return nil, fmt.Errorf("worker %s: reading shard response: %w", w.Name, err)
+		return nil, fmt.Errorf("reading shard response: %w", err)
 	}
 	var out ShardResponse
 	if err := json.Unmarshal(buf[:n], &out); err != nil {
-		return nil, fmt.Errorf("worker %s: decoding shard response: %w", w.Name, err)
+		return nil, fmt.Errorf("decoding shard response: %w", err)
 	}
 	if out.Row0 != sr.Row0 || out.Row1 != sr.Row1 {
-		return nil, fmt.Errorf("worker %s: answered band [%d,%d), asked [%d,%d)", w.Name, out.Row0, out.Row1, sr.Row0, sr.Row1)
+		return nil, fmt.Errorf("answered band [%d,%d), asked [%d,%d)", out.Row0, out.Row1, sr.Row0, sr.Row1)
 	}
 	if sr.ReturnResult {
 		want := bandBytes(sr.Row1-sr.Row0, sr.N)
 		if len(out.Result) != want {
-			return nil, fmt.Errorf("worker %s: band payload %d bytes, want %d", w.Name, len(out.Result), want)
+			return nil, fmt.Errorf("band payload %d bytes, want %d", len(out.Result), want)
 		}
 		if got := checksumBytes(out.Result); got != out.Checksum {
-			return nil, fmt.Errorf("worker %s: band checksum %x does not match claimed %x", w.Name, got, out.Checksum)
+			return nil, fmt.Errorf("band checksum %x does not match claimed %x", got, out.Checksum)
 		}
 	}
 	if out.Seconds < 0 || math.IsNaN(out.Seconds) || math.IsInf(out.Seconds, 0) {
-		return nil, fmt.Errorf("worker %s: invalid shard seconds %v", w.Name, out.Seconds)
+		return nil, fmt.Errorf("invalid shard seconds %v", out.Seconds)
 	}
 	return &out, nil
 }
@@ -568,9 +578,10 @@ func maxShardResponse(sr *ShardRequest) int64 {
 }
 
 // verifyOutcomes replays the final round's exact shard boundaries on the
-// local kernel and compares byte-for-byte, row by row, against the gathered
-// bands. On a single-ISA fleet the packed kernels are bit-deterministic per
-// shard shape, so any mismatch is a real corruption, not float noise.
+// local kernel and compares byte-for-byte, block by block and row by row,
+// against the gathered bands, so the coordinator holds one replayed block at
+// a time. On a single-ISA fleet the packed kernels are bit-deterministic per
+// shard, so any mismatch is a real corruption, not float noise.
 func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool, maxDiff float64, checksum uint32, err error) {
 	sorted := append([]shardOutcome(nil), outcomes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].report.Row0 < sorted[j].report.Row0 })
@@ -587,17 +598,23 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 		if len(o.data) != bandBytes(o.report.Units, req.N) {
 			return false, 0, 0, fmt.Errorf("band [%d,%d) missing result payload", o.report.Row0, o.report.Row1)
 		}
-		local, lerr := localShard(req, o.report.Row0, o.report.Row1, workers)
+		got := o.data
+		replay := &ShardRequest{
+			Seed: req.Seed, Rows: req.Rows, K: req.K, N: req.N,
+			Row0: o.report.Row0, Row1: o.report.Row1,
+		}
+		_, lerr := gemmBlocks(replay, workers, nil, func(blk *matrix.Dense) {
+			for i := 0; i < blk.Rows; i++ {
+				want := wireRow(blk.Data[i*blk.Stride:i*blk.Stride+blk.Cols], &scratch)
+				if !bytes.Equal(got[:rowBytes], want) {
+					bitExact = false
+					maxDiff = max(maxDiff, bandDiff(got[:rowBytes], want))
+				}
+				got = got[rowBytes:]
+			}
+		})
 		if lerr != nil {
 			return false, 0, 0, fmt.Errorf("local replay of band [%d,%d): %w", o.report.Row0, o.report.Row1, lerr)
-		}
-		for i := 0; i < local.Rows; i++ {
-			got := o.data[i*rowBytes : (i+1)*rowBytes]
-			want := wireRow(local.Data[i*local.Stride:i*local.Stride+local.Cols], &scratch)
-			if !bytes.Equal(got, want) {
-				bitExact = false
-				maxDiff = max(maxDiff, bandDiff(got, want))
-			}
 		}
 		checksum = crc32.Update(checksum, castagnoli, o.data)
 	}
@@ -605,17 +622,6 @@ func verifyOutcomes(req *ExecuteRequest, outcomes []shardOutcome) (bitExact bool
 		return false, 0, 0, fmt.Errorf("gathered bands cover %d of %d rows", cur, req.Rows)
 	}
 	return bitExact, maxDiff, checksum, nil
-}
-
-// localShard replays one shard on the coordinator's own kernel and returns
-// its band of C.
-func localShard(req *ExecuteRequest, row0, row1, workers int) (*matrix.Dense, error) {
-	c, _, err := executeGemm(&ShardRequest{
-		Job: "verify", Seed: req.Seed,
-		Rows: req.Rows, K: req.K, N: req.N,
-		Row0: row0, Row1: row1,
-	}, workers)
-	return c, err
 }
 
 // bandDiff reports the max absolute element difference between two

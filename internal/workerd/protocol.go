@@ -23,11 +23,13 @@
 //
 // Determinism contract: a GEMM shard is rows [Row0,Row1) of C = A·B where A
 // (Rows×K) and B (K×N) are defined by the job seed through the seekable
-// generator behind matrix.Seeded. A worker's kernel generates only A's
-// [Row0,Row1) band and B, block by block as it packs them, bit-identical to
-// the same blocks of the whole operands; it holds only C's band. The packed
-// kernels are bit-deterministic for a given shard shape (parallel ==
-// sequential; the AVX2 and AVX-512 tiles agree bit for bit), so on a fleet
+// generator behind matrix.Seeded. A worker computes its rows of C one block
+// of at most blockRows rows at a time; its kernel generates only that
+// block's rows of A, and B, as it packs them, bit-identical to the same
+// blocks of the whole operands. An unshipped shard holds one block of C, a
+// shipped one its band. The packed kernels are bit-deterministic for a given
+// shard (parallel == sequential, one block or many; the AVX2 and AVX-512
+// tiles agree bit for bit), so on a fleet
 // whose workers all have the FMA tiles, or all lack them, the gathered C is
 // bit-identical to a local GemmPacked reference replaying the same shard
 // boundaries — which is exactly what cmd/fpmworker's TestWorkersEndToEnd

@@ -8,12 +8,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fpmpart/internal/matrix"
 )
@@ -198,6 +200,101 @@ func FuzzShardRequest(f *testing.F) {
 	})
 }
 
+// FuzzShardResponse: whatever a worker answers, the executor's check never
+// panics, and a band it accepts has the asked band's rows, the asked
+// length, and the CRC-32C it claims.
+func FuzzShardResponse(f *testing.F) {
+	good := func(ship bool) []byte {
+		resp := ShardResponse{Job: "f", Worker: "w", Row0: 2, Row1: 5, Seconds: 0.5}
+		if ship {
+			resp.Result = bytes.Repeat([]byte{1, 2, 3, 4}, 3*4)
+			resp.Checksum = checksumBytes(resp.Result)
+		}
+		b, _ := json.Marshal(&resp)
+		return b
+	}
+	for _, seed := range [][]byte{
+		good(false), good(true),
+		[]byte(`{"row0":2,"row1":5,"seconds":-1}`),
+		[]byte(`{"row0":2,"row1":5,"seconds":1e999}`),
+		[]byte(`{"row0":2,"row1":5,"checksum":0,"result":"AAAA"}`),
+		[]byte(`{"row0":0,"row1":5}`),
+		[]byte(`{"result":"!!"}`), []byte(`[]`), []byte(`null`), []byte(``), []byte(`{`),
+	} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, ship bool) {
+		sr := &ShardRequest{Job: "f", Seed: 1, Rows: 8, K: 4, N: 4, Row0: 2, Row1: 5, ReturnResult: ship}
+		out, err := readShardResponse(bytes.NewReader(body), sr)
+		if err != nil {
+			return
+		}
+		if out.Row0 != sr.Row0 || out.Row1 != sr.Row1 {
+			t.Fatalf("accepted band [%d,%d), asked [%d,%d)", out.Row0, out.Row1, sr.Row0, sr.Row1)
+		}
+		if out.Seconds < 0 || math.IsNaN(out.Seconds) || math.IsInf(out.Seconds, 0) {
+			t.Fatalf("accepted seconds %v", out.Seconds)
+		}
+		if !ship {
+			return
+		}
+		if len(out.Result) != bandBytes(sr.Row1-sr.Row0, sr.N) {
+			t.Fatalf("accepted a %d-byte band, asked %d", len(out.Result), bandBytes(sr.Row1-sr.Row0, sr.N))
+		}
+		if checksumBytes(out.Result) != out.Checksum {
+			t.Fatal("accepted a band whose CRC is not the claimed checksum")
+		}
+	})
+}
+
+// FuzzExecuteRequest: whatever the /v1/execute body, decoding it as
+// service's handler does and normalizing it never panics; a request that
+// normalizes has positive dimensions within the operand bound, 1..10000
+// rounds, a nonzero seed and a known strategy, and normalizes to itself
+// again. An executor with no workers refuses it.
+func FuzzExecuteRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"rows":64}`,
+		`{"rows":64,"n":32,"k":16,"rounds":3,"seed":-5,"partition":"even","verify":true,"workers":["a","b"]}`,
+		`{"rows":1048576,"k":1048576,"n":1048576}`,
+		`{"rows":9223372036854775807}`,
+		`{"rows":16,"rounds":10001}`,
+		`{"rows":16,"partition":"cpm"}`,
+		`{"rows":16,"workers":[]}`, `{"rows":-1}`, `{"rows":16,"kind":"stencil"}`,
+		`[]`, `null`, ``, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	models := newMapModels()
+	e := NewExecutor(NewPool(models, PoolOptions{TTL: time.Minute}), models, nil, ExecutorOptions{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req ExecuteRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) != nil {
+			return
+		}
+		if _, err := e.Execute(context.Background(), req); err == nil {
+			t.Fatalf("executor with no workers ran %q", body)
+		}
+		if req.normalize() != nil {
+			return
+		}
+		if req.Rows <= 0 || req.N <= 0 || req.K <= 0 || checkOperands(req.Rows, req.K, req.N) != nil {
+			t.Fatalf("normalized %q to dimensions %d×%d×%d", body, req.Rows, req.K, req.N)
+		}
+		if req.Rounds < 1 || req.Rounds > 10000 || req.Seed == 0 ||
+			(req.Partition != PartitionFPM && req.Partition != PartitionEven) {
+			t.Fatalf("normalized %q to %+v", body, req)
+		}
+		again := req
+		if err := again.normalize(); err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("normalizing %+v again gave %+v, %v", req, again, err)
+		}
+	})
+}
+
 // skipUnderRace skips allocation tests under the race detector, which drops
 // sync.Pool entries at random, so the kernel's panels are reallocated.
 func skipUnderRace(t *testing.T) {
@@ -232,34 +329,52 @@ func minAllocs(f func()) (bytesPer uint64, allocsPer float64) {
 	return bytesPer, allocsPer
 }
 
-// A shard allocates its band of C and nothing else of size: its operands are
-// generated into the kernel's pooled panels. This is exec-small's fast
-// shard at one thread; at the parent of this test it allocated A's band and
-// all of B beside C, about 675 KB a call.
+// An unshipped shard allocates one block of C and nothing else of size: its
+// operands are generated into the kernel's pooled panels and its checksum is
+// folded block by block. The shard is 2 500×512×512 at one thread, about
+// 2.4 blocks; whole, its band of C is 5.1 MB.
 func TestShardAllocatesOnlyC(t *testing.T) {
 	skipUnderRace(t)
-	req := &ShardRequest{Job: "a", Seed: 1, Rows: 256, K: 256, N: 256, Row0: 64, Row1: 256}
+	w, err := NewWorker(WorkerOptions{Name: "a", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Handler()
+	req := ShardRequest{Job: "a", Seed: 1, Rows: 3000, K: 512, N: 512, Row0: 300, Row1: 2800}
+	body, _ := json.Marshal(&req)
 	run := func() {
-		if _, _, err := executeGemm(req, 1); err != nil {
-			t.Fatal(err)
+		rw := &discardWriter{header: http.Header{}}
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, ShardPath, bytes.NewReader(body)))
+		if rw.code != http.StatusOK {
+			t.Fatalf("shard failed: status %d", rw.code)
 		}
 	}
 	run() // fills the panel pool
 	bytesPer, allocsPer := minAllocs(run)
-	if limit := uint64(4*192*256 + 32<<10); bytesPer > limit {
-		t.Errorf("shard allocates %d bytes a call, want at most %d (its C band plus 32 KiB)", bytesPer, limit)
+	if limit := uint64(bandBytes(blockRows, req.N) + 32<<10); bytesPer > limit {
+		t.Errorf("shard allocates %d bytes a call, want at most %d (one %d-row block of C plus 32 KiB)", bytesPer, limit, blockRows)
 	}
-	if allocsPer > 4 {
-		t.Errorf("shard makes %.1f allocations a call, want at most 4", allocsPer)
+	// The handler's own decode, request and answer make about 33.
+	if allocsPer > 40 {
+		t.Errorf("shard makes %.1f allocations a call, want at most 40", allocsPer)
 	}
 }
 
-// discardWriter is a ResponseWriter that keeps nothing of the body.
-type discardWriter struct{ header http.Header }
+// discardWriter is a ResponseWriter that keeps nothing of the body but its
+// status.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
 
-func (d *discardWriter) Header() http.Header         { return d.header }
-func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Header() http.Header { return d.header }
+func (d *discardWriter) Write(p []byte) (int, error) {
+	if d.code == 0 {
+		d.code = http.StatusOK
+	}
+	return len(p), nil
+}
+func (d *discardWriter) WriteHeader(code int) { d.code = code }
 
 // A shard that ships its band allocates the band once, as C, and streams it
 // out: encoding the band whole, as the worker once did, costs a second copy
@@ -293,16 +408,13 @@ func TestShippingShardAllocatesUnderTwoBands(t *testing.T) {
 // json.Encoder writes for the same response with the band in Result, and
 // its Content-Length is its length; also for a strided band.
 func TestShippedResponseMatchesEncoder(t *testing.T) {
-	c, _, err := executeGemm(&ShardRequest{Job: "e", Seed: 9, Rows: 40, K: 16, N: 33, Row0: 3, Row1: 40}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := shardBand(t, &ShardRequest{Job: "e", Seed: 9, Rows: 40, K: 16, N: 33, Row0: 3, Row1: 40}, 1)
 	view, err := c.View(2, 5, 20, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, band := range map[string]*matrix.Dense{"compact": c, "strided": view} {
-		resp := ShardResponse{Job: "e<&>", Worker: "w", Row0: 3, Row1: 40, Seconds: 0.125, Checksum: bandChecksum(band)}
+		resp := ShardResponse{Job: "e<&>", Worker: "w", Row0: 3, Row1: 40, Seconds: 0.125, Checksum: updateChecksum(0, band)}
 		rec := httptest.NewRecorder()
 		if err := writeShipped(rec, &resp, band); err != nil {
 			t.Fatal(err)
@@ -321,18 +433,18 @@ func TestShippedResponseMatchesEncoder(t *testing.T) {
 	}
 }
 
-// BenchmarkExecuteGemmShard times one shard of the exec-small job as its
+// BenchmarkShard times one unshipped shard of the exec-small job as its
 // fast worker runs it (rows 64..256 of a 256³ GEMM), operand generation,
 // checksum and all.
-func BenchmarkExecuteGemmShard(b *testing.B) {
+func BenchmarkShard(b *testing.B) {
 	req := &ShardRequest{Job: "b", Seed: 1, Rows: 256, K: 256, N: 256, Row0: 64, Row1: 256}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c, _, err := executeGemm(req, 1)
-		if err != nil {
+		var sum uint32
+		if _, err := gemmBlocks(req, 1, nil, func(blk *matrix.Dense) { sum = updateChecksum(sum, blk) }); err != nil {
 			b.Fatal(err)
 		}
-		benchSum = bandChecksum(c)
+		benchSum = sum
 	}
 }
 

@@ -111,7 +111,21 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
 		return
 	}
-	c, seconds, err := executeGemm(&req, w.opts.Workers)
+	// The wire puts checksum and seconds ahead of the result, so a shipped
+	// band is held whole until they are known; an unshipped shard holds one
+	// block.
+	var band *matrix.Dense
+	if req.ReturnResult {
+		var err error
+		if band, err = matrix.New(req.Row1-req.Row0, req.N); err != nil {
+			http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+			return
+		}
+	}
+	var sum uint32
+	seconds, err := gemmBlocks(&req, w.opts.Workers, band, func(blk *matrix.Dense) {
+		sum = updateChecksum(sum, blk)
+	})
 	if err != nil {
 		http.Error(rw, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
 		return
@@ -147,12 +161,12 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		Job: req.Job, Worker: w.opts.Name,
 		Row0: req.Row0, Row1: req.Row1,
 		Seconds:  seconds,
-		Checksum: bandChecksum(c),
+		Checksum: sum,
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	// A failed write leaves the coordinator a short body, which it rejects.
 	if req.ReturnResult {
-		_ = writeShipped(rw, &resp, c)
+		_ = writeShipped(rw, &resp, band)
 	} else {
 		_ = json.NewEncoder(rw).Encode(&resp)
 	}
@@ -161,35 +175,59 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		slog.Float64("seconds", seconds))
 }
 
-// executeGemm computes rows [Row0,Row1) of C = A·B with the packed kernel
-// and returns that band of C and the measured seconds. A and B are seeded
-// operands (jobOperands): the kernel generates each block as it packs it, so
-// a shard allocates only its band of C, and the seconds cover generation
-// plus kernel — the paper's g_i, which includes moving a device's operands.
-// Bit-determinism: operands are generated from the seed, and the config is
-// blas.DefaultConfig, whose AVX2 and AVX-512 tiles agree bit for bit, so
-// any process replaying the same shard on an FMA-capable CPU (or on any
-// CPU without one) produces identical bytes.
-func executeGemm(req *ShardRequest, workers int) (*matrix.Dense, float64, error) {
-	c, err := matrix.New(req.Row1-req.Row0, req.N)
-	if err != nil {
-		return nil, 0, err
-	}
-	a, b := jobOperands(req.Seed, req.K, req.N, req.Row0, req.Row1)
-	start := time.Now()
-	if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
-		return nil, 0, err
-	}
-	return c, time.Since(start).Seconds(), nil
-}
+// blockRows is the most rows of C a shard computes at once: four of the
+// kernel's mc-row blocks, 1024 rows on the AVX-512 and scalar tiles and 1032
+// on AVX2. Four blocks keep four kernel goroutines busy, and an unshipped
+// shard holds one block of C whatever its share.
+var blockRows = 4 * blas.DefaultConfig.MC
 
-// jobOperands returns rows [row0, row1) of a job's A = FillRandom(seed),
-// which is k wide, and its whole k×n B = FillRandom(seed+1), as seeded
-// windows.
-func jobOperands(seed int64, k, n, row0, row1 int) (a, b matrix.Seeded) {
-	a = matrix.Seeded{Seed: seed, Width: k, Row0: row0, Rows: row1 - row0, Cols: k}
-	b = matrix.Seeded{Seed: seed + 1, Width: n, Rows: k, Cols: n}
-	return a, b
+// gemmBlocks computes rows [Row0,Row1) of req's C = A·B with the packed
+// kernel, blockRows rows at a time, and hands each finished block to done
+// (if not nil) in row order. With band nil every block is computed into one
+// buffer, which done must not keep; otherwise each block is a view of band,
+// the shard's (Row1−Row0)×N band of C. A and B are seeded operands: the
+// kernel generates each block's A window and B as it packs them, so B is
+// generated again for every block. The seconds sum the blocks' generation
+// plus kernel time, not done's — the paper's g_i, which includes moving a
+// device's operands.
+//
+// Bit-determinism: a C element's FMA chain runs over k in the same order
+// whatever the row blocking, operands are generated from the seed, and the
+// config is blas.DefaultConfig, whose AVX2 and AVX-512 tiles agree bit for
+// bit, so any process replaying the same shard on an FMA-capable CPU (or on
+// any CPU without one) produces identical bytes, in one block or many.
+func gemmBlocks(req *ShardRequest, workers int, band *matrix.Dense, done func(blk *matrix.Dense)) (float64, error) {
+	rows := req.Row1 - req.Row0
+	buf := band
+	if buf == nil {
+		var err error
+		if buf, err = matrix.New(min(blockRows, rows), req.N); err != nil {
+			return 0, err
+		}
+	}
+	b := matrix.Seeded{Seed: req.Seed + 1, Width: req.N, Rows: req.K, Cols: req.N}
+	var seconds float64
+	for i0 := 0; i0 < rows; i0 += blockRows {
+		h := min(blockRows, rows-i0)
+		r0 := i0
+		if band == nil {
+			r0 = 0
+		}
+		c, err := buf.View(r0, 0, h, req.N)
+		if err != nil {
+			return 0, err
+		}
+		a := matrix.Seeded{Seed: req.Seed, Width: req.K, Row0: req.Row0 + i0, Rows: h, Cols: req.K}
+		start := time.Now()
+		if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
+			return 0, err
+		}
+		seconds += time.Since(start).Seconds()
+		if done != nil {
+			done(c)
+		}
+	}
+	return seconds, nil
 }
 
 // littleEndian reports whether float32 memory is already in wire order.
@@ -246,11 +284,10 @@ func writeShipped(rw http.ResponseWriter, resp *ShardResponse, c *matrix.Dense) 
 	return bw.Flush()
 }
 
-// bandChecksum is the CRC-32C of c's wire bytes, computed row by row so a
-// band that is not shipped is never encoded whole.
-func bandChecksum(c *matrix.Dense) uint32 {
+// updateChecksum folds c's wire bytes into the CRC-32C sum, row by row, so
+// a band is never encoded whole.
+func updateChecksum(sum uint32, c *matrix.Dense) uint32 {
 	var scratch []byte
-	var sum uint32
 	for i := 0; i < c.Rows; i++ {
 		sum = crc32.Update(sum, castagnoli, wireRow(c.Data[i*c.Stride:i*c.Stride+c.Cols], &scratch))
 	}
@@ -259,9 +296,9 @@ func bandChecksum(c *matrix.Dense) uint32 {
 
 // SelfCalibrate times the local packed kernel on a ladder of row-band sizes
 // of a reference job (seed 1, depth k, n columns) and returns the measured
-// FPM (speed in rows/second). Each band runs as a shard does: on seeded
-// operands, so the time covers generation plus kernel and only the band's C
-// is allocated. This seeds the worker's served model at registration; the
+// FPM (speed in rows/second). Each band runs as an unshipped shard does,
+// through gemmBlocks: on seeded operands, one block of C at a time, so the
+// time covers generation plus kernel. This seeds the worker's served model at registration; the
 // /v1/observe loop refines it from real shard timings afterwards.
 func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error) {
 	if len(bands) == 0 {
@@ -276,21 +313,16 @@ func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error)
 	}
 	samples := make([]fpm.TimeSample, 0, len(bands))
 	for _, band := range bands {
-		a, b := jobOperands(1, k, n, 0, band)
-		c, err := matrix.New(band, n)
+		req := &ShardRequest{Seed: 1, Rows: band, K: k, N: n, Row0: 0, Row1: band}
+		// One warmup, then the timed run — first-touch page faults otherwise
+		// dominate small bands.
+		if _, err := gemmBlocks(req, workers, nil, nil); err != nil {
+			return nil, err
+		}
+		sec, err := gemmBlocks(req, workers, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		// One warmup, then the timed run — first-touch page faults otherwise
-		// dominate small bands.
-		if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
-			return nil, err
-		}
-		sec := time.Since(start).Seconds()
 		if sec <= 0 {
 			sec = 1e-9 // quantized clock floor
 		}

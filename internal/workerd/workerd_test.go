@@ -140,27 +140,20 @@ func TestShardRequestValidate(t *testing.T) {
 	}
 }
 
-func TestGemmShardDeterminism(t *testing.T) {
-	req := &ShardRequest{Job: "t", Seed: 7, Rows: 96, K: 32, N: 48, Row0: 16, Row1: 64}
-	a, _, err := executeGemm(req, 1)
-	if err != nil {
+// shardBand computes req's band of C whole, through gemmBlocks.
+func shardBand(t testing.TB, req *ShardRequest, workers int) *matrix.Dense {
+	t.Helper()
+	band := matrix.MustNew(req.Row1-req.Row0, req.N)
+	if _, err := gemmBlocks(req, workers, band, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := executeGemm(req, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Rows != 48 || a.Cols != 48 {
-		t.Fatalf("shard returned a %dx%d band, want 48x48", a.Rows, a.Cols)
-	}
-	if !bytes.Equal(encodeBand(a), encodeBand(b)) {
-		t.Fatal("gemm shard bytes differ between 1 and 4 kernel workers")
-	}
-	if bandChecksum(a) != bandChecksum(b) {
-		t.Fatal("checksums differ")
-	}
+	return band
+}
 
-	// The band equals the same rows of C computed from whole operands.
+// wholeBand computes req's band of C in one kernel call on whole operands,
+// as the reference every blocking of a shard must match bit for bit.
+func wholeBand(t testing.TB, req *ShardRequest) *matrix.Dense {
+	t.Helper()
 	fullA, fullB := matrix.MustNew(req.Rows, req.K), matrix.MustNew(req.K, req.N)
 	fullA.FillRandom(req.Seed)
 	fullB.FillRandom(req.Seed + 1)
@@ -172,8 +165,58 @@ func TestGemmShardDeterminism(t *testing.T) {
 	if err := blas.GemmPacked(1, av, fullB, 0, want, blas.DefaultConfig, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeBand(a), encodeBand(want)) {
+	return want
+}
+
+func TestGemmShardDeterminism(t *testing.T) {
+	req := &ShardRequest{Job: "t", Seed: 7, Rows: 96, K: 32, N: 48, Row0: 16, Row1: 64}
+	a, b := shardBand(t, req, 1), shardBand(t, req, 4)
+	if !bytes.Equal(encodeBand(a), encodeBand(b)) {
+		t.Fatal("gemm shard bytes differ between 1 and 4 kernel workers")
+	}
+	if updateChecksum(0, a) != updateChecksum(0, b) {
+		t.Fatal("checksums differ")
+	}
+	// The band equals the same rows of C computed from whole operands.
+	if !bytes.Equal(encodeBand(a), encodeBand(wholeBand(t, req))) {
 		t.Fatal("band-only shard differs from the same rows of the whole product")
+	}
+}
+
+// A shard of several blocks, computed one block at a time, gives the bytes
+// and the checksum of its band computed in one kernel call: with a row count
+// that is not a multiple of blockRows, an odd N, and 1 and 2 kernel workers,
+// shipped or not.
+func TestBlockedShardMatchesWholeBand(t *testing.T) {
+	req := ShardRequest{Job: "m", Seed: 5, Rows: 2*blockRows + 700, K: 40, N: 77, Row0: 300, Row1: 2*blockRows + 611}
+	want := encodeBand(wholeBand(t, &req))
+	wantSum := checksumBytes(want)
+	for _, workers := range []int{1, 2} {
+		if got := encodeBand(shardBand(t, &req, workers)); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: blocked band differs from the whole band", workers)
+		}
+		w, err := NewWorker(WorkerOptions{Name: "m", Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ship := range []bool{false, true} {
+			req.ReturnResult = ship
+			body, _ := json.Marshal(&req)
+			rec := postShard(w.Handler(), string(body))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("workers=%d ship=%t: status %d: %s", workers, ship, rec.Code, rec.Body)
+			}
+			var resp ShardResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Checksum != wantSum {
+				t.Errorf("workers=%d ship=%t: streamed checksum %08x, whole band's %08x", workers, ship, resp.Checksum, wantSum)
+			}
+			if ship && !bytes.Equal(resp.Result, want) {
+				t.Errorf("workers=%d: shipped band differs from the whole band", workers)
+			}
+		}
 	}
 }
 
@@ -191,13 +234,9 @@ func encodeBand(c *matrix.Dense) []byte {
 }
 
 func TestBandEncodeDecodeRoundtrip(t *testing.T) {
-	req := &ShardRequest{Job: "t", Seed: 3, Rows: 20, K: 8, N: 10, Row0: 5, Row1: 15}
-	c, _, err := executeGemm(req, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := shardBand(t, &ShardRequest{Job: "t", Seed: 3, Rows: 20, K: 8, N: 10, Row0: 5, Row1: 15}, 1)
 	raw := encodeBand(c)
-	if bandChecksum(c) != checksumBytes(raw) {
+	if updateChecksum(0, c) != checksumBytes(raw) {
 		t.Fatal("row-by-row checksum differs from the checksum of the encoded band")
 	}
 
@@ -212,7 +251,7 @@ func TestBandEncodeDecodeRoundtrip(t *testing.T) {
 	if got, want := rawV[:4], []byte{0x00, 0x00, 0x80, 0x3f}; !bytes.Equal(got, want) {
 		t.Fatalf("1.0 encodes as % x, want % x", got, want)
 	}
-	if bandChecksum(v) != checksumBytes(rawV) {
+	if updateChecksum(0, v) != checksumBytes(rawV) {
 		t.Fatal("strided view: row-by-row checksum differs from the checksum of the encoded band")
 	}
 	// The big-endian fallback writes the same bytes as the little-endian path.
@@ -378,6 +417,36 @@ func TestExecuteVerifiedBitExact(t *testing.T) {
 	}
 	if fastU+slowU != 256 {
 		t.Fatalf("shares cover %d of 256 rows", fastU+slowU)
+	}
+}
+
+// A job whose shards span several blocks verifies bit-exact on one worker
+// and on two, and its checksum is the CRC-32C of the whole product computed
+// in one kernel call.
+func TestExecuteVerifiedMultiBlock(t *testing.T) {
+	rows, k, n := 2*blockRows+700, 16, 33
+	want := checksumBytes(encodeBand(wholeBand(t, &ShardRequest{Seed: 3, Rows: rows, K: k, N: n, Row0: 0, Row1: rows})))
+	for _, fleet := range [][]string{{"solo"}, {"fast", "slow"}} {
+		models := newMapModels()
+		pool := NewPool(models, PoolOptions{TTL: time.Minute})
+		for i, name := range fleet {
+			startWorker(t, pool, models, name, []float64{400, 100}[i], nil)
+		}
+		rep, err := NewExecutor(pool, models, nil, ExecutorOptions{}).Execute(context.Background(), ExecuteRequest{
+			Rows: rows, K: k, N: n, Seed: 3, Verify: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Verified || !rep.BitExact {
+			t.Fatalf("%d workers: verified=%t bitExact=%t maxDiff=%v", len(fleet), rep.Verified, rep.BitExact, rep.MaxAbsDiff)
+		}
+		if rep.Checksum != want {
+			t.Errorf("%d workers: checksum %08x, whole product's %08x", len(fleet), rep.Checksum, want)
+		}
+		if got := len(rep.Detail[0].Shards); got != len(fleet) {
+			t.Errorf("%d workers: %d shards", len(fleet), got)
+		}
 	}
 }
 
