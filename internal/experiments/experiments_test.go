@@ -466,7 +466,15 @@ func TestAblationBlockingFactor(t *testing.T) {
 }
 
 func TestAblationDynamic(t *testing.T) {
-	m := buildIGModels(t)
+	// The FPM start is only as balanced as its models are accurate: on the
+	// 10-point test grid the GTX680's share runs about 29% over its
+	// prediction, so this test builds on the default 18-point grid.
+	opts := testOpts()
+	opts.Points = 18
+	m, err := BuildModels(hw.NewIGNode(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tab, err := AblationDynamic(m, 60, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -489,12 +497,9 @@ func TestAblationDynamic(t *testing.T) {
 			t.Errorf("row %d final imbalance = %v", i, fin)
 		}
 	}
-	// The FPM start is far closer to balance in its first iteration than
-	// the CPM start. With these 10-point models the GTX680's share runs
-	// about 29% over its prediction, so the FPM start's own imbalance is
-	// about 0.3; the homogeneous start's is 8.6.
-	if first, cpm := cell(t, tab, 2, 4), cell(t, tab, 1, 4); first > cpm/3 {
-		t.Errorf("FPM first-iteration imbalance = %v, want under a third of CPM's %v", first, cpm)
+	// The FPM start is balanced from the first iteration.
+	if first := cell(t, tab, 2, 4); first > 0.3 {
+		t.Errorf("FPM first-iteration imbalance = %v", first)
 	}
 }
 

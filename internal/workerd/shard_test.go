@@ -332,7 +332,9 @@ func minAllocs(f func()) (bytesPer uint64, allocsPer float64) {
 // An unshipped shard allocates one block of C and nothing else of size: its
 // operands are generated into the kernel's pooled panels and its checksum is
 // folded block by block. The shard is 2 500×512×512 at one thread, about
-// 2.4 blocks; whole, its band of C is 5.1 MB.
+// 2.4 blocks; whole, its band of C is 5.1 MB. Its compute path, the block
+// loop with the checksum fold, makes at most 4 allocations; the handler's
+// decode, request and answer add about 30.
 func TestShardAllocatesOnlyC(t *testing.T) {
 	skipUnderRace(t)
 	w, err := NewWorker(WorkerOptions{Name: "a", Workers: 1})
@@ -342,21 +344,36 @@ func TestShardAllocatesOnlyC(t *testing.T) {
 	h := w.Handler()
 	req := ShardRequest{Job: "a", Seed: 1, Rows: 3000, K: 512, N: 512, Row0: 300, Row1: 2800}
 	body, _ := json.Marshal(&req)
-	run := func() {
+	serve := func() {
 		rw := &discardWriter{header: http.Header{}}
 		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, ShardPath, bytes.NewReader(body)))
 		if rw.code != http.StatusOK {
 			t.Fatalf("shard failed: status %d", rw.code)
 		}
 	}
-	run() // fills the panel pool
-	bytesPer, allocsPer := minAllocs(run)
-	if limit := uint64(bandBytes(blockRows, req.N) + 32<<10); bytesPer > limit {
-		t.Errorf("shard allocates %d bytes a call, want at most %d (one %d-row block of C plus 32 KiB)", bytesPer, limit, blockRows)
+	compute := func() {
+		var sum uint32
+		if _, err := gemmBlocks(&req, 1, nil, func(blk *matrix.Dense) { sum = updateChecksum(sum, blk) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The handler's own decode, request and answer make about 33.
+	serve() // fills the panel pool
+	block := uint64(bandBytes(blockRows, req.N) + 32<<10)
+	bytesPer, allocsPer := minAllocs(serve)
+	t.Logf("shard: %d bytes, %.1f allocations a call", bytesPer, allocsPer)
+	if bytesPer > block {
+		t.Errorf("shard allocates %d bytes a call, want at most %d (one %d-row block of C plus 32 KiB)", bytesPer, block, blockRows)
+	}
 	if allocsPer > 40 {
 		t.Errorf("shard makes %.1f allocations a call, want at most 40", allocsPer)
+	}
+	bytesPer, allocsPer = minAllocs(compute)
+	t.Logf("block loop: %d bytes, %.1f allocations a call", bytesPer, allocsPer)
+	if bytesPer > block {
+		t.Errorf("block loop allocates %d bytes a call, want at most %d", bytesPer, block)
+	}
+	if allocsPer > 4 {
+		t.Errorf("block loop makes %.1f allocations a call, want at most 4", allocsPer)
 	}
 }
 

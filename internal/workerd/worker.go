@@ -183,9 +183,10 @@ var blockRows = 4 * blas.DefaultConfig.MC
 
 // gemmBlocks computes rows [Row0,Row1) of req's C = A·B with the packed
 // kernel, blockRows rows at a time, and hands each finished block to done
-// (if not nil) in row order. With band nil every block is computed into one
-// buffer, which done must not keep; otherwise each block is a view of band,
-// the shard's (Row1−Row0)×N band of C. A and B are seeded operands: the
+// (if not nil) in row order. The blocks go into buf: if it holds all
+// Row1−Row0 rows (a shipped band), each block is a view of its own rows;
+// otherwise every block reuses buf's top rows, so done must not keep it.
+// With buf nil a block buffer is allocated. A and B are seeded operands: the
 // kernel generates each block's A window and B as it packs them, so B is
 // generated again for every block. The seconds sum the blocks' generation
 // plus kernel time, not done's — the paper's g_i, which includes moving a
@@ -196,27 +197,29 @@ var blockRows = 4 * blas.DefaultConfig.MC
 // config is blas.DefaultConfig, whose AVX2 and AVX-512 tiles agree bit for
 // bit, so any process replaying the same shard on an FMA-capable CPU (or on
 // any CPU without one) produces identical bytes, in one block or many.
-func gemmBlocks(req *ShardRequest, workers int, band *matrix.Dense, done func(blk *matrix.Dense)) (float64, error) {
+func gemmBlocks(req *ShardRequest, workers int, buf *matrix.Dense, done func(blk *matrix.Dense)) (float64, error) {
 	rows := req.Row1 - req.Row0
-	buf := band
 	if buf == nil {
 		var err error
 		if buf, err = matrix.New(min(blockRows, rows), req.N); err != nil {
 			return 0, err
 		}
 	}
+	if buf.Cols != req.N || buf.Rows < min(blockRows, rows) {
+		return 0, fmt.Errorf("workerd: %dx%d buffer too small for %d-row blocks of %d columns", buf.Rows, buf.Cols, min(blockRows, rows), req.N)
+	}
+	whole := buf.Rows >= rows
 	b := matrix.Seeded{Seed: req.Seed + 1, Width: req.N, Rows: req.K, Cols: req.N}
 	var seconds float64
+	c := new(matrix.Dense) // each block's rows of buf in turn, one allocation for all
 	for i0 := 0; i0 < rows; i0 += blockRows {
 		h := min(blockRows, rows-i0)
-		r0 := i0
-		if band == nil {
-			r0 = 0
+		lo := 0
+		if whole {
+			lo = i0 * buf.Stride
 		}
-		c, err := buf.View(r0, 0, h, req.N)
-		if err != nil {
-			return 0, err
-		}
+		hi := lo + (h-1)*buf.Stride + req.N
+		*c = matrix.Dense{Rows: h, Cols: req.N, Stride: buf.Stride, Data: buf.Data[lo:hi:hi]}
 		a := matrix.Seeded{Seed: req.Seed, Width: req.K, Row0: req.Row0 + i0, Rows: h, Cols: req.K}
 		start := time.Now()
 		if err := blas.GemmPacked(1, a, b, 0, c, blas.DefaultConfig, workers); err != nil {
@@ -298,8 +301,9 @@ func updateChecksum(sum uint32, c *matrix.Dense) uint32 {
 // of a reference job (seed 1, depth k, n columns) and returns the measured
 // FPM (speed in rows/second). Each band runs as an unshipped shard does,
 // through gemmBlocks: on seeded operands, one block of C at a time, so the
-// time covers generation plus kernel. This seeds the worker's served model at registration; the
-// /v1/observe loop refines it from real shard timings afterwards.
+// time covers generation plus kernel. This seeds the worker's served model
+// at registration; the /v1/observe loop refines it from real shard timings
+// afterwards.
 func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error) {
 	if len(bands) == 0 {
 		return nil, errors.New("workerd: no calibration band sizes")
@@ -314,12 +318,16 @@ func SelfCalibrate(bands []int, k, n, workers int) (*fpm.PiecewiseLinear, error)
 	samples := make([]fpm.TimeSample, 0, len(bands))
 	for _, band := range bands {
 		req := &ShardRequest{Seed: 1, Rows: band, K: k, N: n, Row0: 0, Row1: band}
-		// One warmup, then the timed run — first-touch page faults otherwise
-		// dominate small bands.
-		if _, err := gemmBlocks(req, workers, nil, nil); err != nil {
+		blk, err := matrix.New(min(blockRows, band), n)
+		if err != nil {
 			return nil, err
 		}
-		sec, err := gemmBlocks(req, workers, nil, nil)
+		// One warmup, then the timed run into the same block buffer —
+		// first-touch page faults otherwise dominate small bands.
+		if _, err := gemmBlocks(req, workers, blk, nil); err != nil {
+			return nil, err
+		}
+		sec, err := gemmBlocks(req, workers, blk, nil)
 		if err != nil {
 			return nil, err
 		}
