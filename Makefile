@@ -57,6 +57,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzExecuteRequest -fuzztime=15s ./internal/workerd/
 	$(GO) test -fuzz=FuzzObserveRequest -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzPartitionRequest -fuzztime=15s ./internal/service/
+	$(GO) test -fuzz=FuzzPartitionAnswer -fuzztime=15s ./internal/service/
+	$(GO) test -fuzz=FuzzPutModel -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzRun -fuzztime=15s ./internal/resilient/
 
 experiments:

@@ -121,6 +121,28 @@ func TestRecoveryExperimentCustomSpec(t *testing.T) {
 	}
 }
 
+// The default scenario's notes count rebalances its own rows show; under a
+// custom spec no note claims a rebalance count the table may contradict.
+func TestRecoveryCustomSpecMakesNoRebalanceClaim(t *testing.T) {
+	m := buildIGModels(t)
+	tab, err := Recovery(m, 60, 60, "slow:dev=0,iter=10,factor=3", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, note := range tab.Notes {
+		if strings.Contains(note, "rebalance") {
+			t.Errorf("custom-spec note claims a rebalance count: %q", note)
+		}
+	}
+	def, err := Recovery(m, 40, 40, "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(def.Notes) == 0 {
+		t.Error("default scenario prints no notes")
+	}
+}
+
 func TestRecoveryExperimentRejectsBadSpec(t *testing.T) {
 	m := buildIGModels(t)
 	if _, err := Recovery(m, 20, 20, "warp:dev=0,iter=1", 1); err == nil {

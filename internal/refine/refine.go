@@ -163,6 +163,13 @@ type modelState struct {
 type bucket struct {
 	est   *stats.Estimator
 	sizes *stats.Sample
+	// reliable and mean cache est.Reliable() and, while reliable,
+	// est.Mean(). Adding a sample (which also covers a window restart) marks
+	// them stale, so a batch evaluates only the buckets it touched: with
+	// Robust set, each evaluation sorts the window three times.
+	stale    bool
+	reliable bool
+	mean     float64
 	// published pins the bucket state at its last contribution to a
 	// published model, so unchanged buckets do not re-arm rebuilds.
 	published bool
@@ -249,6 +256,7 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 		}
 		b.est.Add(s.Seconds)
 		b.sizes.Add(s.Size)
+		b.stale = true
 		out.Accepted++
 	}
 	recordSamples(out.Accepted)
@@ -257,7 +265,8 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 	// or drifted beyond the change threshold since its last publish.
 	dirty := false
 	for _, b := range st.buckets {
-		if !b.est.Reliable() {
+		ok, mean := b.verdict()
+		if !ok {
 			continue
 		}
 		out.Reliable++
@@ -265,7 +274,7 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 			dirty = true
 			continue
 		}
-		if rel := math.Abs(b.est.Mean()-b.pubMean) / b.pubMean; rel > changeThreshold {
+		if rel := math.Abs(mean-b.pubMean) / b.pubMean; rel > changeThreshold {
 			dirty = true
 		}
 	}
@@ -291,6 +300,21 @@ func (r *Refiner) Observe(id string, samples []Sample) (Result, error) {
 	return out, nil
 }
 
+// verdict returns whether the bucket's mean is reliable and, if so, the
+// mean, evaluating the estimator only when a sample arrived since the last
+// call.
+func (b *bucket) verdict() (bool, float64) {
+	if b.stale {
+		b.reliable = b.est.Reliable()
+		b.mean = 0
+		if b.reliable {
+			b.mean = b.est.Mean()
+		}
+		b.stale = false
+	}
+	return b.reliable, b.mean
+}
+
 // newEstimator starts a bucket's robust sample window.
 func (r *Refiner) newEstimator() *stats.Estimator {
 	est := stats.NewEstimator(confidence, relErr, r.cfg.MinSamples, r.cfg.MaxSamplesPerBucket)
@@ -314,10 +338,10 @@ func (r *Refiner) rebuildLocked(id string, st *modelState, out *Result) (bool, e
 	}
 	var pubs []pub
 	for _, b := range st.buckets {
-		if !b.est.Reliable() {
+		ok, mean := b.verdict()
+		if !ok {
 			continue
 		}
-		mean := b.est.Mean()
 		size := b.sizes.FilterOutliers(3).Mean()
 		if !(size > 0) || !(mean > 0) {
 			continue

@@ -3,6 +3,8 @@ package refine
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -408,4 +410,107 @@ func TestMinSamplesClampedToEstimatorFloor(t *testing.T) {
 	if !res.Applied || reg.gen != 2 {
 		t.Fatalf("second sample filled the clamped window but did not publish: %+v (gen %d)", res, reg.gen)
 	}
+}
+
+// recordingReg is a fakeReg that keeps every applied publish.
+type recordingReg struct {
+	*fakeReg
+	log []string
+}
+
+func (r *recordingReg) Publish(id string, pl *fpm.PiecewiseLinear, gen uint64) (bool, error) {
+	applied, err := r.fakeReg.Publish(id, pl, gen)
+	if applied {
+		raw, _ := pl.MarshalJSON()
+		r.log = append(r.log, fmt.Sprintf("gen %d: %s", gen, raw))
+	}
+	return applied, err
+}
+
+// A bucket's cached verdict and mean equal a fresh evaluation after every
+// batch, window restarts included, and the cache changes nothing a refiner
+// publishes: a refiner that re-evaluates every bucket on every batch, as
+// Observe once did, publishes the same generations and bytes from the same
+// seeded stream.
+func TestBucketVerdictCacheMatchesFreshEvaluation(t *testing.T) {
+	base := fpm.MustPiecewiseLinear([]fpm.Point{{Size: 64, Speed: 100}, {Size: 8192, Speed: 300}})
+	newRefiner := func() (*Refiner, *recordingReg, *testClock) {
+		reg := &recordingReg{fakeReg: newFakeReg(base)}
+		clk := &testClock{t: time.Unix(1000, 0)}
+		cfg := testConfig(clk)
+		cfg.MaxSamplesPerBucket = 12 // restart windows often
+		r, err := New(reg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, reg, clk
+	}
+	cached, cachedReg, cachedClk := newRefiner()
+	fresh, freshReg, freshClk := newRefiner()
+	rng := rand.New(rand.NewSource(7))
+	sizes := []float64{100, 300, 900, 2700, 8100}
+	restarts := 0
+	for batch := 0; batch < 300; batch++ {
+		var samples []Sample
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			size := sizes[rng.Intn(len(sizes))] * (1 + 0.05*rng.Float64())
+			speed := 200 + 100*math.Sin(size/1000) + float64(batch)
+			samples = append(samples, Sample{Size: size, Seconds: size / speed * (1 + 0.03*rng.NormFloat64())})
+		}
+		step := time.Duration(rng.Intn(4)) * time.Second
+		cachedClk.Advance(step)
+		freshClk.Advance(step)
+
+		before := map[*bucket]int{}
+		st := cached.state("m")
+		st.mu.Lock()
+		for _, b := range st.buckets {
+			before[b] = b.est.N()
+		}
+		st.mu.Unlock()
+		fst := fresh.state("m")
+		fst.mu.Lock()
+		for _, b := range fst.buckets {
+			b.stale = true
+		}
+		fst.mu.Unlock()
+
+		got, err := cached.Observe("m", samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Observe("m", samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("batch %d: cached refiner reported %+v, fresh one %+v", batch, got, want)
+		}
+		st.mu.Lock()
+		for _, b := range st.buckets {
+			if n, ok := before[b]; ok && b.est.N() < n {
+				restarts++
+			}
+			if b.stale {
+				t.Fatalf("batch %d: a bucket is still stale after Observe", batch)
+			}
+			if reliable := b.est.Reliable(); b.reliable != reliable {
+				t.Fatalf("batch %d: cached verdict %v, fresh %v", batch, b.reliable, reliable)
+			}
+			if b.reliable && b.mean != b.est.Mean() {
+				t.Fatalf("batch %d: cached mean %v, fresh %v", batch, b.mean, b.est.Mean())
+			}
+		}
+		st.mu.Unlock()
+	}
+	if restarts == 0 {
+		t.Fatal("no bucket window restarted: the stream does not exercise restarts")
+	}
+	if len(cachedReg.log) < 3 {
+		t.Fatalf("only %d publishes: the stream does not exercise rebuilds", len(cachedReg.log))
+	}
+	if !slices.Equal(cachedReg.log, freshReg.log) {
+		t.Fatalf("publishes differ:\ncached %q\nfresh  %q", cachedReg.log, freshReg.log)
+	}
+	t.Logf("%d batches, %d window restarts, %d publishes", 300, restarts, len(cachedReg.log))
 }

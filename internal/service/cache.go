@@ -3,16 +3,20 @@ package service
 import (
 	"container/list"
 	"context"
+	"strconv"
+	"strings"
 	"sync"
 )
 
-// solutionCache is a bounded LRU over computed partition responses. The
-// partition solve is deterministic in (model set, n, options), so identical
-// requests — the common case for a service fronting a fixed cluster — can be
-// answered from memory. Keys embed each model's registry generation, so
-// replacing a model invalidates its cached solutions by construction; the
-// registry additionally purges them on every model write (purgeModel), so
-// no cached answer outlives the model content it was solved against.
+// solutionCache is a bounded LRU over solutions. The partition solve is
+// deterministic in (model set, n, options), so identical requests — the
+// common case for a service fronting a fixed cluster — can be answered from
+// memory. An entry holds the solution, not the answer: the shares and
+// diagnostics, from which writeAnswer renders the rest again per request.
+// Keys embed each model's registry generation, so replacing a model
+// invalidates its cached solutions by construction; the registry
+// additionally purges them on every model write (purgeModel), so no cached
+// answer outlives the model content it was solved against.
 type solutionCache struct {
 	mu  sync.Mutex
 	max int
@@ -22,7 +26,7 @@ type solutionCache struct {
 
 type cacheEntry struct {
 	key string
-	val *partitionResponse
+	sol solution
 }
 
 func newSolutionCache(max int) *solutionCache {
@@ -32,7 +36,9 @@ func newSolutionCache(max int) *solutionCache {
 	return &solutionCache{max: max, ll: list.New(), idx: map[string]*list.Element{}}
 }
 
-func (c *solutionCache) get(key string) (*partitionResponse, bool) {
+// get returns the solution cached under key. A cached solution is never
+// written again, so the caller may read it after the lock is gone.
+func (c *solutionCache) get(key string) (*solution, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[key]
@@ -40,45 +46,63 @@ func (c *solutionCache) get(key string) (*partitionResponse, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return &el.Value.(*cacheEntry).sol, true
 }
 
-func (c *solutionCache) put(key string, val *partitionResponse) {
+// put caches sol under key, replacing an entry already there, and returns
+// the cached copy.
+func (c *solutionCache) put(key string, sol solution) *solution {
+	e := &cacheEntry{key: key, sol: sol}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		c.ll.MoveToFront(el)
-		return
+		c.ll.Remove(el)
 	}
-	c.idx[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
+	c.idx[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		delete(c.idx, el.Value.(*cacheEntry).key)
 	}
+	return &e.sol
 }
 
-// purgeModel drops every answer solved against model id at a generation
+// purgeModel drops every solution solved against model id at a generation
 // other than gen (gen 0: the model is gone, drop them all). Superseded
 // entries can never be hit again — their key names the old generation — but
 // in a cache this size they would not age out either: they would sit on
 // memory until they displaced live entries. The scan under the lock runs
-// once per model write (≈+17 µs on a ring PUT in the benchmark).
+// once per model write and reads each pinned generation from the key.
 func (c *solutionCache) purgeModel(id string, gen uint64) {
+	var buf [20]byte
+	want := strconv.AppendUint(buf[:0], gen, 10)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		e := el.Value.(*cacheEntry)
-		for i, d := range e.val.Devices {
-			if d.Model == id && e.val.ModelGens[i] != gen {
-				c.ll.Remove(el)
-				delete(c.idx, e.key)
-				break
-			}
+		if g, ok := keyGeneration(e.key, id); ok && g != string(want) {
+			c.ll.Remove(el)
+			delete(c.idx, e.key)
 		}
 		el = next
+	}
+}
+
+// keyGeneration returns the generation a solution key pins model id to, as
+// its decimal digits. A key is "id:gen[@cap]|" per model and then the
+// problem; ValidID admits no ':', '|' or '@', so the split is unambiguous.
+func keyGeneration(key, id string) (string, bool) {
+	for {
+		seg, rest, ok := strings.Cut(key, "|")
+		if !ok {
+			return "", false
+		}
+		if name, pin, _ := strings.Cut(seg, ":"); name == id {
+			g, _, _ := strings.Cut(pin, "@")
+			return g, true
+		}
+		key = rest
 	}
 }
 
@@ -99,7 +123,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	val  *partitionResponse
+	val  *solution
 	err  error
 }
 
@@ -107,7 +131,7 @@ type flightCall struct {
 // result but stop waiting when their own context expires. The boolean
 // reports whether the result was shared from another caller's in-flight
 // computation.
-func (g *flightGroup) doCtx(ctx context.Context, key string, fn func() (*partitionResponse, error)) (*partitionResponse, error, bool) {
+func (g *flightGroup) doCtx(ctx context.Context, key string, fn func() (*solution, error)) (*solution, error, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*flightCall{}

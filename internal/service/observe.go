@@ -253,15 +253,15 @@ func (s *Server) forwardObserve(ctx context.Context, peer string, ids []string, 
 	telemetry.AnnotateTrace(ctx, "observe_forward_peer", peer)
 	status, respBody, ferr := s.cfg.Cluster.ForwardObserve(ctx, peer, body, telemetry.TraceFrom(ctx).ID())
 	if ferr != nil || status != http.StatusOK {
-		observeForwardsTotal("fallback").Inc()
+		observeForwardsFailed().Inc()
 		telemetry.AnnotateTrace(ctx, "observe_forward", "fallback")
 		return observeResponse{}, false
 	}
 	var merged observeResponse
 	if err := json.Unmarshal(respBody, &merged); err != nil {
-		observeForwardsTotal("fallback").Inc()
+		observeForwardsFailed().Inc()
 		return observeResponse{}, false
 	}
-	observeForwardsTotal("ok").Inc()
+	observeForwardsOK().Inc()
 	return merged, true
 }

@@ -321,6 +321,7 @@ func isLowerHex(s string) bool {
 // defer so they stay accurate on the panic path.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	h = s.recovered(route, h)
+	series := newRouteSeries(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
@@ -336,8 +337,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			elapsed := time.Since(start)
 			inflightGauge.Add(-1)
-			requestsTotal(route, sw.status).Inc()
-			requestSeconds(route).Observe(elapsed.Seconds())
+			series.requests(sw.status).Inc()
+			series.seconds().Observe(elapsed.Seconds())
 			if rt != nil {
 				rt.Finish(sw.status)
 				s.recorder.Record(rt)
@@ -392,8 +393,8 @@ func (s *Server) recovered(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // jsonBuf is a pooled response-encoding buffer with its encoder pre-bound,
-// so the warm-hit path does not allocate a fresh buffer and encoder per
-// response.
+// so writeJSON does not allocate a fresh buffer and encoder per response.
+// The partition answer does not go through it: writeAnswer appends it.
 type jsonBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -523,12 +524,6 @@ type partitionRequest struct {
 	Layout bool      `json:"layout,omitempty"`
 }
 
-type deviceShare struct {
-	Model            string  `json:"model"`
-	Units            int     `json:"units"`
-	PredictedSeconds float64 `json:"predicted_seconds"`
-}
-
 type layoutRect struct {
 	X int `json:"x"`
 	Y int `json:"y"`
@@ -541,26 +536,6 @@ type layoutResponse struct {
 	Rects      []layoutRect `json:"rects"`
 	Columns    [][]int      `json:"columns"`
 	CommVolume float64      `json:"comm_volume"`
-}
-
-type partitionResponse struct {
-	Total        int             `json:"total"`
-	Devices      []deviceShare   `json:"devices"`
-	Iterations   int             `json:"iterations"`
-	Converged    bool            `json:"converged"`
-	Imbalance    *float64        `json:"imbalance,omitempty"`
-	SolveSeconds float64         `json:"solve_seconds"`
-	Cached       bool            `json:"cached"`
-	Coalesced    bool            `json:"coalesced,omitempty"`
-	Layout       *layoutResponse `json:"layout,omitempty"`
-	// ModelGens pins each requested model to the generation the solve used,
-	// in request order. Clients (and the rolling-restart check) use it to
-	// detect stale-generation answers after a model update.
-	ModelGens []uint64 `json:"model_generations,omitempty"`
-	// Origin is the cluster peer that produced the response (cluster mode
-	// only): a forwarded request reports the owner that solved or cached
-	// it, not the peer that accepted the connection.
-	Origin string `json:"origin,omitempty"`
 }
 
 const maxPartitionModels = 256
@@ -595,6 +570,14 @@ func (r *partitionRequest) units() int {
 	}
 	return r.N
 }
+
+// requestScratch pools decoded partition requests, and deviceScratch the
+// device lists solve hands the solver (a Result copies each Device), so
+// neither is garbage per request.
+var (
+	requestScratch = sync.Pool{New: func() any { return new(partitionRequest) }}
+	deviceScratch  = sync.Pool{New: func() any { return new([]partition.Device) }}
+)
 
 // keyScratch pools cache-key build buffers; the key itself escapes as one
 // string allocation (it has to — it is a map key), but the scratch space
@@ -640,8 +623,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	var req partitionRequest
-	if err := json.Unmarshal(rb.Bytes(), &req); err != nil {
+	req := requestScratch.Get().(*partitionRequest)
+	defer requestScratch.Put(req)
+	// Decoding into the pooled slices reuses their arrays: encoding/json
+	// resets a slice's length and appends.
+	*req = partitionRequest{Models: req.Models[:0], Caps: req.Caps[:0]}
+	if err := json.Unmarshal(rb.Bytes(), req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -657,7 +644,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := solutionKey(&req, models)
+	key := solutionKey(req, models)
 	cluster := s.cfg.Cluster
 	forwarded := r.Header.Get(ForwardedHeader) != ""
 	if cluster != nil && forwarded {
@@ -665,18 +652,13 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		telemetry.AnnotateTrace(ctx, "forwarded", "true")
 	}
 	endCache := telemetry.Stage(ctx, "cache")
-	resp, hit := s.cache.get(key)
+	sol, hit := s.cache.get(key)
 	endCache()
 	if hit {
 		cacheHits.Inc()
 		telemetry.AnnotateTrace(ctx, "cache", "hit")
 		warmSeconds.Observe(time.Since(reqStart).Seconds())
-		out := *resp
-		out.Cached = true
-		if cluster != nil {
-			out.Origin = cluster.Self()
-		}
-		s.writeResult(ctx, w, http.StatusOK, &out)
+		s.writeAnswer(ctx, w, models, sol, true, false)
 		return
 	}
 	cacheMisses.Inc()
@@ -690,27 +672,27 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// duplicated work, never an error.
 	if cluster != nil && !forwarded {
 		if peer, self := cluster.Owner(key); !self {
-			ownershipTotal("peer").Inc()
+			ownedByPeer().Inc()
 			fctx, endForward := telemetry.StartStage(ctx, "forward")
 			telemetry.AnnotateTrace(ctx, "forward_peer", peer)
 			status, body, ferr := cluster.ForwardPartition(fctx, peer, rb.Bytes(), telemetry.TraceFrom(ctx).ID())
 			endForward()
 			if ferr == nil {
-				forwardsTotal("ok").Inc()
+				forwardsOK().Inc()
 				w.Header().Set("Content-Type", "application/json")
 				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 				w.WriteHeader(status)
 				_, _ = w.Write(body)
 				return
 			}
-			forwardsTotal("fallback").Inc()
+			forwardsFailed().Inc()
 			telemetry.AnnotateTrace(ctx, "forward", "fallback: "+ferr.Error())
 		} else {
-			ownershipTotal("self").Inc()
+			ownedBySelf().Inc()
 		}
 	}
 
-	resp, err, shared := s.flights.doCtx(ctx, key, func() (*partitionResponse, error) {
+	sol, err, shared := s.flights.doCtx(ctx, key, func() (*solution, error) {
 		sctx, endSolve := telemetry.StartStage(ctx, "solve")
 		defer endSolve()
 		if err := s.gate.Acquire(sctx); err != nil {
@@ -718,14 +700,13 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.gate.Release()
 		start := time.Now()
-		out, err := s.solve(sctx, &req, models)
+		sol, err := s.solve(sctx, req, models)
 		if err != nil {
 			return nil, err
 		}
-		out.SolveSeconds = time.Since(start).Seconds()
-		coldSeconds.Observe(out.SolveSeconds)
-		s.cache.put(key, out)
-		return out, nil
+		sol.seconds = time.Since(start).Seconds()
+		coldSeconds.Observe(sol.seconds)
+		return s.cache.put(key, sol), nil
 	})
 	if shared {
 		cacheCoalesced.Inc()
@@ -736,14 +717,15 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		// our own context is still live, solve uncoalesced rather than
 		// failing a healthy request.
 		if err != nil && isContextErr(err) && ctx.Err() == nil {
-			resp, err = func() (*partitionResponse, error) {
+			sol, err = func() (*solution, error) {
 				sctx, endSolve := telemetry.StartStage(ctx, "solve")
 				defer endSolve()
 				if err := s.gate.Acquire(sctx); err != nil {
 					return nil, err
 				}
 				defer s.gate.Release()
-				return s.solve(sctx, &req, models)
+				sol, err := s.solve(sctx, req, models)
+				return &sol, err
 			}()
 		}
 	}
@@ -751,16 +733,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.writeSolveError(w, err)
 		return
 	}
-	out := *resp
-	out.Coalesced = shared
-	if cluster != nil {
-		out.Origin = cluster.Self()
-	}
-	s.writeResult(ctx, w, http.StatusOK, &out)
+	s.writeAnswer(ctx, w, models, sol, false, shared)
 }
 
 // writeResult is writeJSON wrapped in a "serialize" trace stage, so the span
-// tree of a served partition separates compute time from response encoding.
+// tree of a served observe or execute request separates compute time from
+// response encoding (writeAnswer does the same for a partition answer).
 func (s *Server) writeResult(ctx context.Context, w http.ResponseWriter, status int, v any) {
 	defer telemetry.Stage(ctx, "serialize")()
 	writeJSON(w, status, v)
@@ -787,58 +765,45 @@ func (s *Server) writeSolveError(w http.ResponseWriter, err error) {
 }
 
 // solve runs the FPM partition (and optional layout) for req.
-func (s *Server) solve(ctx context.Context, req *partitionRequest, models []*Model) (*partitionResponse, error) {
-	devices := make([]partition.Device, len(models))
+func (s *Server) solve(ctx context.Context, req *partitionRequest, models []*Model) (solution, error) {
+	dp := deviceScratch.Get().(*[]partition.Device)
+	devices := (*dp)[:0]
 	for i, m := range models {
 		var maxUnits float64
 		if len(req.Caps) > 0 {
 			maxUnits = req.Caps[i]
 		}
-		devices[i] = partition.Device{Name: m.ID, Model: m.PL, MaxUnits: maxUnits}
+		devices = append(devices, partition.Device{Name: m.ID, Model: m.PL, MaxUnits: maxUnits})
 	}
 	res, err := partition.FPMContext(ctx, devices, req.units(), partition.FPMOptions{})
+	clear(devices)
+	*dp = devices[:0]
+	deviceScratch.Put(dp)
 	if err != nil {
-		return nil, err
+		return solution{}, err
 	}
-	out := &partitionResponse{
-		Total:      res.Total,
-		Devices:    make([]deviceShare, len(res.Assignments)),
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		ModelGens:  make([]uint64, len(models)),
-	}
-	for i, m := range models {
-		out.ModelGens[i] = m.Gen
-	}
-	for i, a := range res.Assignments {
-		out.Devices[i] = deviceShare{
-			Model:            a.Device.Name,
-			Units:            a.Units,
-			PredictedSeconds: a.PredictedTime,
-		}
-	}
-	if im := res.Imbalance(); !math.IsNaN(im) && !math.IsInf(im, 0) {
-		out.Imbalance = &im
-	}
+	sol := solution{shares: res.Units(), iterations: res.Iterations, converged: res.Converged}
 	if req.Layout {
-		lay, err := buildLayout(res, req.Matrix)
+		lay, err := buildLayout(sol.shares, req.Matrix)
 		if err != nil {
-			return nil, err
+			return solution{}, err
 		}
-		out.Layout = lay
+		if sol.layout, err = json.Marshal(lay); err != nil {
+			return solution{}, fmt.Errorf("layout: %w", err)
+		}
 	}
-	return out, nil
+	return sol, nil
 }
 
 // buildLayout converts the unit shares into a column-based block layout of
 // the Matrix×Matrix grid. Devices assigned zero units are excluded from the
 // arrangement (their rectangle is reported as empty).
-func buildLayout(res partition.Result, matrix int) (*layoutResponse, error) {
+func buildLayout(shares []int, matrix int) (*layoutResponse, error) {
 	var areas []float64
 	var owners []int
-	for i, a := range res.Assignments {
-		if a.Units > 0 {
-			areas = append(areas, float64(a.Units))
+	for i, u := range shares {
+		if u > 0 {
+			areas = append(areas, float64(u))
 			owners = append(owners, i)
 		}
 	}
@@ -855,7 +820,7 @@ func buildLayout(res partition.Result, matrix int) (*layoutResponse, error) {
 	}
 	out := &layoutResponse{
 		N:          matrix,
-		Rects:      make([]layoutRect, len(res.Assignments)),
+		Rects:      make([]layoutRect, len(shares)),
 		CommVolume: bl.CommVolume(),
 	}
 	for j, r := range bl.Rects {

@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -332,6 +334,39 @@ func TestModelWritePurgesSupersededAnswers(t *testing.T) {
 	wantLen("after DELETE cpu0", 0) // every answer used cpu0
 }
 
+// The purge reads each pinned generation back from the cache key, so it must
+// find the model in keys that carry caps ("id:gen@cap|") and ids made of
+// every character ValidID admits besides letters and digits, and must not
+// mistake one id for another that it prefixes.
+func TestModelWritePurgesCappedAnswersByExactID(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	slow := fpm.MustPiecewiseLinear([]fpm.Point{{Size: 10, Speed: 60}, {Size: 4000, Speed: 80}})
+	for _, id := range []string{"g.p-u_0", "g.p-u_0.x", "c-p.u_1"} {
+		putJSONModel(t, ts.URL, id, testModel(t))
+	}
+	read := func(body string) {
+		t.Helper()
+		if resp, b := doReq(t, http.MethodPost, ts.URL+"/v1/partition", "application/json", []byte(body)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("partition %s: %d %s", body, resp.StatusCode, b)
+		}
+	}
+	read(`{"models":["c-p.u_1","g.p-u_0"],"n":2000,"caps":[1e+300,1500.5]}`)
+	read(`{"models":["g.p-u_0","c-p.u_1"],"n":2000,"caps":[0,2e3]}`)
+	read(`{"models":["g.p-u_0.x","c-p.u_1"],"n":2000,"caps":[1000,1000]}`)
+	read(`{"models":["c-p.u_1"],"n":2000}`)
+	if got := s.CacheLen(); got != 4 {
+		t.Fatalf("%d cached answers, want 4", got)
+	}
+	putJSONModel(t, ts.URL, "g.p-u_0", slow)
+	if got := s.CacheLen(); got != 2 { // the g.p-u_0.x and c-p.u_1-only answers stay
+		t.Fatalf("after PUT g.p-u_0: %d cached answers, want 2", got)
+	}
+	putJSONModel(t, ts.URL, "c-p.u_1", slow)
+	if got := s.CacheLen(); got != 0 {
+		t.Fatalf("after PUT c-p.u_1: %d cached answers, want 0", got)
+	}
+}
+
 func TestPartitionLayout(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putJSONModel(t, ts.URL, "a", testModel(t))
@@ -592,6 +627,82 @@ func FuzzPartitionRequest(f *testing.F) {
 			http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}
+
+// FuzzPutModel: whatever the id and body, PUT /v1/models/{id} never panics
+// and never answers 5xx. A 200 stores the body's model: a GET then returns
+// its wire bytes at a higher generation. Any other answer leaves the
+// registry as it was.
+func FuzzPutModel(f *testing.F) {
+	valid, err := testModel(f).MarshalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []struct {
+		id   string
+		body string
+	}{
+		{"dev", string(valid)},
+		{"new.id-2_x", `{"points":[{"size":1,"speed":1}]}`},
+		{"dev", `{"points":[{"size":2,"speed":5},{"size":1,"speed":5}]}`},
+		{"dev", `{"points":[{"size":1,"speed":-1}]}`},
+		{"dev", `{"points":[]}`},
+		{"dev", `{"points":[{"size":1e309,"speed":1}]}`},
+		{"a/b", string(valid)},
+		{"..", string(valid)},
+		{"-lead", string(valid)},
+		{"dev", `not json`},
+		{"dev", ``},
+	} {
+		f.Add(seed.id, []byte(seed.body))
+	}
+	s, err := New(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Models.Put("dev", testModel(f)); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, id string, body []byte) {
+		if id == "" {
+			id = "dev"
+		}
+		path := "/v1/models/" + url.PathEscape(id)
+		before := s.Models.Snapshot()
+		var prevGen uint64
+		if m, err := s.Models.Get(id); err == nil {
+			prevGen = m.Gen
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, path, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("PUT %q %q: %d %s", id, body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			if after := s.Models.Snapshot(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("PUT %q answered %d but changed the registry: %v -> %v", id, rec.Code, before, after)
+			}
+			return
+		}
+		pl := new(fpm.PiecewiseLinear)
+		if err := pl.UnmarshalJSON(body); err != nil {
+			t.Fatalf("PUT %q accepted a body the model decoder refuses: %v", id, err)
+		}
+		want, err := pl.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		get := httptest.NewRecorder()
+		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, path, nil))
+		if get.Code != http.StatusOK || !bytes.Equal(get.Body.Bytes(), want) {
+			t.Fatalf("GET %q after PUT: %d %s, want %s", id, get.Code, get.Body, want)
+		}
+		gen, err := strconv.ParseUint(get.Header().Get(GenerationHeader), 10, 64)
+		if err != nil || gen <= prevGen {
+			t.Fatalf("GET %q after PUT: generation %q, was %d", id, get.Header().Get(GenerationHeader), prevGen)
 		}
 	})
 }

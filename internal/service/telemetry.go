@@ -2,6 +2,8 @@ package service
 
 import (
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"fpmpart/internal/telemetry"
 )
@@ -28,23 +30,54 @@ var (
 // was asked for, how forwards to owners went (ok / fallback-to-local on a
 // transport failure), and how many requests arrived here via a peer's
 // forward hop.
-var forwardedServed = telemetry.Default().Counter("fpmd_forwarded_served_total")
+var (
+	forwardedServed       = telemetry.Default().Counter("fpmd_forwarded_served_total")
+	forwardsOK            = lazyCounter("fpmd_forwards_total", "outcome", "ok")
+	forwardsFailed        = lazyCounter("fpmd_forwards_total", "outcome", "fallback")
+	observeForwardsOK     = lazyCounter("fpmd_observe_forwards_total", "outcome", "ok")
+	observeForwardsFailed = lazyCounter("fpmd_observe_forwards_total", "outcome", "fallback")
+	ownedBySelf           = lazyCounter("fpmd_key_ownership_total", "owner", "self")
+	ownedByPeer           = lazyCounter("fpmd_key_ownership_total", "owner", "peer")
+)
 
-func forwardsTotal(outcome string) *telemetry.Counter {
-	return telemetry.Default().Counter("fpmd_forwards_total", "outcome", outcome)
+// lazyCounter resolves a labelled counter on its first use, so /metrics
+// lists the series only once something counted in it.
+func lazyCounter(name string, labels ...string) func() *telemetry.Counter {
+	return sync.OnceValue(func() *telemetry.Counter { return telemetry.Default().Counter(name, labels...) })
 }
 
-func observeForwardsTotal(outcome string) *telemetry.Counter {
-	return telemetry.Default().Counter("fpmd_observe_forwards_total", "outcome", outcome)
+// routeSeries holds one route's request series. Each handle is resolved on
+// the route's first request that needs it, and later requests load it
+// without going through the registry's lock, so a served request builds no
+// label identity.
+type routeSeries struct {
+	route   string
+	seconds func() *telemetry.Histogram
+	codes   [500]atomic.Pointer[telemetry.Counter] // by status − 100
 }
 
-func ownershipTotal(owner string) *telemetry.Counter {
-	return telemetry.Default().Counter("fpmd_key_ownership_total", "owner", owner)
+func newRouteSeries(route string) *routeSeries {
+	return &routeSeries{
+		route:   route,
+		seconds: sync.OnceValue(func() *telemetry.Histogram { return requestSeconds(route) }),
+	}
 }
 
-// requestsTotal returns the counter for one route/status pair. The registry
-// deduplicates identities, so calling this per request is cheap enough for
-// a control-plane API (and free when telemetry is disabled).
+// requests returns the route's counter for status. Two first requests may
+// both resolve it; the registry hands both the same counter.
+func (r *routeSeries) requests(status int) *telemetry.Counter {
+	if status < 100 || status >= 100+len(r.codes) {
+		return requestsTotal(r.route, status)
+	}
+	slot := &r.codes[status-100]
+	c := slot.Load()
+	if c == nil {
+		c = requestsTotal(r.route, status)
+		slot.Store(c)
+	}
+	return c
+}
+
 func requestsTotal(route string, status int) *telemetry.Counter {
 	return telemetry.Default().Counter("fpmd_requests_total",
 		"route", route, "code", strconv.Itoa(status))

@@ -296,6 +296,88 @@ func TestInstrumentStatusLabels(t *testing.T) {
 	}
 }
 
+// scrapeSeries reads /metrics into series identity → value.
+func scrapeSeries(t *testing.T, h http.Handler) map[string]string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	out := map[string]string{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if id, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			out[id] = v
+		}
+	}
+	return out
+}
+
+// A scrape after hits, misses and a 404 counts each request in its route and
+// status series, and lists a route's series only once a request was served
+// on it: the per-route handles resolve on first use, not when the handler is
+// built.
+func TestMetricsScrapeCountsServedRequests(t *testing.T) {
+	withTelemetry(t)
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	if _, err := s.Models.Put("scrape0", SyntheticModel(16, 300)); err != nil {
+		t.Fatal(err)
+	}
+	num := func(series map[string]string, id string) float64 {
+		var v float64
+		if raw, ok := series[id]; ok {
+			if _, err := fmt.Sscan(raw, &v); err != nil {
+				t.Fatalf("%s = %q: %v", id, raw, err)
+			}
+		}
+		return v
+	}
+	const (
+		ok200    = `fpmd_requests_total{route="partition",code="200"}`
+		miss404  = `fpmd_requests_total{route="partition",code="404"}`
+		observed = `fpmd_request_seconds_count{route="partition"}`
+		hits     = `fpmd_cache_hits_total`
+		misses   = `fpmd_cache_misses_total`
+	)
+	before := scrapeSeries(t, h)
+	for _, body := range []string{
+		`{"models":["scrape0"],"n":1234}`, // miss
+		`{"models":["scrape0"],"n":1234}`, // hit
+		`{"models":["scrape0"],"n":1235}`, // miss
+		`{"models":["nope"],"n":10}`,      // 404
+	} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/partition", strings.NewReader(body)))
+	}
+	after := scrapeSeries(t, h)
+	for id, want := range map[string]float64{ok200: 3, miss404: 1, observed: 4, hits: 1, misses: 2} {
+		if d := num(after, id) - num(before, id); d != want {
+			t.Errorf("%s rose by %v, want %v", id, d, want)
+		}
+	}
+	for id := range before {
+		if _, ok := after[id]; !ok {
+			t.Errorf("series %s left /metrics", id)
+		}
+	}
+	// Every route with a latency series has a request counter, and the other
+	// way round.
+	routes := func(prefix string) map[string]bool {
+		out := map[string]bool{}
+		for id := range after {
+			if rest, ok := strings.CutPrefix(id, prefix); ok {
+				route, _, _ := strings.Cut(rest, `"`)
+				out[route] = true
+			}
+		}
+		return out
+	}
+	counted, timed := routes(`fpmd_requests_total{route="`), routes(`fpmd_request_seconds_count{route="`)
+	if fmt.Sprint(counted) != fmt.Sprint(timed) {
+		t.Errorf("routes with request counters %v, with latency series %v", counted, timed)
+	}
+}
+
 func TestInstrumentInflightDrainsToZero(t *testing.T) {
 	withTelemetry(t)
 	s, err := New(Config{})
