@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPartitionRequest -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzPartitionAnswer -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzPutModel -fuzztime=15s ./internal/service/
+	$(GO) test -fuzz=FuzzRegistration -fuzztime=15s ./internal/service/
 	$(GO) test -fuzz=FuzzRun -fuzztime=15s ./internal/resilient/
 
 experiments:

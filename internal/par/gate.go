@@ -66,7 +66,7 @@ func (g *Gate) Occupancy() int { return len(g.queue) }
 // request that queued behind a saturated solver shows its admission wait in
 // the flight recorder rather than folding it into the solve time.
 func (g *Gate) Acquire(ctx context.Context) error {
-	defer telemetry.Stage(ctx, "gate.wait")()
+	defer telemetry.Stage(ctx, "gate.wait").End()
 	select {
 	case g.queue <- struct{}{}:
 	default:

@@ -54,7 +54,7 @@ func FPMContext(ctx context.Context, devices []Device, n int, _ FPMOptions) (Res
 	// When ctx carries a request trace, the whole solve is one "equal-time"
 	// stage and the evaluation count lands on the trace, so the flight
 	// recorder shows how much of a served request was solver time.
-	defer telemetry.Stage(ctx, "equal-time")()
+	defer telemetry.Stage(ctx, "equal-time").End()
 	if n == 0 {
 		return finish(devices, make([]int, len(devices))), nil
 	}

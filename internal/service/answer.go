@@ -37,7 +37,7 @@ var answerBufs = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return 
 // coalesced one alike — under a "serialize" trace stage. models are the
 // request's resolved models: the generations sol's key pins.
 func (s *Server) writeAnswer(ctx context.Context, w http.ResponseWriter, models []*Model, sol *solution, cached, coalesced bool) {
-	defer telemetry.Stage(ctx, "serialize")()
+	defer telemetry.Stage(ctx, "serialize").End()
 	var origin string
 	if c := s.cfg.Cluster; c != nil {
 		origin = c.Self()

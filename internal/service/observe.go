@@ -207,8 +207,7 @@ func (s *Server) observe(ctx context.Context, ids []string, byModel map[string][
 	}
 	sort.Strings(localIDs)
 
-	endRefine := telemetry.Stage(ctx, "refine")
-	defer endRefine()
+	defer telemetry.Stage(ctx, "refine").End()
 	for _, id := range localIDs {
 		res, err := s.refiner.Observe(id, byModel[id])
 		if err != nil {

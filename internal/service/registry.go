@@ -66,8 +66,10 @@ type Registry struct {
 	// onWrite, when set, runs after a Put, an applied PutAt or a Delete of
 	// id (outside the registry lock). The server hangs the solution-cache
 	// purge on it, so every writer — HTTP handlers, replication, the
-	// refiner, worker registration — invalidates through one place.
-	onWrite func(id string)
+	// refiner, worker registration — invalidates through one place. sameGen
+	// says the write replaced id's content without changing its generation
+	// (PutAt's tiebreak), so keys naming the current generation are stale too.
+	onWrite func(id string, sameGen bool)
 }
 
 // NewRegistry returns an empty registry persisting to dir ("" disables
@@ -98,7 +100,7 @@ func (r *Registry) Put(id string, pl *fpm.PiecewiseLinear) (*Model, error) {
 	r.models[id] = m
 	dir := r.dir
 	r.mu.Unlock()
-	r.wrote(id)
+	r.wrote(id, false)
 	if dir != "" {
 		if err := persist(dir, id, raw, m.Gen); err != nil {
 			return nil, err
@@ -132,16 +134,18 @@ func (r *Registry) PutAt(id string, pl *fpm.PiecewiseLinear, gen uint64) (bool, 
 	if r.gen < gen {
 		r.gen = gen
 	}
+	sameGen := false
 	if cur, ok := r.models[id]; ok {
 		if gen < cur.Gen || (gen == cur.Gen && bytes.Compare(raw, cur.Raw) <= 0) {
 			r.mu.Unlock()
 			return false, nil
 		}
+		sameGen = gen == cur.Gen
 	}
 	r.models[id] = &Model{ID: id, PL: pl, Gen: gen, Raw: raw}
 	dir := r.dir
 	r.mu.Unlock()
-	r.wrote(id)
+	r.wrote(id, sameGen)
 	if dir != "" {
 		if err := persist(dir, id, raw, gen); err != nil {
 			return true, err
@@ -150,9 +154,9 @@ func (r *Registry) PutAt(id string, pl *fpm.PiecewiseLinear, gen uint64) (bool, 
 	return true, nil
 }
 
-func (r *Registry) wrote(id string) {
+func (r *Registry) wrote(id string, sameGen bool) {
 	if r.onWrite != nil {
-		r.onWrite(id)
+		r.onWrite(id, sameGen)
 	}
 }
 
@@ -192,7 +196,7 @@ func (r *Registry) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	r.wrote(id)
+	r.wrote(id, false)
 	if dir != "" {
 		if err := os.Remove(filepath.Join(dir, id+".json")); err != nil && !os.IsNotExist(err) {
 			return err

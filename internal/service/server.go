@@ -174,9 +174,11 @@ func New(cfg Config) (*Server, error) {
 	// A model write purges the answers solved against the generations it
 	// supersedes. The current generation is read back rather than passed in,
 	// so two racing writes cannot purge each other's live entries for good.
-	s.Models.onWrite = func(id string) {
+	// A write at the same generation supersedes that generation's answers
+	// too: it purges every answer naming the model.
+	s.Models.onWrite = func(id string, sameGen bool) {
 		var gen uint64
-		if m, err := s.Models.Get(id); err == nil {
+		if m, err := s.Models.Get(id); err == nil && !sameGen {
 			gen = m.Gen
 		}
 		s.cache.purgeModel(id, gen)
@@ -636,9 +638,9 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	endResolve := telemetry.Stage(ctx, "resolve")
+	resolve := telemetry.Stage(ctx, "resolve")
 	models, err := s.Models.Resolve(req.Models)
-	endResolve()
+	resolve.End()
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
@@ -651,9 +653,9 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		forwardedServed.Inc()
 		telemetry.AnnotateTrace(ctx, "forwarded", "true")
 	}
-	endCache := telemetry.Stage(ctx, "cache")
+	lookup := telemetry.Stage(ctx, "cache")
 	sol, hit := s.cache.get(key)
-	endCache()
+	lookup.End()
 	if hit {
 		cacheHits.Inc()
 		telemetry.AnnotateTrace(ctx, "cache", "hit")
@@ -673,10 +675,10 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if cluster != nil && !forwarded {
 		if peer, self := cluster.Owner(key); !self {
 			ownedByPeer().Inc()
-			fctx, endForward := telemetry.StartStage(ctx, "forward")
+			fctx, forward := telemetry.StartStage(ctx, "forward")
 			telemetry.AnnotateTrace(ctx, "forward_peer", peer)
 			status, body, ferr := cluster.ForwardPartition(fctx, peer, rb.Bytes(), telemetry.TraceFrom(ctx).ID())
-			endForward()
+			forward.End()
 			if ferr == nil {
 				forwardsOK().Inc()
 				w.Header().Set("Content-Type", "application/json")
@@ -693,8 +695,8 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sol, err, shared := s.flights.doCtx(ctx, key, func() (*solution, error) {
-		sctx, endSolve := telemetry.StartStage(ctx, "solve")
-		defer endSolve()
+		sctx, stage := telemetry.StartStage(ctx, "solve")
+		defer stage.End()
 		if err := s.gate.Acquire(sctx); err != nil {
 			return nil, err
 		}
@@ -718,8 +720,8 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		// failing a healthy request.
 		if err != nil && isContextErr(err) && ctx.Err() == nil {
 			sol, err = func() (*solution, error) {
-				sctx, endSolve := telemetry.StartStage(ctx, "solve")
-				defer endSolve()
+				sctx, stage := telemetry.StartStage(ctx, "solve")
+				defer stage.End()
 				if err := s.gate.Acquire(sctx); err != nil {
 					return nil, err
 				}
@@ -740,7 +742,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // tree of a served observe or execute request separates compute time from
 // response encoding (writeAnswer does the same for a partition answer).
 func (s *Server) writeResult(ctx context.Context, w http.ResponseWriter, status int, v any) {
-	defer telemetry.Stage(ctx, "serialize")()
+	defer telemetry.Stage(ctx, "serialize").End()
 	writeJSON(w, status, v)
 }
 

@@ -367,6 +367,44 @@ func TestModelWritePurgesCappedAnswersByExactID(t *testing.T) {
 	}
 }
 
+// A replicated write that wins PutAt's equal-generation tiebreak replaces a
+// model's content under the generation the cached keys already name; the
+// next request must miss and solve against the new content, not answer from
+// the solve against the old one.
+func TestSameGenerationPutAtPurgesAnswers(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	flat := func(speed float64) *fpm.PiecewiseLinear {
+		return fpm.MustPiecewiseLinear([]fpm.Point{{Size: 10, Speed: speed}, {Size: 10000, Speed: speed}})
+	}
+	putJSONModel(t, ts.URL, "x", flat(100))
+	putJSONModel(t, ts.URL, "y", flat(500))
+	read := func(wantCached bool, wantX, wantY int) {
+		t.Helper()
+		resp, b := doReq(t, http.MethodPost, ts.URL+"/v1/partition", "application/json", []byte(`{"models":["x","y"],"n":3000}`))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("partition: %d %s", resp.StatusCode, b)
+		}
+		var pr partitionResponse
+		if err := json.Unmarshal(b, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if pr.Cached != wantCached || len(pr.Devices) != 2 || pr.Devices[0].Units != wantX || pr.Devices[1].Units != wantY {
+			t.Fatalf("answer %s, want cached=%t with %d/%d units", b, wantCached, wantX, wantY)
+		}
+	}
+	read(false, 500, 2500)
+	read(true, 500, 2500)
+
+	cur, err := s.Models.Get("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := s.Models.PutAt("x", flat(200), cur.Gen); err != nil || !applied {
+		t.Fatalf("same-generation PutAt: applied=%v err=%v", applied, err)
+	}
+	read(false, 857, 2143)
+}
+
 func TestPartitionLayout(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putJSONModel(t, ts.URL, "a", testModel(t))

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -96,14 +98,23 @@ const maxWorkerBody = 1 << 20
 // the per-request deadline by design).
 const executeTimeout = 10 * time.Minute
 
-func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
+// decodeRegistration reads a POST /v1/workers body under maxWorkerBody and
+// checks that the worker's name is a model id.
+func decodeRegistration(w http.ResponseWriter, body io.ReadCloser) (workerd.Registration, error) {
 	var reg workerd.Registration
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWorkerBody)).Decode(&reg); err != nil {
-		writeError(w, http.StatusBadRequest, "decode registration: %v", err)
-		return
+	if err := json.NewDecoder(http.MaxBytesReader(w, body, maxWorkerBody)).Decode(&reg); err != nil {
+		return reg, fmt.Errorf("decode registration: %w", err)
 	}
 	if !ValidID(reg.Name) {
-		writeError(w, http.StatusBadRequest, "invalid worker name %q (must be a valid model id)", reg.Name)
+		return reg, fmt.Errorf("invalid worker name %q (must be a valid model id)", reg.Name)
+	}
+	return reg, nil
+}
+
+func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
+	reg, err := decodeRegistration(w, r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	info, err := s.pool.Register(r.Context(), reg)

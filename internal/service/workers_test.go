@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
+	"fpmpart/internal/fpm"
 	"fpmpart/internal/refine"
 	"fpmpart/internal/workerd"
 )
@@ -295,4 +300,59 @@ func TestWorkerExpiryOverHTTP(t *testing.T) {
 	if len(list.Workers) != 1 || list.Workers[0].Alive {
 		t.Fatalf("expired worker still listed alive: %s", data)
 	}
+}
+
+// FuzzRegistration decodes POST /v1/workers bodies as the handler does and
+// runs the checks Register makes before it probes the worker, so no input
+// dials a URL. Neither may panic, and a registration they accept must name
+// the worker, give a URL with a scheme and a host, and carry a model that
+// round-trips through its JSON wire form.
+func FuzzRegistration(f *testing.F) {
+	model, err := testModel(f).MarshalJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := json.Marshal(workerd.Registration{Name: "w1", URL: "http://127.0.0.1:9001", Cores: 2, Model: model})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(valid),
+		`{"name":"w1","url":"http://127.0.0.1:9001","model":{"points":[{"size":1,"speed":1}]}}`,
+		`{"name":"w1","url":"http://127.0.0.1:9001","model":"eyJwb2ludHMiOltdfQ=="}`,
+		`{"name":"w1","url":"127.0.0.1:9001","model":"` + base64.StdEncoding.EncodeToString(model) + `"}`,
+		`{"name":"w1","url":"http://","model":"` + base64.StdEncoding.EncodeToString(model) + `"}`,
+		`{"name":"no spaces!","url":"http://h","model":"` + base64.StdEncoding.EncodeToString(model) + `"}`,
+		`{"name":"w1","url":"http://h"}`, `{"name":"","url":"http://h"}`,
+		`[]`, `null`, ``, `{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		reg, err := decodeRegistration(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)))
+		if err != nil {
+			return
+		}
+		pl, err := reg.Validate()
+		if err != nil {
+			return
+		}
+		if reg.Name == "" {
+			t.Fatalf("accepted %q without a name", body)
+		}
+		if u, err := url.Parse(reg.URL); err != nil || u.Scheme == "" || u.Host == "" {
+			t.Fatalf("accepted %q with URL %q", body, reg.URL)
+		}
+		raw, err := pl.MarshalJSON()
+		if err != nil {
+			t.Fatalf("accepted model of %q does not encode: %v", body, err)
+		}
+		var back fpm.PiecewiseLinear
+		if err := back.UnmarshalJSON(raw); err != nil {
+			t.Fatalf("accepted model of %q encodes to %s, which does not decode: %v", body, raw, err)
+		}
+		if again, err := back.MarshalJSON(); err != nil || !bytes.Equal(again, raw) {
+			t.Fatalf("accepted model of %q encodes to %s, then to %s (%v)", body, raw, again, err)
+		}
+	})
 }

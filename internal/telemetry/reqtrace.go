@@ -15,8 +15,8 @@ import (
 // the time: admission wait, cache miss, equal-time solve, serialization.
 //
 // Everything is nil-safe: when no trace rides the context (background tools,
-// tracing disabled), TraceFrom returns nil, Stage returns a no-op func, and
-// the cost is one context lookup.
+// tracing disabled), TraceFrom returns nil, Stage returns a stage whose End
+// does nothing, and the cost is one context lookup.
 
 // Attr is one key/value annotation on a request trace.
 type Attr struct {
@@ -280,28 +280,43 @@ func currentSpan(ctx context.Context) int {
 	return -1
 }
 
-// StartStage opens a named stage under ctx's current span and returns a
-// derived context (so further stages nest beneath it) plus the close
-// function. With no trace on ctx both returns are cheap no-ops.
-func StartStage(ctx context.Context, name string) (context.Context, func()) {
-	t := TraceFrom(ctx)
-	if t == nil {
-		return ctx, func() {}
-	}
-	idx := t.startSpan(name, currentSpan(ctx))
-	return context.WithValue(ctx, reqSpanKey{}, idx), func() { t.endSpan(idx) }
+// OpenStage is a stage that Stage or StartStage opened; End closes it. It is
+// a value, not a closure, so opening a stage on a traced request allocates
+// nothing beyond the span itself. The zero OpenStage (no trace) closes
+// nothing.
+type OpenStage struct {
+	t   *ReqTrace
+	idx int
 }
 
-// Stage opens a leaf stage under ctx's current span and returns its close
-// function. Use it for stages that never have children (gate wait, cache
-// lookup, serialization); it avoids deriving a context.
-func Stage(ctx context.Context, name string) func() {
+// End closes the stage.
+func (s OpenStage) End() {
+	if s.t != nil {
+		s.t.endSpan(s.idx)
+	}
+}
+
+// StartStage opens a named stage under ctx's current span and returns a
+// derived context (so further stages nest beneath it) plus the open stage.
+// With no trace on ctx it returns ctx and a stage whose End does nothing.
+func StartStage(ctx context.Context, name string) (context.Context, OpenStage) {
 	t := TraceFrom(ctx)
 	if t == nil {
-		return func() {}
+		return ctx, OpenStage{}
 	}
 	idx := t.startSpan(name, currentSpan(ctx))
-	return func() { t.endSpan(idx) }
+	return context.WithValue(ctx, reqSpanKey{}, idx), OpenStage{t, idx}
+}
+
+// Stage opens a leaf stage under ctx's current span. Use it for stages that
+// never have children (gate wait, cache lookup, serialization); it avoids
+// deriving a context.
+func Stage(ctx context.Context, name string) OpenStage {
+	t := TraceFrom(ctx)
+	if t == nil {
+		return OpenStage{}
+	}
+	return OpenStage{t, t.startSpan(name, currentSpan(ctx))}
 }
 
 // AnnotateTrace attaches a key/value annotation to ctx's request trace, if

@@ -36,14 +36,11 @@ func TestStageNesting(t *testing.T) {
 	rt := NewReqTrace("nest", "partition")
 	ctx := ContextWithTrace(context.Background(), rt)
 
-	sctx, endSolve := StartStage(ctx, "solve")
-	endGate := Stage(sctx, "gate.wait")
-	endGate()
-	endEqualTime := Stage(sctx, "equal-time")
-	endEqualTime()
-	endSolve()
-	endSer := Stage(ctx, "serialize")
-	endSer()
+	sctx, stage := StartStage(ctx, "solve")
+	Stage(sctx, "gate.wait").End()
+	Stage(sctx, "equal-time").End()
+	stage.End()
+	Stage(ctx, "serialize").End()
 	rt.Finish(200)
 
 	snap := rt.Snapshot()
@@ -64,9 +61,9 @@ func TestStageNesting(t *testing.T) {
 
 func TestStageWithoutTraceIsNoop(t *testing.T) {
 	ctx := context.Background()
-	Stage(ctx, "x")()
-	sctx, end := StartStage(ctx, "y")
-	end()
+	Stage(ctx, "x").End()
+	sctx, y := StartStage(ctx, "y")
+	y.End()
 	if sctx != ctx {
 		t.Fatal("StartStage without a trace must return ctx unchanged")
 	}
@@ -123,7 +120,7 @@ func TestAnnotateLastValueWins(t *testing.T) {
 func TestAddToChromeTrace(t *testing.T) {
 	rt := NewReqTrace("chrome-1", "partition")
 	ctx := ContextWithTrace(context.Background(), rt)
-	Stage(ctx, "solve")()
+	Stage(ctx, "solve").End()
 	rt.Finish(200)
 
 	ct := NewChromeTrace()

@@ -79,30 +79,36 @@ func NewPool(sink ModelSink, opts PoolOptions) *Pool {
 // TTL returns the liveness window.
 func (p *Pool) TTL() time.Duration { return p.opts.TTL }
 
+// Validate checks a registration without contacting the worker: it needs a
+// name, a URL with a scheme and a host, and a model in the fpm JSON wire
+// form. It returns the decoded model.
+func (reg *Registration) Validate() (*fpm.PiecewiseLinear, error) {
+	if reg.Name == "" {
+		return nil, fmt.Errorf("workerd: registration missing name")
+	}
+	u, err := url.Parse(reg.URL)
+	if err != nil || u.Scheme == "" || u.Host == "" {
+		return nil, fmt.Errorf("workerd: registration URL %q invalid", reg.URL)
+	}
+	if len(reg.Model) == 0 {
+		return nil, fmt.Errorf("workerd: registration missing self-calibrated model")
+	}
+	pl := new(fpm.PiecewiseLinear)
+	if err := pl.UnmarshalJSON(reg.Model); err != nil {
+		return nil, fmt.Errorf("workerd: registration model: %w", err)
+	}
+	return pl, nil
+}
+
 // Register validates reg, proves the advertised URL answers (one GET
 // /healthz), publishes the worker's self-calibrated model, and upserts the
 // pool entry. Re-registration of a live or dead worker is an upsert: the
 // worker is probed again and revived.
 func (p *Pool) Register(ctx context.Context, reg Registration) (WorkerInfo, error) {
-	if reg.Name == "" {
+	pl, err := reg.Validate()
+	if err != nil {
 		registrationsTotal("invalid").Inc()
-		return WorkerInfo{}, fmt.Errorf("workerd: registration missing name")
-	}
-	u, err := url.Parse(reg.URL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		registrationsTotal("invalid").Inc()
-		return WorkerInfo{}, fmt.Errorf("workerd: registration URL %q invalid", reg.URL)
-	}
-	var pl *fpm.PiecewiseLinear
-	if len(reg.Model) > 0 {
-		pl = new(fpm.PiecewiseLinear)
-		if err := pl.UnmarshalJSON(reg.Model); err != nil {
-			registrationsTotal("invalid").Inc()
-			return WorkerInfo{}, fmt.Errorf("workerd: registration model: %w", err)
-		}
-	} else {
-		registrationsTotal("invalid").Inc()
-		return WorkerInfo{}, fmt.Errorf("workerd: registration missing self-calibrated model")
+		return WorkerInfo{}, err
 	}
 
 	if err := p.probe(ctx, reg.URL); err != nil {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"fpmpart/internal/faults"
 	"fpmpart/internal/matrix"
 )
 
@@ -62,6 +63,57 @@ func TestShardChecksumShippedOrNot(t *testing.T) {
 	}
 	if answers[true].Checksum != answers[false].Checksum {
 		t.Fatal("shipping changed the checksum")
+	}
+}
+
+// A slowed shard waits out its fault plan's delay in full and reports the
+// planned seconds, factor × its measured compute, not the time it waited.
+// Round 0 runs at full speed, round 1 under the plan's factor.
+func TestSlowShardWaitsThePlannedSeconds(t *testing.T) {
+	const factor = 20
+	spec, err := faults.ParseSpec("slow:dev=0,iter=1,factor=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.NewInjector(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{Name: "s", Workers: 1, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := w.Handler()
+	run := func(round int) (reported, wall float64) {
+		t.Helper()
+		body := `{"job":"s","seed":3,"rows":128,"k":128,"n":128,"row0":0,"row1":128,"round":` + strconv.Itoa(round) + `}`
+		start := time.Now()
+		rec := postShard(h, body)
+		wall = time.Since(start).Seconds()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, rec.Code, rec.Body)
+		}
+		var resp ShardResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Seconds, wall
+	}
+	fast, slow := math.Inf(1), math.Inf(1)
+	for i := 0; i < 5; i++ {
+		s0, _ := run(0)
+		s1, wall := run(1)
+		if wall < s1 {
+			t.Fatalf("slowed shard reported %.6f s but its handler took %.6f s: the delay came up short", s1, wall)
+		}
+		fast, slow = min(fast, s0), min(slow, s1)
+	}
+	// One call's compute varies from the next; the fastest of five per round
+	// stays well within a factor of four of the planned ratio.
+	r := slow / fast
+	t.Logf("slowed %.6f s, unslowed %.6f s: %.1f×", slow, fast, r)
+	if r < factor/4 || r > factor*4 {
+		t.Fatalf("slowed shard reported %.6f s against %.6f s unslowed (%.1f×), want about %d×", slow, fast, r, factor)
 	}
 }
 

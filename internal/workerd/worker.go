@@ -152,7 +152,7 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 			http.Error(rw, fmt.Sprintf(`{"error":%q}`, ferr.Error()), http.StatusInternalServerError)
 			return
 		case adj > seconds:
-			time.Sleep(time.Duration((adj - seconds) * float64(time.Second)))
+			delay(time.Duration((adj - seconds) * float64(time.Second)))
 			seconds = adj
 		}
 	}
