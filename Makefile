@@ -43,24 +43,34 @@ bench-all:
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'Gemm|FillRandom' -benchtime=1x ./...
 
-# Short fuzzing pass over every fuzz target.
+# Every fuzz target, as <package dir>:<FuzzName>. TestFuzzTargetsListed
+# (fuzzlist_test.go) fails when a func Fuzz... in the repository is missing.
+FUZZ_TARGETS = \
+	internal/fpm:FuzzModelJSON \
+	internal/fpm:FuzzPiecewiseLinear \
+	internal/fpm:FuzzSizeFor \
+	internal/partition:FuzzRoundShares \
+	internal/partition:FuzzFPMPartition \
+	internal/blas:FuzzGemmDifferential \
+	internal/matrix:FuzzFillRandomAt \
+	internal/workerd:FuzzShardRequest \
+	internal/workerd:FuzzShardResponse \
+	internal/workerd:FuzzExecuteRequest \
+	internal/service:FuzzObserveRequest \
+	internal/service:FuzzPartitionRequest \
+	internal/service:FuzzPartitionAnswer \
+	internal/service:FuzzPutModel \
+	internal/service:FuzzRegistration \
+	internal/resilient:FuzzRun
+FUZZTIME ?= 15s
+
+# Short fuzzing pass over every fuzz target, FUZZTIME each, without first
+# running each package's tests.
 fuzz:
-	$(GO) test -fuzz=FuzzModelJSON -fuzztime=15s ./internal/fpm/
-	$(GO) test -fuzz=FuzzPiecewiseLinear -fuzztime=15s ./internal/fpm/
-	$(GO) test -fuzz=FuzzSizeFor -fuzztime=15s ./internal/fpm/
-	$(GO) test -fuzz=FuzzRoundShares -fuzztime=15s ./internal/partition/
-	$(GO) test -fuzz=FuzzFPMPartition -fuzztime=15s ./internal/partition/
-	$(GO) test -fuzz=FuzzGemmDifferential -fuzztime=15s ./internal/blas/
-	$(GO) test -fuzz=FuzzFillRandomAt -fuzztime=15s ./internal/matrix/
-	$(GO) test -fuzz=FuzzShardRequest -fuzztime=15s ./internal/workerd/
-	$(GO) test -fuzz=FuzzShardResponse -fuzztime=15s ./internal/workerd/
-	$(GO) test -fuzz=FuzzExecuteRequest -fuzztime=15s ./internal/workerd/
-	$(GO) test -fuzz=FuzzObserveRequest -fuzztime=15s ./internal/service/
-	$(GO) test -fuzz=FuzzPartitionRequest -fuzztime=15s ./internal/service/
-	$(GO) test -fuzz=FuzzPartitionAnswer -fuzztime=15s ./internal/service/
-	$(GO) test -fuzz=FuzzPutModel -fuzztime=15s ./internal/service/
-	$(GO) test -fuzz=FuzzRegistration -fuzztime=15s ./internal/service/
-	$(GO) test -fuzz=FuzzRun -fuzztime=15s ./internal/resilient/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=$(FUZZTIME) "./$${t%%:*}/"; \
+	done
 
 experiments:
 	$(GO) run ./cmd/experiments

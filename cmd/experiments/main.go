@@ -16,6 +16,7 @@ import (
 
 	"fpmpart/internal/cliutil"
 	"fpmpart/internal/experiments"
+	"fpmpart/internal/faults"
 	"fpmpart/internal/gpukernel"
 	"fpmpart/internal/hw"
 	"fpmpart/internal/telemetry"
@@ -23,24 +24,26 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		csvDir   = flag.String("csv", "", "directory to write per-experiment CSV files into")
-		md       = flag.Bool("markdown", false, "render tables as markdown instead of aligned text")
-		platform = flag.String("platform", "", "JSON platform config to run on (default: the paper's ig node; see -dump-platform)")
-		dumpPlat = flag.Bool("dump-platform", false, "print the default platform as JSON config and exit")
-		seed     = flag.Int64("seed", 1, "measurement-noise seed")
-		sigma    = flag.Float64("noise", 0.01, "relative measurement noise")
-		version  = flag.Int("kernel", 2, "GPU kernel version for partitioning experiments (1, 2 or 3)")
-		traceN   = flag.Int("trace-n", 60, "problem size (blocks) of the hybrid run exported by -trace-out")
+		list      = flag.Bool("list", false, "list available experiments and exit")
+		csvDir    = flag.String("csv", "", "directory to write per-experiment CSV files into")
+		md        = flag.Bool("markdown", false, "render tables as markdown instead of aligned text")
+		platform  = flag.String("platform", "", "JSON platform config to run on (default: the paper's ig node; see -dump-platform)")
+		dumpPlat  = flag.Bool("dump-platform", false, "print the default platform as JSON config and exit")
+		seed      = flag.Int64("seed", 1, "measurement-noise seed")
+		sigma     = flag.Float64("noise", 0.01, "relative measurement noise")
+		version   = flag.Int("kernel", 2, "GPU kernel version for partitioning experiments (1, 2 or 3)")
+		traceN    = flag.Int("trace-n", 60, "problem size (blocks) of the hybrid run exported by -trace-out")
+		faultSpec = flag.String("fault-spec", "",
+			"faults to inject into resilient runs, e.g. 'crash:dev=0,iter=30;stall:dev=1,iter=5,len=3;slow:dev=2,iter=20,factor=2.5' (empty = experiment default)")
+		faultSeed = flag.Int64("fault-seed", 1,
+			"seed resolving unspecified fault parameters (stall lengths, slowdown factors)")
 		parallel = cliutil.Parallel()
 		tele     cliutil.TelemetryFlags
-		flt      cliutil.FaultFlags
 	)
 	tele.Register()
-	flt.Register()
 	flag.Parse()
 
-	if err := flt.Validate(); err != nil {
+	if _, err := faults.ParseSpec(*faultSpec); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -83,8 +86,8 @@ func main() {
 		NoiseSigma:  *sigma,
 		Version:     gpukernel.Version(*version),
 		Parallelism: *parallel,
-		FaultSpec:   flt.Spec,
-		FaultSeed:   flt.Seed,
+		FaultSpec:   *faultSpec,
+		FaultSeed:   *faultSeed,
 	}
 	exit := 0
 	if err := experiments.Print(os.Stdout, node, opts, names, *md, *csvDir); err != nil {
@@ -121,7 +124,7 @@ func writeHybridTrace(tele *cliutil.TelemetryFlags, node *hw.Node, opts experime
 		if err != nil {
 			return err
 		}
-		ct.AddTimelineByLane(tl)
+		tl.AddByLane(ct)
 		return nil
 	})
 }

@@ -136,7 +136,7 @@ func writeEngineTrace(tele *cliutil.TelemetryFlags, node *hw.Node) error {
 			}, &tl); err != nil {
 				return err
 			}
-			ct.AddTimeline(g.Name, &tl)
+			tl.AddTo(ct, g.Name)
 		}
 		return nil
 	})

@@ -18,10 +18,10 @@ import (
 // h2d/compute/d2h engine schedules (the paper's Figure 4(b)), scaled to the
 // process's effective iteration time.
 //
-// Lanes are named "process/thread" so telemetry.ChromeTrace.AddTimelineByLane
-// groups them: CPU processes keep their "socketS/coreC" names, a GPU named G
-// gets "G/host" plus "G/h2d", "G/compute" and "G/d2h", and the broadcast
-// lives on "node/broadcast".
+// Lanes are named "process/thread" so sim.Timeline.AddByLane groups them:
+// CPU processes keep their "socketS/coreC" names, a GPU named G gets
+// "G/host" plus "G/h2d", "G/compute" and "G/d2h", and the broadcast lives
+// on "node/broadcast".
 //
 // maxIters bounds the number of traced iterations (0 = all bl.N); the
 // returned SimResult always describes the full run.

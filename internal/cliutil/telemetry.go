@@ -1,6 +1,6 @@
 // Package cliutil shares command-line plumbing between the cmd/ tools: the
-// -parallel pool width, the -trace-out Chrome trace, the -fault-spec plan and
-// the -log-format/-log-level logger.
+// -parallel pool width, the -trace-out Chrome trace and the
+// -log-format/-log-level logger.
 package cliutil
 
 import (

@@ -121,7 +121,7 @@ func hybridTrace(t *testing.T, parallelism int) []byte {
 		t.Fatal(err)
 	}
 	ct := telemetry.NewChromeTrace()
-	ct.AddTimelineByLane(tl)
+	tl.AddByLane(ct)
 	var buf bytes.Buffer
 	if err := ct.Write(&buf); err != nil {
 		t.Fatal(err)

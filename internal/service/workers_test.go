@@ -173,6 +173,15 @@ func TestWorkerEndpointsRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("execute with a job kind: status %d, want 400: %s", resp.StatusCode, data)
 	}
+	// A worker named twice is refused like an unknown one, not run once and
+	// listed twice.
+	for _, workers := range [][]string{{"ghost"}, {"w1", "w1"}} {
+		body, _ := json.Marshal(workerd.ExecuteRequest{Rows: 64, Workers: workers})
+		resp, data := doReq(t, http.MethodPost, ts.URL+"/v1/execute", "application/json", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("execute on workers %q: status %d, want 400: %s", workers, resp.StatusCode, data)
+		}
+	}
 
 	// Workers disabled: the routes are absent (404), not half-mounted.
 	s2, ts2 := newTestServer(t, Config{ModelDir: t.TempDir(), DisableRequestTracing: true})

@@ -1,4 +1,4 @@
-package telemetry
+package sim
 
 import (
 	"bytes"
@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fpmpart/internal/sim"
+	"fpmpart/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -34,9 +34,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // engineTimeline builds a small deterministic GPU-engine schedule like the
 // ones internal/gpukernel records (the paper's Figure 4(b) shape).
-func engineTimeline(t *testing.T) *sim.Timeline {
+func engineTimeline(t *testing.T) *Timeline {
 	t.Helper()
-	var tl sim.Timeline
+	var tl Timeline
 	for _, s := range []struct {
 		lane, label string
 		start, end  float64
@@ -57,8 +57,8 @@ func engineTimeline(t *testing.T) *sim.Timeline {
 }
 
 func TestChromeTraceGoldenFromTimeline(t *testing.T) {
-	ct := NewChromeTrace()
-	ct.AddTimeline("GTX680", engineTimeline(t))
+	ct := telemetry.NewChromeTrace()
+	engineTimeline(t).AddTo(ct, "GTX680")
 	var buf bytes.Buffer
 	if err := ct.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestChromeTraceGoldenFromTimeline(t *testing.T) {
 }
 
 func TestChromeTraceGoldenByLane(t *testing.T) {
-	var tl sim.Timeline
+	var tl Timeline
 	for _, s := range []struct {
 		lane, label string
 		start, end  float64
@@ -116,8 +116,8 @@ func TestChromeTraceGoldenByLane(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ct := NewChromeTrace()
-	ct.AddTimelineByLane(&tl)
+	ct := telemetry.NewChromeTrace()
+	tl.AddByLane(ct)
 	var buf bytes.Buffer
 	if err := ct.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -132,8 +132,8 @@ func TestChromeTraceGoldenByLane(t *testing.T) {
 
 func TestChromeTraceStableAcrossRewrites(t *testing.T) {
 	build := func() []byte {
-		ct := NewChromeTrace()
-		ct.AddTimeline("gpu", engineTimeline(t))
+		ct := telemetry.NewChromeTrace()
+		engineTimeline(t).AddTo(ct, "gpu")
 		var buf bytes.Buffer
 		if err := ct.Write(&buf); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
+
+	"fpmpart/internal/telemetry"
 )
 
 // Span is one scheduled task occurrence.
@@ -52,6 +55,28 @@ func (t *Timeline) Makespan() float64 {
 		}
 	}
 	return m
+}
+
+// AddTo adds every span of t to ct under one process; lanes become threads.
+// This is how the engine schedules recorded by internal/gpukernel (the
+// paper's Figure 4(b)) reach Perfetto.
+func (t *Timeline) AddTo(ct *telemetry.ChromeTrace, process string) {
+	for _, s := range t.spans {
+		ct.Span(process, s.Lane, s.Label, s.Start, s.End)
+	}
+}
+
+// AddByLane adds t to ct with lane names that encode the process: a lane
+// "socket0/core3" becomes thread "core3" of process "socket0"; a lane
+// without a separator becomes thread "main" of a process named after it.
+func (t *Timeline) AddByLane(ct *telemetry.ChromeTrace) {
+	for _, s := range t.spans {
+		proc, thread, ok := strings.Cut(s.Lane, "/")
+		if !ok {
+			proc, thread = s.Lane, "main"
+		}
+		ct.Span(proc, thread, s.Label, s.Start, s.End)
+	}
 }
 
 // Resource is a sequential device timeline: work items execute one at a

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
-
-	"fpmpart/internal/sim"
 )
 
 // ChromeTrace accumulates spans and writes them in the Chrome trace_event
@@ -74,28 +71,6 @@ func (c *ChromeTrace) Span(process, thread, name string, start, end float64) {
 	t.spans = append(t.spans, chromeSpan{
 		name: name, ts: start * 1e6, dur: (end - start) * 1e6, seq: c.seq,
 	})
-}
-
-// AddTimeline adds every span of a sim.Timeline under one process; lanes
-// become threads. This is how the engine schedules recorded by
-// internal/gpukernel (the paper's Figure 4(b)) reach Perfetto.
-func (c *ChromeTrace) AddTimeline(process string, tl *sim.Timeline) {
-	for _, s := range tl.Spans() {
-		c.Span(process, s.Lane, s.Label, s.Start, s.End)
-	}
-}
-
-// AddTimelineByLane adds a timeline whose lane names encode the process: a
-// lane "socket0/core3" becomes thread "core3" of process "socket0"; a lane
-// without a separator becomes thread "main" of a process named after it.
-func (c *ChromeTrace) AddTimelineByLane(tl *sim.Timeline) {
-	for _, s := range tl.Spans() {
-		proc, thread, ok := strings.Cut(s.Lane, "/")
-		if !ok {
-			proc, thread = s.Lane, "main"
-		}
-		c.Span(proc, thread, s.Label, s.Start, s.End)
-	}
 }
 
 // jsonStr renders a JSON string literal.

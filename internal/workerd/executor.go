@@ -63,8 +63,8 @@ type ExecuteRequest struct {
 	// shard boundaries on the coordinator's local kernel, asserting
 	// bit-identical bytes.
 	Verify bool `json:"verify,omitempty"`
-	// Workers restricts the job to a subset of registered workers
-	// (default: every live worker).
+	// Workers restricts the job to a subset of registered workers, each
+	// named once (default: every live worker).
 	Workers []string `json:"workers,omitempty"`
 }
 
@@ -96,6 +96,15 @@ func (r *ExecuteRequest) normalize() error {
 	case PartitionFPM, PartitionEven:
 	default:
 		return fmt.Errorf("workerd: unknown partition strategy %q", r.Partition)
+	}
+	if len(r.Workers) > 0 {
+		r.Workers = append([]string(nil), r.Workers...)
+		sort.Strings(r.Workers)
+		for i := 1; i < len(r.Workers); i++ {
+			if r.Workers[i] == r.Workers[i-1] {
+				return fmt.Errorf("workerd: worker %q named twice", r.Workers[i])
+			}
+		}
 	}
 	return nil
 }
@@ -265,8 +274,9 @@ func (e *Executor) Execute(ctx context.Context, req ExecuteRequest) (*ExecuteRep
 	return report, nil
 }
 
-// selection resolves the requested worker subset (default: all currently
-// live), erroring on unknown names so typos fail loudly.
+// selection resolves the requested worker subset, sorted and free of
+// repeats by normalize (default: all currently live), erroring on unknown
+// names so typos fail loudly.
 func (e *Executor) selection(names []string) ([]string, error) {
 	if len(names) == 0 {
 		alive := e.pool.Alive()
@@ -279,14 +289,12 @@ func (e *Executor) selection(names []string) ([]string, error) {
 		}
 		return out, nil
 	}
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	for _, n := range out {
+	for _, n := range names {
 		if _, ok := e.pool.Get(n); !ok {
 			return nil, fmt.Errorf("workerd: unknown worker %q", n)
 		}
 	}
-	return out, nil
+	return names, nil
 }
 
 func (e *Executor) liveSubset(sel []string) []WorkerInfo {

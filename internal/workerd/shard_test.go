@@ -303,8 +303,8 @@ func FuzzShardResponse(f *testing.F) {
 // FuzzExecuteRequest: whatever the /v1/execute body, decoding it as
 // service's handler does and normalizing it never panics; a request that
 // normalizes has positive dimensions within the operand bound, 1..10000
-// rounds, a nonzero seed and a known strategy, and normalizes to itself
-// again. An executor with no workers refuses it.
+// rounds, a nonzero seed, a known strategy and no worker named twice, and
+// normalizes to itself again. An executor with no workers refuses it.
 func FuzzExecuteRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"rows":64}`,
@@ -313,7 +313,7 @@ func FuzzExecuteRequest(f *testing.F) {
 		`{"rows":9223372036854775807}`,
 		`{"rows":16,"rounds":10001}`,
 		`{"rows":16,"partition":"cpm"}`,
-		`{"rows":16,"workers":[]}`, `{"rows":-1}`, `{"rows":16,"kind":"stencil"}`,
+		`{"rows":16,"workers":[]}`, `{"rows":16,"workers":["b","a","b"]}`, `{"rows":-1}`, `{"rows":16,"kind":"stencil"}`,
 		`[]`, `null`, ``, `{`,
 	} {
 		f.Add([]byte(seed))
@@ -339,6 +339,11 @@ func FuzzExecuteRequest(f *testing.F) {
 		if req.Rounds < 1 || req.Rounds > 10000 || req.Seed == 0 ||
 			(req.Partition != PartitionFPM && req.Partition != PartitionEven) {
 			t.Fatalf("normalized %q to %+v", body, req)
+		}
+		for i := 1; i < len(req.Workers); i++ {
+			if req.Workers[i] == req.Workers[i-1] {
+				t.Fatalf("normalized %q with worker %q named twice", body, req.Workers[i])
+			}
 		}
 		again := req
 		if err := again.normalize(); err != nil || !reflect.DeepEqual(again, req) {

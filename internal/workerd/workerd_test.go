@@ -611,6 +611,7 @@ func TestExecuteRejectsBadRequests(t *testing.T) {
 		{Rows: 10, Rounds: 20000},
 		{Rows: 1 << 20, K: 1 << 20, N: 1},
 		{Rows: 1 << 15}, // N and K default to Rows: 2^30-element operands
+		{Rows: 10, Workers: []string{"a", "b", "a"}},
 	}
 	for i, req := range cases {
 		// Rejected by normalize itself, not only for want of workers.
